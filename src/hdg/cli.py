@@ -18,6 +18,7 @@ from .errors import (
     InvalidInput,
     OwnColorViolation,
     SearchSpaceTooLarge,
+    SolverDivergence,
 )
 from .fileio import (
     load_instance,
@@ -92,7 +93,8 @@ def cmd_solve(args) -> int:
         print("NO: no stable outcome within the budgets")
         return 1
     verdict = check_outcome(instance, outcome, args.notion)
-    assert verdict.stable, verdict
+    if not verdict.stable:
+        raise SolverDivergence(f"{algo} returned an outcome that fails its check: {verdict}")
     if args.out:
         save_outcome(instance, outcome, args.out)
         print(f"YES: stable outcome written to {args.out}")

@@ -403,6 +403,15 @@ class Instance:
         for t in self.types:
             if t not in self.prefs:
                 raise InvalidInput(f"agent type {t} has no preference order")
+        for t, order in self.prefs.items():
+            if isinstance(order, TierList):
+                for tier in order.tiers:
+                    for p in tier:
+                        if len(p) != self.gamma:
+                            raise InvalidInput(
+                                f"type {t} lists palette {p} of length {len(p)}, "
+                                f"not gamma={self.gamma}"
+                            )
         b = self.budgets
         if not (1 <= b.sigma <= n and 1 <= b.rho1 <= n and 0 <= b.rho2 <= b.rho1):
             raise InvalidInput(f"budgets {b} out of range for n={n}")
@@ -504,15 +513,6 @@ def compare(type_id: int, p: Palette, q: Palette, instance: Instance) -> int:
     order = instance.prefs[type_id]
     a, b = order.tier_of(p), order.tier_of(q)
     return GREATER if a < b else LESS if a > b else EQUAL
-
-
-def prefers(type_id: int, p: Palette, q: Palette, instance: Instance) -> bool:
-    """Strict preference of p over q."""
-    return compare(type_id, p, q, instance) == GREATER
-
-
-def weakly_prefers(type_id: int, p: Palette, q: Palette, instance: Instance) -> bool:
-    return compare(type_id, p, q, instance) != LESS
 
 
 # --------------------------------------------------------------------------

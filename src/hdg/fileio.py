@@ -43,7 +43,29 @@ def instance_to_data(instance: Instance) -> dict:
     }
 
 
+# Top-level keys of an instance file and the JSON type each must have.
+_TOP_LEVEL = {
+    "n": int,
+    "gamma": int,
+    "sigma": int,
+    "rho1": int,
+    "rho2": int,
+    "agents": list,
+    "types": dict,
+}
+
+
 def instance_from_data(data: Mapping) -> Instance:
+    if not isinstance(data, dict):
+        raise InvalidInput("instance data must be a JSON object")
+    for key, kind in _TOP_LEVEL.items():
+        if key not in data:
+            raise InvalidInput(f"instance data has no {key!r}")
+        value = data[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise InvalidInput(
+                f"instance {key!r} must be {kind.__name__}, not {type(value).__name__}"
+            )
     try:
         agents = data["agents"]
         prefs: dict[int, TierList | NamedFamily] = {}

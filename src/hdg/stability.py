@@ -6,21 +6,25 @@ strictly prefers C plus itself over its current coalition; an IS-deviation
 additionally requires every member of C to weakly approve the join.
 Deviations ignore the size/count budgets: budgets only filter which
 outcomes are acceptable, they do not change the game.
+
+Whether an agent deviates to C depends only on the agent's (color, type),
+its own coalition's color counts, C's color counts and, under IS, the set
+of types present in C.  The search therefore groups coalitions by that
+signature in one O(n) pass and decides each agent class -- own signature,
+color and type -- against each group at most once, reading tiers through
+one per-call `TierCache`.  Groups are tried lazily in order of their first
+coalition index, so the witness is the one an agent-by-agent scan would
+return: lowest agent, then lowest target index, the empty coalition last.
+The cost is O(n + agent classes x groups) oracle work instead of O(n^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    Instance,
-    palette_of,
-    prefers,
-    reduce_counts,
-    singleton_palette,
-    weakly_prefers,
-)
+from .core import Instance, reduce_counts, singleton_palette
 from .errors import InvalidOutcome
+from .prefs import TierCache
 
 NS = "ns"
 IS = "is"
@@ -64,33 +68,79 @@ class Deviation:
 
 def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
     owner = outcome.member_of(instance.n)
-    palettes = [palette_of(block, instance) for block in outcome.coalitions]
+    colors, types, gamma = instance.colors, instance.types, instance.gamma
+    tier = TierCache(instance).tier
+    under_is = kind == IS
+
+    # One pass over the agents: counts and signature per coalition, and
+    # per signature group its first two coalition indices.
+    group_of: list[int] = []
+    first: list[int] = []
+    second: list[int | None] = []
+    counts_of: list[tuple[int, ...]] = []
+    present: list[frozenset[int]] = []
+    index: dict[tuple, int] = {}
+    for idx, block in enumerate(outcome.coalitions):
+        counts = [0] * gamma
+        for member in block:
+            counts[colors[member]] += 1
+        counts = tuple(counts)
+        if under_is:
+            here = frozenset(types[member] for member in block)
+            sig = (counts, here)
+        else:
+            sig = counts
+        g = index.get(sig)
+        if g is None:
+            g = index[sig] = len(first)
+            first.append(idx)
+            second.append(None)
+            counts_of.append(counts)
+            if under_is:
+                present.append(here)
+        elif second[g] is None:
+            second[g] = idx
+        group_of.append(g)
+
+    palettes = [reduce_counts(counts) for counts in counts_of]
+
+    # Walk the agents in id order.  The groups are tried in order of their
+    # first index, which stands for the whole group (its second index when
+    # the first is the agent's own coalition), until that index passes the
+    # best target found.  A class with no deviation is remembered: any
+    # later agent of it has the same own group and the same decisions.
+    settled: set[tuple[int, int, int]] = set()
     for agent in range(instance.n):
-        t = instance.types[agent]
-        color = instance.colors[agent]
-        own = palettes[owner[agent]]
-        for idx, block in enumerate(outcome.coalitions):
-            if idx == owner[agent]:
-                continue
-            joined_counts = [0] * instance.gamma
-            for member in block:
-                joined_counts[instance.colors[member]] += 1
-            joined_counts[color] += 1
-            joined = reduce_counts(joined_counts)
-            if not prefers(t, joined, own, instance):
-                continue
-            if kind == IS:
-                base = palettes[idx]
-                if not all(
-                    weakly_prefers(instance.types[m], joined, base, instance)
-                    for m in block
-                ):
+        own = owner[agent]
+        g_own = group_of[own]
+        color, t = colors[agent], types[agent]
+        if (g_own, color, t) in settled:
+            continue
+        own_tier = tier(t, palettes[g_own])
+        best = None
+        for g, cand in enumerate(first):
+            if best is not None and cand > best:
+                break
+            if cand == own:
+                cand = second[g]
+                if cand is None or (best is not None and cand > best):
                     continue
-            return Deviation(agent, idx, kind)
-        # Deviation to the empty coalition: always accepted under IS.
-        alone = singleton_palette(color, instance.gamma)
-        if prefers(t, alone, own, instance):
-            return Deviation(agent, EMPTY, kind)
+            counts = list(counts_of[g])
+            counts[color] += 1
+            joined = reduce_counts(counts)
+            if tier(t, joined) >= own_tier:
+                continue
+            if under_is and not all(
+                tier(u, joined) <= tier(u, palettes[g]) for u in present[g]
+            ):
+                continue
+            best = cand
+        if best is None and tier(t, singleton_palette(color, gamma)) < own_tier:
+            # Deviation to the empty coalition: always accepted under IS.
+            best = EMPTY
+        if best is not None:
+            return Deviation(agent, best, kind)
+        settled.add((g_own, color, t))
     return None
 
 

@@ -18,14 +18,22 @@ def test_seeded_runs_are_identical():
 
 
 def test_offending_instance_serialized(tmp_path, monkeypatch):
-    # Force a fake disagreement path by checking the writer directly.
-    from hdg.bench import check_instance
+    # A deliberately wrong solver that answers NO everywhere disagrees
+    # with the real ones on example1 (YES under both notions).
+    from hdg import bench
+    from hdg.fileio import parse_instance, serialize_instance
     from hdg.fixtures import example1
 
+    wrong = ("always-no", lambda instance, notion: None)
+    monkeypatch.setattr(bench, "GENERAL_SOLVERS", bench.GENERAL_SOLVERS + (wrong,))
+    instance = example1()
     report = BenchReport()
-    check_instance(example1(), report, label="x", out_dir=str(tmp_path))
-    assert report.ok  # real solvers agree; no file written
-    assert not list(tmp_path.iterdir())
+    bench.check_instance(instance, report, label="x/1", out_dir=str(tmp_path))
+    assert len(report.disagreements) == 2 and not report.witness_failures
+    written = list(tmp_path.iterdir())
+    assert [p.name for p in written] == ["disagreement-x_1.json"]
+    back = parse_instance(written[0].read_text())
+    assert serialize_instance(back) == serialize_instance(instance)
 
 
 def test_capacity_reduction_never_increases_flow():

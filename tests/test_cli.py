@@ -65,6 +65,35 @@ def test_check_rejects_non_partition(example1_path, tmp_path):
     assert main(["check", example1_path, str(out)]) == 2
 
 
+def test_malformed_instance_file_is_error(example1_path, tmp_path, capsys):
+    with open(example1_path) as fh:
+        good = json.load(fh)
+    for key in ("n", "gamma", "agents", "types", "sigma", "rho1", "rho2"):
+        for label, data in (
+            ("missing", {k: v for k, v in good.items() if k != key}),
+            ("ill-typed", {**good, key: "4"}),
+        ):
+            path = tmp_path / f"{label}-{key}.json"
+            path.write_text(json.dumps(data))
+            assert main(["solve", str(path)]) == 2, (label, key)
+            assert f"'{key}'" in capsys.readouterr().err
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["solve", str(path)]) == 2
+
+
+def test_solve_rejects_a_witness_that_fails_its_check(example1_path, monkeypatch, capsys):
+    # A wrong solver: every agent alone, which agent b deserts to join c.
+    from hdg import cli
+
+    wrong = lambda instance, notion: Outcome.from_sets([{a} for a in range(instance.n)])
+    monkeypatch.setitem(cli.SOLVERS, "brute", wrong)
+    assert main(["solve", example1_path, "--algo", "brute"]) == 2
+    captured = capsys.readouterr()
+    assert "brute returned an outcome that fails its check" in captured.err
+    assert "YES" not in captured.out
+
+
 def test_missing_file_is_error():
     assert main(["solve", "/nonexistent/instance.json"]) == 2
 

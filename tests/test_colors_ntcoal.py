@@ -68,7 +68,7 @@ def test_example1_rho2_one():
 
 def test_rho2_zero_forces_singletons():
     happy_alone = TierList([[(1, 0)]])
-    inst = make_instance([0, 0], {0: happy_alone}, types=[0, 0], rho2=0)
+    inst = make_instance([0, 0], {0: happy_alone}, types=[0, 0], gamma=2, rho2=0)
     out = solve_colors_ntcoal(inst, NS)
     assert out is not None and all(len(b) == 1 for b in out.coalitions)
 

@@ -188,6 +188,18 @@ def test_instance_validation():
         make_instance([0, 0], {0: TierList([])}, types=[0, 0], sigma=0)
 
 
+def test_instance_rejects_tier_palette_of_wrong_length():
+    # A palette with a stray third entry never matches a real coalition;
+    # accepted, it silently turned example1's Nash-stable split into NO.
+    inst = example1()
+    master = inst.prefs[0]
+    padded = TierList([[p + (0,) for p in master.tiers[0]], *master.tiers[1:]])
+    with pytest.raises(InvalidInput, match="gamma=2"):
+        make_instance(
+            inst.colors, {0: padded, 1: inst.prefs[1]}, types=inst.types, gamma=2
+        )
+
+
 def test_realizable_palettes_example1():
     inst = example1()
     assert set(realizable_palettes(inst, 2)) == {(1, 0), (0, 1), (1, 1)}
