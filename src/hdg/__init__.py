@@ -2,11 +2,9 @@
 
 from .core import (
     Budgets,
-    Composition,
     Instance,
     NamedFamily,
     TierList,
-    add_agent,
     compare,
     make_instance,
     palette_of,
@@ -23,7 +21,7 @@ from .stability import (
     find_ns_deviation,
 )
 from .brute import solve_brute, solve_brute_positions
-from .colors_ntcoal import solve_colors_ntcoal, solve_colors_totcoal
+from .colors_ntcoal import solve_colors_ntcoal
 from .colors_size import solve_colors_size
 from .colors_types import solve_colors_types
 from .ownhdg import solve_ownhdg_nash
@@ -32,16 +30,13 @@ __all__ = [
     "solve_brute",
     "solve_brute_positions",
     "solve_colors_ntcoal",
-    "solve_colors_totcoal",
     "solve_colors_size",
     "solve_colors_types",
     "solve_ownhdg_nash",
     "Budgets",
-    "Composition",
     "Instance",
     "NamedFamily",
     "TierList",
-    "add_agent",
     "compare",
     "make_instance",
     "palette_of",

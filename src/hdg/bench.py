@@ -1,10 +1,10 @@
 """Cross-solver checking harness.
 
-Generates seeded random instances, runs every applicable solver on both
-stability notions, and demands unanimous YES/NO answers with verified
-witnesses.  Any disagreement is reported (and the offending instance
-serialized) for triage; the harness is both a CLI command and the
-workhorse of the acceptance suite.
+Generates seeded random instances, runs every solver of the `SOLVERS`
+table on each stability notion it supports, and demands unanimous YES/NO
+answers with verified witnesses.  Any disagreement is reported (and the
+offending instance serialized) for triage; the harness is both a CLI
+command and the workhorse of the acceptance suite.
 """
 
 from __future__ import annotations
@@ -12,25 +12,35 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .brute import solve_brute, solve_brute_positions
-from .colors_ntcoal import solve_colors_ntcoal, solve_colors_totcoal
+from .colors_ntcoal import solve_colors_ntcoal
 from .colors_size import solve_colors_size
 from .colors_types import solve_colors_types
-from .errors import HdgError, InstanceTooLarge, OwnColorViolation, SearchSpaceTooLarge
+from .core import Instance
+from .errors import InstanceTooLarge, OwnColorViolation, SearchSpaceTooLarge
 from .fileio import serialize_instance
-from .ownhdg import own_ratio_orders, solve_ownhdg_nash
+from .ownhdg import solve_ownhdg_nash
 from .randgen import GenCaps, random_instance
-from .stability import IS, NS, check_outcome
+from .stability import IS, NS, Outcome, check_outcome
 
-GENERAL_SOLVERS = (
-    ("brute", solve_brute),
-    ("brute-positions", solve_brute_positions),
-    ("colors-size", solve_colors_size),
-    ("colors-types", solve_colors_types),
-    ("colors-ntcoal", solve_colors_ntcoal),
-    ("colors-totcoal", solve_colors_totcoal),
-)
+
+class Solver(NamedTuple):
+    solve: Callable[[Instance, str], Outcome | None]
+    notions: tuple[str, ...] = (NS, IS)
+
+
+# Every solver, by its `hdg solve --algo` name.  The CLI and the bench
+# both read this table and nothing else.
+SOLVERS = {
+    "brute": Solver(solve_brute),
+    "brute-positions": Solver(solve_brute_positions),
+    "colors-size": Solver(solve_colors_size),
+    "colors-types": Solver(solve_colors_types),
+    "colors-ntcoal": Solver(solve_colors_ntcoal),
+    "own-nash": Solver(lambda instance, notion: solve_ownhdg_nash(instance), (NS,)),
+}
 
 
 @dataclass
@@ -48,29 +58,20 @@ class BenchReport:
 
 
 def check_instance(instance, report: BenchReport, label: str, out_dir=None) -> None:
-    """Run all applicable solvers on one instance; record mismatches."""
-    try:
-        own_ratio_orders(instance)
-        own_ok = True
-    except (OwnColorViolation, HdgError):
-        own_ok = False
+    """Run every table solver on one instance; record mismatches."""
     for notion in (NS, IS):
         answers = {}
-        for name, solver in GENERAL_SOLVERS:
+        for name, solver in SOLVERS.items():
+            if notion not in solver.notions:
+                continue
             try:
-                outcome = solver(instance, notion)
-            except (InstanceTooLarge, SearchSpaceTooLarge):
-                continue  # solver declined: not applicable at these caps
+                outcome = solver.solve(instance, notion)
+            except (InstanceTooLarge, SearchSpaceTooLarge, OwnColorViolation):
+                continue  # declined: a guard tripped, or not an own-ratio game
             answers[name] = outcome is not None
             report.runs += 1
             if outcome is not None and not check_outcome(instance, outcome, notion).stable:
                 report.witness_failures.append(f"{label}/{notion}/{name}")
-        if notion == NS and own_ok:
-            outcome = solve_ownhdg_nash(instance)
-            answers["own-nash"] = outcome is not None
-            report.runs += 1
-            if outcome is not None and not check_outcome(instance, outcome, NS).stable:
-                report.witness_failures.append(f"{label}/{notion}/own-nash")
         if not answers:
             continue
         if len(set(answers.values())) > 1:

@@ -11,20 +11,14 @@ when rho2 * sigma is small.
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Iterator
 
 from .core import Instance
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, search_cap
 from .stability import NS, Outcome, find_is_deviation, find_ns_deviation
 
 BRUTE_CAP = 12
 POSITIONS_CAP = 16
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("HDG_SEARCH_CAP")
-    return int(env) if env else default
 
 
 def partitions_within_budgets(instance: Instance) -> Iterator[Outcome]:
@@ -75,7 +69,7 @@ def enumerate_stable(instance: Instance, notion: str) -> Iterator[Outcome]:
             yield outcome
 
 
-def solve_brute(instance: Instance, notion: str, cap: int | None = None) -> Outcome | None:
+def solve_brute(instance: Instance, notion: str) -> Outcome | None:
     """Existence oracle: some stable budget-respecting outcome, else None.
 
     Instances with more agents than rho1 * sigma admit no budget-feasible
@@ -84,7 +78,7 @@ def solve_brute(instance: Instance, notion: str, cap: int | None = None) -> Outc
     b = instance.budgets
     if instance.n > b.rho1 * b.sigma:
         return None
-    limit = cap if cap is not None else _cap(BRUTE_CAP)
+    limit = search_cap(BRUTE_CAP)
     if instance.n > limit:
         raise InstanceTooLarge(f"n={instance.n} exceeds brute-force cap {limit}")
     for outcome in enumerate_stable(instance, notion):
@@ -92,9 +86,7 @@ def solve_brute(instance: Instance, notion: str, cap: int | None = None) -> Outc
     return None
 
 
-def solve_brute_positions(
-    instance: Instance, notion: str, cap: int | None = None
-) -> Outcome | None:
+def solve_brute_positions(instance: Instance, notion: str) -> Outcome | None:
     """Position-branching variant: same answers as solve_brute.
 
     Branches over the number of non-trivial coalitions and their sizes,
@@ -103,7 +95,7 @@ def solve_brute_positions(
     """
     b = instance.budgets
     n = instance.n
-    limit = cap if cap is not None else _cap(POSITIONS_CAP)
+    limit = search_cap(POSITIONS_CAP)
     positions = min(b.rho2, n // 2) * min(b.sigma, n)
     if positions > limit:
         raise InstanceTooLarge(f"rho2*sigma={positions} exceeds positions cap {limit}")

@@ -7,10 +7,7 @@ import json
 import sys
 
 from . import reductions
-from .brute import solve_brute, solve_brute_positions
-from .colors_ntcoal import solve_colors_ntcoal, solve_colors_totcoal
-from .colors_size import solve_colors_size
-from .colors_types import solve_colors_types
+from .bench import SOLVERS, run_bench
 from .core import Budgets, Instance
 from .errors import (
     HdgError,
@@ -19,6 +16,7 @@ from .errors import (
     OwnColorViolation,
     SearchSpaceTooLarge,
     SolverDivergence,
+    search_cap,
 )
 from .fileio import (
     load_instance,
@@ -27,19 +25,10 @@ from .fileio import (
     save_outcome,
     serialize_outcome,
 )
-from .ownhdg import solve_ownhdg_nash
 from .randgen import GenCaps
-from .stability import check_outcome
+from .stability import IS, NS, check_outcome
 
-SOLVERS = {
-    "brute": solve_brute,
-    "brute-positions": solve_brute_positions,
-    "colors-size": solve_colors_size,
-    "colors-types": solve_colors_types,
-    "colors-ntcoal": solve_colors_ntcoal,
-    "colors-totcoal": solve_colors_totcoal,
-    "own-nash": lambda instance, notion: solve_ownhdg_nash(instance),
-}
+NOTION_NAMES = {NS: "Nash stability", IS: "individual stability"}
 
 
 def pick_auto(instance: Instance) -> str:
@@ -79,8 +68,10 @@ def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     instance = _apply_overrides(instance, args)
     algo = args.algo if args.algo != "auto" else pick_auto(instance)
-    if algo == "own-nash" and args.notion != "ns":
-        print("own-nash solves Nash stability only", file=sys.stderr)
+    solver = SOLVERS[algo]
+    if args.notion not in solver.notions:
+        names = " and ".join(NOTION_NAMES[notion] for notion in solver.notions)
+        print(f"{algo} solves {names} only", file=sys.stderr)
         return 2
     b = instance.budgets
     tau = len(set(instance.types))
@@ -88,7 +79,7 @@ def cmd_solve(args) -> int:
         f"n={instance.n} gamma={instance.gamma} tau={tau} "
         f"sigma={b.sigma} rho1={b.rho1} rho2={b.rho2} algo={algo} notion={args.notion}"
     )
-    outcome = SOLVERS[algo](instance, args.notion)
+    outcome = solver.solve(instance, args.notion)
     if outcome is None:
         print("NO: no stable outcome within the budgets")
         return 1
@@ -153,8 +144,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .bench import run_bench
-
     caps = GenCaps(n=args.cap_n, gamma=args.cap_gamma, tau=args.cap_tau)
     report = run_bench(args.seed, args.count, caps, out_dir=args.out_dir)
     print(
@@ -220,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        search_cap(1)  # a malformed HDG_SEARCH_CAP fails even if no guard reads it
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)

@@ -19,12 +19,11 @@ validity are fixed to their permissive value.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, Palette, reduce_counts, singleton_palette
-from .errors import SearchSpaceTooLarge, SolverDivergence
+from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
+from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
 from .prefs import TierCache
 from .stability import IS, NS, Outcome, check_outcome
@@ -32,11 +31,6 @@ from .stability import IS, NS, Outcome, check_outcome
 GUESS_CAP = 500_000
 
 TRIVIAL = "trivial"
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("HDG_SEARCH_CAP")
-    return int(env) if env else default
 
 
 @dataclass(frozen=True)
@@ -129,27 +123,9 @@ def _class_valid(
     return True
 
 
-def is_valid_for(
-    agent: int, target, guess: Guess, instance: Instance, notion: str
-) -> bool:
-    """May this agent occupy the given coalition (or a trivial one)?"""
-    cache = TierCache(instance)
-    return _class_valid(
-        cache,
-        instance,
-        instance.colors[agent],
-        instance.types[agent],
-        target,
-        guess,
-        notion,
-    )
-
-
 def _compositions(instance: Instance) -> list[tuple[int, ...]]:
-    from .core import compositions_upto
-
     sigma = min(instance.budgets.sigma, instance.n)
-    limit = _cap(GUESS_CAP)
+    limit = search_cap(GUESS_CAP)
     out = []
     for c in compositions_upto(instance.class_sizes, sigma, min_size=2):
         out.append(c)
@@ -343,15 +319,13 @@ def _assign_blockers(instance: Instance, cover_pick) -> tuple | None:
     return tuple(out)
 
 
-def solve_colors_ntcoal(
-    instance: Instance, notion: str, cap: int | None = None
-) -> Outcome | None:
+def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
     """Some stable budget-respecting outcome, or None if none exists."""
     cache = TierCache(instance)
     budgets = instance.budgets
     n = instance.n
     sizes = instance.class_sizes
-    limit = cap if cap is not None else _cap(GUESS_CAP)
+    limit = search_cap(GUESS_CAP)
     d_max = min(budgets.rho2, budgets.rho1, n // 2)
     comps_all = _compositions(instance)
     examined = 0
@@ -385,21 +359,3 @@ def solve_colors_ntcoal(
                         )
                     return outcome
     return None
-
-
-def solve_colors_totcoal(
-    instance: Instance, notion: str, cap: int | None = None
-) -> Outcome | None:
-    """Total-coalition-count variant: non-trivial coalitions never exceed
-    all coalitions, so the bound is tightened and delegated."""
-    b = instance.budgets
-    if b.rho2 > b.rho1:
-        instance = Instance(
-            gamma=instance.gamma,
-            colors=instance.colors,
-            types=instance.types,
-            prefs=instance.prefs,
-            budgets=type(b)(b.sigma, b.rho1, b.rho1),
-            agent_ids=instance.agent_ids,
-        )
-    return solve_colors_ntcoal(instance, notion, cap)

@@ -12,25 +12,18 @@ any outcome respecting the branch depends on nothing else.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Mapping
 
 from .core import Instance, Palette, reduce_counts, singleton_palette
-from .errors import SearchSpaceTooLarge, SolverDivergence
+from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
 from .prefs import TierCache
-from .stability import IS, Outcome, check_outcome
+from .stability import IS, Outcome, check_outcome, deal_outcome
 
 TWO_PLUS = 2  # multiplicity class "at least two"
 
 TYPES_CAP = 50_000
 SUPPORT_CAP = 2_000_000
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("HDG_SEARCH_CAP")
-    return int(env) if env else default
 
 
 @dataclass(frozen=True)
@@ -59,25 +52,13 @@ class CoalitionType:
         return reduce_counts(self.color_counts(gamma))
 
 
-@dataclass(frozen=True)
-class Branch:
-    """Multiplicity class (0, 1 or at-least-2) per coalition type."""
-
-    pi: Mapping[CoalitionType, int]
-
-    def realized(self) -> list[CoalitionType]:
-        return [t for t, k in self.pi.items() if k >= 1]
-
-
-def enumerate_coalition_types(
-    instance: Instance, cap: int | None = None
-) -> list[CoalitionType]:
+def enumerate_coalition_types(instance: Instance) -> list[CoalitionType]:
     """All coalition types the instance can realize, sizes 1..sigma.
 
     Per-pair multiplicities are capped by the number of agents of that
     pair, since realized coalitions can only use existing agents.
     """
-    limit = cap if cap is not None else _cap(TYPES_CAP)
+    limit = search_cap(TYPES_CAP)
     pairs = instance.present_pairs
     sigma = instance.budgets.sigma
     out: list[CoalitionType] = []
@@ -132,28 +113,6 @@ def _deviation_free(
     return True
 
 
-def branch_is_stable(instance: Instance, branch: Branch, notion: str) -> bool:
-    """Whether every outcome respecting the branch is stable.
-
-    Checks every (color, type) member of every realized coalition type
-    against every other realized type, against a second copy of its own
-    type when that type occurs at least twice, and against going alone.
-    """
-    cache = TierCache(instance)
-    gamma = instance.gamma
-    realized = branch.realized()
-    counts = {t: t.color_counts(gamma) for t in realized}
-    for src in realized:
-        if not _deviation_free(cache, gamma, src, None, None, notion):
-            return False
-        for dst in realized:
-            if dst == src and branch.pi[dst] != TWO_PLUS:
-                continue
-            if not _deviation_free(cache, gamma, src, dst, counts[dst], notion):
-                return False
-    return True
-
-
 def _build_ilp(
     instance: Instance,
     support: list[CoalitionType],
@@ -186,25 +145,7 @@ def _build_ilp(
     return ILPSystem(len(variables), tuple(eqs), tuple(les)), variables
 
 
-def _materialize(
-    instance: Instance, occurrences: list[tuple[CoalitionType, int]]
-) -> Outcome:
-    pools = {pair: list(agents) for pair, agents in instance.agents_of_ct.items()}
-    blocks: list[list[int]] = []
-    for ctype, times in occurrences:
-        for _ in range(times):
-            block: list[int] = []
-            for pair, k in ctype.pair_counts:
-                block.extend(pools[pair][:k])
-                del pools[pair][:k]
-            blocks.append(block)
-    assert not any(pools.values()), "materialization left agents unassigned"
-    return Outcome.from_sets(blocks)
-
-
-def solve_colors_size(
-    instance: Instance, notion: str, cap: int | None = None
-) -> Outcome | None:
+def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
     """Some stable budget-respecting outcome, or None if none exists.
 
     Branches with realized-type supports that admit a deviation are pruned
@@ -214,7 +155,7 @@ def solve_colors_size(
     """
     cache = TierCache(instance)
     gamma = instance.gamma
-    types = enumerate_coalition_types(instance, cap)
+    types = enumerate_coalition_types(instance)
     # Types whose members would rather go alone can never be realized.
     types = [
         t
@@ -240,7 +181,7 @@ def solve_colors_size(
 
     pairs = instance.present_pairs
     n_vec = tuple(instance.n_ct[p] for p in pairs)
-    budget = _cap(SUPPORT_CAP)
+    budget = search_cap(SUPPORT_CAP)
     examined = 0
     branches: list[tuple[int, list[int], list[int]]] = []
 
@@ -293,11 +234,11 @@ def solve_colors_size(
         extra = feasible(system)
         if extra is None:
             continue
-        occurrences = []
+        blocks = []
         for k, idx in enumerate(chosen):
             times = pi[k] if pi[k] == 1 else 2 + extra[variables.index(k)]
-            occurrences.append((types[idx], times))
-        outcome = _materialize(instance, occurrences)
+            blocks += [types[idx].pair_counts] * times
+        outcome = deal_outcome(instance, blocks)
         verdict = check_outcome(instance, outcome, notion)
         if not verdict.stable:
             raise SolverDivergence(f"colors-size witness failed: {verdict}")

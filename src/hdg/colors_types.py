@@ -14,7 +14,8 @@ the production solver runs one DP in which every (color, type) carries the
 set of still-viable (C2, w) choices, each with an interval of viable C1
 ranks; the per-(color, type) choices never interact, so this is exactly
 the disjunction of the per-branch DPs.  A literal per-branch reference
-implementation is kept for cross-checking on tiny inputs.
+implementation, for cross-checking on tiny inputs, lives with the tests in
+`tests/references.py`.
 
 Branched C1 palettes are additionally required to sit weakly above the
 agent's own singleton palette: any packing certified with a C1 below the
@@ -25,102 +26,15 @@ singletons, so completeness is unaffected.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator, Mapping
 
 from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
-from .errors import SearchSpaceTooLarge, SolverDivergence
+from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .prefs import TierCache, order_values
-from .stability import IS, NS, Outcome, check_outcome
+from .stability import IS, Outcome, check_outcome, deal_outcome
 
 STATES_CAP = 400_000
-BRANCH_CAP = 5_000
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("HDG_SEARCH_CAP")
-    return int(env) if env else default
-
-
-@dataclass(frozen=True)
-class WorstPair:
-    """Branched (worst, second-worst) palettes per (color, type)."""
-
-    palettes: Mapping[tuple[int, int], tuple[Palette, Palette]]
-
-    def worst(self, pair):
-        return self.palettes[pair][0]
-
-    def second_worst(self, pair):
-        return self.palettes[pair][1]
-
-
-@dataclass(frozen=True)
-class Pattern:
-    a: Mapping[tuple[int, int], int]
-    w: Mapping[tuple[int, int], int]
-    r: int
-    l: int
-
-
-def coalition_compatible(
-    candidate: Mapping[tuple[int, int], int],
-    pattern: Pattern,
-    worst_pairs: WorstPair,
-    instance: Instance,
-    notion: str,
-) -> bool:
-    """Literal compatibility test of one candidate against a pattern.
-
-    The candidate is a count vector over (color, type) pairs.  Pairs with
-    no agents in the instance are skipped entirely.
-    """
-    cache = TierCache(instance)
-    gamma = instance.gamma
-    size = sum(candidate.values())
-    if size == 0 or size > instance.budgets.sigma:
-        return False
-    counts = [0] * gamma
-    for (c, _), k in candidate.items():
-        counts[c] += k
-    palette = reduce_counts(counts)
-    present_types = {t for (c, t), k in candidate.items() if k >= 1}
-
-    if pattern.r + (1 if size >= 2 else 0) > instance.budgets.rho2:
-        return False
-    if pattern.l + 1 > instance.budgets.rho1:
-        return False
-
-    for pair in instance.present_pairs:
-        c, t = pair
-        n_ct = instance.n_ct[pair]
-        a_c = candidate.get(pair, 0)
-        c1, c2 = worst_pairs.worst(pair), worst_pairs.second_worst(pair)
-        if a_c >= 1 and not cache.weakly_prefers(t, palette, c1):
-            return False
-        if pattern.a.get(pair, 0) + a_c > n_ct:
-            return False
-        w_c = 1 if a_c >= 1 and cache.prefers(t, c2, palette) else 0
-        if pattern.w.get(pair, 0) + w_c > 1:
-            return False
-        grown = list(counts)
-        grown[c] += 1
-        plus = reduce_counts(grown)
-        if w_c == 1 and cache.weakly_prefers(t, c2, plus):
-            continue
-        if w_c == 0 and cache.weakly_prefers(t, c1, plus):
-            continue
-        if a_c == n_ct:
-            continue
-        if notion == IS and any(
-            cache.prefers(t2, palette, plus) for t2 in present_types
-        ):
-            continue
-        return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -137,11 +51,10 @@ class _Setup:
         self.n_vec = tuple(instance.n_ct[p] for p in self.pairs)
         self.sigma = min(instance.budgets.sigma, instance.n)
         self.candidates = self._enumerate_candidates()
-        self.theta: dict[int, list[Palette]] = {}
         self._build_rank_tables()
 
     def _enumerate_candidates(self) -> list[tuple[int, ...]]:
-        limit = _cap(STATES_CAP)
+        limit = search_cap(STATES_CAP)
         out: list[tuple[int, ...]] = []
 
         def rec(i: int, total: int, acc: list[int]):
@@ -174,7 +87,7 @@ class _Setup:
         # Palettes a branched worst/second-worst may take: everything some
         # coalition within the size budget can realize with that color.
         theta_by_color: dict[int, set[Palette]] = {c: set() for c in range(inst.gamma)}
-        limit = _cap(STATES_CAP)
+        limit = search_cap(STATES_CAP)
         for scanned, counts in enumerate(compositions_upto(inst.class_sizes, self.sigma)):
             if scanned > limit:
                 raise SearchSpaceTooLarge(
@@ -277,15 +190,13 @@ def _apply_candidate(
     return tuple(sorted(set(out)))
 
 
-def solve_colors_types(
-    instance: Instance, notion: str, cap: int | None = None
-) -> Outcome | None:
+def solve_colors_types(instance: Instance, notion: str) -> Outcome | None:
     """Some stable budget-respecting outcome, or None if none exists."""
     setup = _Setup(instance, notion)
     pairs = setup.pairs
     n_vec = setup.n_vec
     budgets = instance.budgets
-    limit = cap if cap is not None else _cap(STATES_CAP)
+    limit = search_cap(STATES_CAP)
 
     init_viab = tuple(_initial_entries(setup, i) for i in range(len(pairs)))
     if any(not e for e in init_viab):
@@ -350,116 +261,10 @@ def solve_colors_types(
     while state in parent:
         state, cand_idx = parent[state]
         chosen.append(cand_idx)
-    outcome = _materialize(instance, setup, chosen)
+    outcome = deal_outcome(
+        instance, (zip(setup.pairs, setup.candidates[i]) for i in chosen)
+    )
     verdict = check_outcome(instance, outcome, notion)
     if not verdict.stable:
         raise SolverDivergence(f"colors-types witness failed: {verdict}")
     return outcome
-
-
-def _materialize(instance: Instance, setup: _Setup, chosen: list[int]) -> Outcome:
-    pools = {pair: list(agents) for pair, agents in instance.agents_of_ct.items()}
-    blocks = []
-    for cand_idx in chosen:
-        vec = setup.candidates[cand_idx]
-        block: list[int] = []
-        for pair, k in zip(setup.pairs, vec):
-            block.extend(pools[pair][:k])
-            del pools[pair][:k]
-        blocks.append(block)
-    assert not any(pools.values())
-    return Outcome.from_sets(blocks)
-
-
-# --------------------------------------------------------------------------
-# Reference implementation: explicit branch product, tiny inputs only.
-# --------------------------------------------------------------------------
-
-
-def worst_pair_branches(
-    instance: Instance, cap: int | None = None
-) -> Iterator[WorstPair]:
-    """All branched worst/second-worst palette choices, one class rep each."""
-    setup = _Setup(instance, NS)
-    limit = cap if cap is not None else _cap(BRANCH_CAP)
-    per_pair: list[list[tuple[Palette, Palette]]] = []
-    for i, (c, t) in enumerate(setup.pairs):
-        reps: dict[int, Palette] = {}
-        for p in sorted(setup.rank[i]):
-            reps.setdefault(setup.rank[i][p], p)
-        s0 = setup.singleton_rank[i]
-        options = []
-        for t1 in setup.theta_ranks[i]:
-            if t1 < s0:
-                continue
-            for t2 in setup.theta_ranks[i]:
-                if t2 >= t1:
-                    options.append((reps[t1], reps[t2]))
-        per_pair.append(options)
-
-    total = 1
-    for options in per_pair:
-        total *= max(len(options), 1)
-        if total > limit:
-            raise SearchSpaceTooLarge(
-                f"{total}+ worst-pair branches (cap via HDG_SEARCH_CAP)"
-            )
-
-    def rec(i: int, acc: dict):
-        if i == len(setup.pairs):
-            yield WorstPair(dict(acc))
-            return
-        for c1, c2 in per_pair[i]:
-            acc[setup.pairs[i]] = (c1, c2)
-            yield from rec(i + 1, acc)
-        acc.pop(setup.pairs[i], None)
-
-    yield from rec(0, {})
-
-
-def branch_reaches_target(
-    instance: Instance, worst_pairs: WorstPair, notion: str
-) -> bool:
-    """Pattern DP for one explicit branch: is a full packing realizable?"""
-    setup = _Setup(instance, notion)
-    pairs = setup.pairs
-    n_vec = setup.n_vec
-    realized = {((0,) * len(pairs), (0,) * len(pairs), 0, 0)}
-    frontier = deque(realized)
-    while frontier:
-        a, w, r, l = frontier.popleft()
-        pattern = Pattern(dict(zip(pairs, a)), dict(zip(pairs, w)), r, l)
-        for vec in setup.candidates:
-            candidate = {pair: k for pair, k in zip(pairs, vec) if k >= 1}
-            if not coalition_compatible(candidate, pattern, worst_pairs, instance, notion):
-                continue
-            pal = setup.palette_of_candidate(vec)
-            new_w = list(w)
-            for i, (c, t) in enumerate(pairs):
-                if vec[i] >= 1 and setup.cache.prefers(
-                    t, worst_pairs.second_worst(pairs[i]), pal
-                ):
-                    new_w[i] += 1
-            new = (
-                tuple(x + y for x, y in zip(a, vec)),
-                tuple(new_w),
-                r + (1 if sum(vec) >= 2 else 0),
-                l + 1,
-            )
-            if new in realized:
-                continue
-            if new[0] == n_vec:
-                return True
-            realized.add(new)
-            frontier.append(new)
-    return False
-
-
-def solve_colors_types_branchwise(
-    instance: Instance, notion: str, cap: int | None = None
-) -> bool:
-    """Literal algorithm: one pattern DP per branch.  YES/NO only."""
-    return any(
-        branch_reaches_target(instance, branch, notion)
-        for branch in worst_pair_branches(instance, cap)
-    )

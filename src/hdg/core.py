@@ -41,36 +41,6 @@ def singleton_palette(color: int, gamma: int) -> Palette:
     return tuple(1 if c == color else 0 for c in range(gamma))
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Absolute per-color counts of a (possibly hypothetical) coalition.
-
-    Unlike a palette this is not reduced; solvers need real sizes.
-    """
-
-    counts: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return sum(self.counts)
-
-    def palette(self) -> Palette:
-        return reduce_counts(self.counts)
-
-
-def add_agent(comp: Composition, color: int) -> Composition:
-    """Composition obtained by adding one more agent of the given color."""
-    if not 0 <= color < len(comp.counts):
-        raise InvalidInput(f"color {color} out of range for {comp!r}")
-    counts = list(comp.counts)
-    counts[color] += 1
-    return Composition(tuple(counts))
-
-
-def empty_composition(gamma: int) -> Composition:
-    return Composition((0,) * gamma)
-
-
 # --------------------------------------------------------------------------
 # Preference orders.
 #
@@ -450,9 +420,6 @@ class Instance:
     def present_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.n_ct))
 
-    def order_of(self, agent: int) -> PreferenceOrder:
-        return self.prefs[self.types[agent]]
-
 
 def make_instance(
     colors: Sequence[int],
@@ -550,36 +517,3 @@ def realizable_palettes(
             continue
         seen.add(reduce_counts(counts))
     return sorted(seen)
-
-
-def infer_types(instance: Instance) -> Instance:
-    """Merge agent types whose orders agree on every realizable palette.
-
-    Only behavioral identity over the instance's own palette universe is
-    used, so this is safe for tier lists and named families alike.
-    """
-    universe = realizable_palettes(instance, instance.n)
-    signature: dict[int, tuple[int, ...]] = {}
-    for t, order in instance.prefs.items():
-        raw = [order.tier_of(p) for p in universe]
-        dense: dict[int, int] = {}
-        for v in sorted(set(raw)):
-            dense[v] = len(dense)
-        signature[t] = tuple(dense[v] for v in raw)
-    canon: dict[tuple[int, ...], int] = {}
-    remap: dict[int, int] = {}
-    prefs: dict[int, PreferenceOrder] = {}
-    for t in sorted(instance.prefs):
-        sig = signature[t]
-        if sig not in canon:
-            canon[sig] = len(canon)
-            prefs[canon[sig]] = instance.prefs[t]
-        remap[t] = canon[sig]
-    return Instance(
-        gamma=instance.gamma,
-        colors=instance.colors,
-        types=tuple(remap[t] for t in instance.types),
-        prefs=prefs,
-        budgets=instance.budgets,
-        agent_ids=instance.agent_ids,
-    )

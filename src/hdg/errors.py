@@ -1,4 +1,6 @@
-"""Exception types shared across the solver suite."""
+"""Exception types shared across the solver suite, and the search-cap policy."""
+
+import os
 
 
 class HdgError(Exception):
@@ -27,6 +29,25 @@ class InstanceTooLarge(HdgError):
 
 class SearchSpaceTooLarge(HdgError):
     """A solver's branching space exceeds the configured cap."""
+
+
+def search_cap(default: int) -> int:
+    """Limit of one search guard: its default, raised by HDG_SEARCH_CAP.
+
+    The variable only raises guards, to max(default, value), so raising one
+    cap never lowers another.  A value that is not an integer >= 1 raises
+    InvalidInput.
+    """
+    env = os.environ.get("HDG_SEARCH_CAP")
+    if not env:
+        return default
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InvalidInput(f"HDG_SEARCH_CAP={env!r} is not an integer >= 1")
+    return max(default, value)
 
 
 class OwnColorViolation(HdgError):

@@ -21,13 +21,12 @@ of another color must weakly prefer its own seat to the ratio 1/2.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .core import Instance, NamedFamily, compositions_upto, reduce_counts
-from .errors import OwnColorViolation, SearchSpaceTooLarge, SolverDivergence
+from .errors import OwnColorViolation, SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
 from .stability import NS, Outcome, check_outcome
 
@@ -36,11 +35,6 @@ UNIVERSE_CAP = 200_000
 # Singleton-color profiles.
 NO_SINGLETONS = "none"
 MANY_SINGLETONS = "many"
-
-
-def _cap(default: int) -> int:
-    env = os.environ.get("HDG_SEARCH_CAP")
-    return int(env) if env else default
 
 
 FracOrder = Callable[[Fraction], int]  # smaller = better, like tier_of
@@ -77,7 +71,7 @@ def _orders_from_palettes(instance: Instance, pairs) -> dict[tuple[int, int], Fr
     # Palettes of coalitions plus one-more-agent extensions: every fraction
     # the DP may query corresponds to one of these.
     limits = [s + 1 for s in instance.class_sizes]
-    cap = _cap(UNIVERSE_CAP)
+    cap = search_cap(UNIVERSE_CAP)
     expected = 1
     for l in limits:
         expected *= l + 1
@@ -199,12 +193,12 @@ def _size_functions(instance: Instance):
             yield sizes
 
 
-def solve_ownhdg_nash(instance: Instance, cap: int | None = None) -> Outcome | None:
+def solve_ownhdg_nash(instance: Instance) -> Outcome | None:
     """Some Nash-stable budget-respecting outcome, or None if none exists."""
     orders = own_ratio_orders(instance)
     n = instance.n
     gamma = instance.gamma
-    limit = cap if cap is not None else _cap(UNIVERSE_CAP)
+    limit = search_cap(UNIVERSE_CAP)
     branches = 0
 
     for sizes in _size_functions(instance):

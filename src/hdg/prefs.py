@@ -27,9 +27,6 @@ class TierCache:
     def prefers(self, type_id: int, p: Palette, q: Palette) -> bool:
         return self.tier(type_id, p) < self.tier(type_id, q)
 
-    def weakly_prefers(self, type_id: int, p: Palette, q: Palette) -> bool:
-        return self.tier(type_id, p) <= self.tier(type_id, q)
-
 
 def order_values(cache: TierCache, type_id: int, universe) -> dict[Palette, int]:
     """Dense order values over a palette universe; higher = better."""

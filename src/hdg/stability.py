@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Instance, reduce_counts, singleton_palette
-from .errors import InvalidOutcome
+from .errors import InvalidOutcome, SolverDivergence
 from .prefs import TierCache
 
 NS = "ns"
@@ -59,6 +59,29 @@ class Outcome:
         return owner
 
 
+def deal_outcome(instance: Instance, blocks) -> Outcome:
+    """Outcome with one coalition per block of class counts.
+
+    Each block is a sequence of ((color, type), count) entries.  Agents are
+    dealt out of each (color, type) class in id order; a class left with
+    agents undealt, or asked for more than it has, means the counts are not
+    a partition of the instance and raises SolverDivergence.
+    """
+    pools = instance.agents_of_ct
+    dealt = dict.fromkeys(pools, 0)
+    coalitions = []
+    for block in blocks:
+        members: list[int] = []
+        for pair, k in block:
+            start = dealt[pair]
+            members.extend(pools[pair][start : start + k])
+            dealt[pair] = start + k
+        coalitions.append(frozenset(members))
+    if any(dealt[pair] != len(agents) for pair, agents in pools.items()):
+        raise SolverDivergence("class counts do not deal out every agent exactly once")
+    return Outcome(tuple(coalitions))
+
+
 @dataclass(frozen=True)
 class Deviation:
     agent: int
@@ -66,8 +89,7 @@ class Deviation:
     kind: str  # NS or IS
 
 
-def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
-    owner = outcome.member_of(instance.n)
+def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], kind: str):
     colors, types, gamma = instance.colors, instance.types, instance.gamma
     tier = TierCache(instance).tier
     under_is = kind == IS
@@ -146,12 +168,12 @@ def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
 
 def find_ns_deviation(instance: Instance, outcome: Outcome) -> Deviation | None:
     """First NS-deviation in (agent id, target index, EMPTY last) order."""
-    return _deviation_search(instance, outcome, NS)
+    return _deviation_search(instance, outcome, outcome.member_of(instance.n), NS)
 
 
 def find_is_deviation(instance: Instance, outcome: Outcome) -> Deviation | None:
     """First IS-deviation, same witness order as find_ns_deviation."""
-    return _deviation_search(instance, outcome, IS)
+    return _deviation_search(instance, outcome, outcome.member_of(instance.n), IS)
 
 
 @dataclass(frozen=True)
@@ -169,7 +191,7 @@ def check_outcome(instance: Instance, outcome: Outcome, notion: str) -> CheckRes
     """Verify stability and budget compliance of an outcome."""
     if notion not in (NS, IS):
         raise ValueError(f"unknown stability notion {notion!r}")
-    outcome.member_of(instance.n)  # validates the partition
+    owner = outcome.member_of(instance.n)  # validates the partition
     b = instance.budgets
     total = len(outcome.coalitions)
     nontrivial = sum(1 for c in outcome.coalitions if len(c) >= 2)
@@ -182,8 +204,7 @@ def check_outcome(instance: Instance, outcome: Outcome, notion: str) -> CheckRes
         )
     if biggest > b.sigma:
         return CheckResult("budget", detail=f"coalition of size {biggest} > sigma={b.sigma}")
-    finder = find_ns_deviation if notion == NS else find_is_deviation
-    dev = finder(instance, outcome)
+    dev = _deviation_search(instance, outcome, owner, notion)
     if dev is not None:
         return CheckResult("unstable", deviation=dev)
     return CheckResult("stable")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import Instance, TierList, make_instance
+from hdg.core import Instance, TierList, make_instance
 
 
 def example1(sigma=None, rho1=None, rho2=None) -> Instance:

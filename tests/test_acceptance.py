@@ -11,7 +11,6 @@ from fractions import Fraction
 from hdg.bench import BenchReport, check_instance
 from hdg.brute import enumerate_stable, solve_brute
 from hdg.core import palette_of
-from hdg.fixtures import A, B, C, D, example1
 from hdg.ilp import ILPSystem, evaluate, feasible
 from hdg.maxflow import FlowNetwork, max_flow
 from hdg.randgen import GenCaps, random_instance
@@ -38,7 +37,9 @@ from hdg.stability import (
     find_ns_deviation,
 )
 
+from fixtures import A, B, C, D, example1
 from oracles import all_partitions, box_exhaustive_feasible, brute_max_assignment
+
 
 CAPS = GenCaps(n=7, gamma=3, tau=3, sigma=5, rho1=5, rho2=2)
 SUITE_SEED = 20240

@@ -1,6 +1,14 @@
 import random
 
+import pytest
+
 from hdg.bench import BenchReport, run_bench
+from hdg.errors import (
+    InstanceTooLarge,
+    OwnColorViolation,
+    SearchSpaceTooLarge,
+    SolverDivergence,
+)
 from hdg.maxflow import FlowNetwork, max_flow
 from hdg.randgen import GenCaps
 
@@ -22,10 +30,9 @@ def test_offending_instance_serialized(tmp_path, monkeypatch):
     # with the real ones on example1 (YES under both notions).
     from hdg import bench
     from hdg.fileio import parse_instance, serialize_instance
-    from hdg.fixtures import example1
+    from fixtures import example1
 
-    wrong = ("always-no", lambda instance, notion: None)
-    monkeypatch.setattr(bench, "GENERAL_SOLVERS", bench.GENERAL_SOLVERS + (wrong,))
+    monkeypatch.setitem(bench.SOLVERS, "always-no", bench.Solver(lambda instance, notion: None))
     instance = example1()
     report = BenchReport()
     bench.check_instance(instance, report, label="x/1", out_dir=str(tmp_path))
@@ -34,6 +41,35 @@ def test_offending_instance_serialized(tmp_path, monkeypatch):
     assert [p.name for p in written] == ["disagreement-x_1.json"]
     back = parse_instance(written[0].read_text())
     assert serialize_instance(back) == serialize_instance(instance)
+
+
+@pytest.mark.parametrize("error", [InstanceTooLarge, SearchSpaceTooLarge, OwnColorViolation])
+def test_solver_tripping_a_guard_is_declined(monkeypatch, error):
+    from hdg import bench
+    from fixtures import example1
+
+    def trips(instance, notion):
+        raise error("guard tripped")
+
+    full = BenchReport()
+    bench.check_instance(example1(), full, label="x/1")
+    monkeypatch.setitem(bench.SOLVERS, "colors-types", bench.Solver(trips))
+    report = BenchReport()
+    bench.check_instance(example1(), report, label="x/1")
+    assert report.ok and report.runs == full.runs - 2
+    assert (report.yes, report.no) == (full.yes, full.no)
+
+
+def test_solver_divergence_is_not_declined(monkeypatch):
+    from hdg import bench
+    from fixtures import example1
+
+    def diverges(instance, notion):
+        raise SolverDivergence("witness failed")
+
+    monkeypatch.setitem(bench.SOLVERS, "colors-types", bench.Solver(diverges))
+    with pytest.raises(SolverDivergence):
+        bench.check_instance(example1(), BenchReport(), label="x/1")
 
 
 def test_capacity_reduction_never_increases_flow():

@@ -10,10 +10,10 @@ from hdg.brute import (
 )
 from hdg.core import TierList, make_instance, singleton_palette
 from hdg.errors import InstanceTooLarge
-from hdg.fixtures import example1
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, Outcome, check_outcome, find_ns_deviation
 
+from fixtures import example1
 from test_stability import all_partitions
 
 
@@ -48,10 +48,12 @@ def test_budget_starved_instance_is_no():
     assert solve_brute(loner_instance(rho1=4), NS) is not None
 
 
-def test_brute_cap():
+def test_brute_cap(monkeypatch):
     inst = make_instance([0] * 13, {0: TierList([])}, types=[0] * 13)
     with pytest.raises(InstanceTooLarge):
         solve_brute(inst, NS)
+    monkeypatch.setenv("HDG_SEARCH_CAP", "13")
+    assert solve_brute(inst, NS) is not None
 
 
 def test_obvious_no_instance_skips_enumeration():

@@ -4,8 +4,9 @@ import pytest
 
 from hdg.cli import main
 from hdg.fileio import load_instance, save_instance, serialize_outcome
-from hdg.fixtures import example1
 from hdg.stability import Outcome
+
+from fixtures import example1
 
 
 @pytest.fixture()
@@ -84,10 +85,10 @@ def test_malformed_instance_file_is_error(example1_path, tmp_path, capsys):
 
 def test_solve_rejects_a_witness_that_fails_its_check(example1_path, monkeypatch, capsys):
     # A wrong solver: every agent alone, which agent b deserts to join c.
-    from hdg import cli
+    from hdg import bench
 
     wrong = lambda instance, notion: Outcome.from_sets([{a} for a in range(instance.n)])
-    monkeypatch.setitem(cli.SOLVERS, "brute", wrong)
+    monkeypatch.setitem(bench.SOLVERS, "brute", bench.Solver(wrong))
     assert main(["solve", example1_path, "--algo", "brute"]) == 2
     captured = capsys.readouterr()
     assert "brute returned an outcome that fails its check" in captured.err
@@ -127,7 +128,36 @@ def test_bench_smoke(capsys):
 
 
 def test_solver_exit_codes_consistent(example1_path):
-    for algo in ["brute", "brute-positions", "colors-size", "colors-types", "colors-ntcoal", "colors-totcoal"]:
-        for notion, code in (("ns", 0), ("is", 0)):
+    from hdg.bench import SOLVERS
+
+    for algo, solver in SOLVERS.items():
+        for notion in ("ns", "is"):
+            code = 0 if notion in solver.notions else 2
             assert main(["solve", example1_path, "--algo", algo, "--notion", notion]) == code
         assert main(["solve", example1_path, "--algo", algo, "--rho1", "1"]) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_malformed_search_cap_is_error(example1_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("HDG_SEARCH_CAP", value)
+    # The second run is decided (NO) before any search guard is read.
+    for budgets in ([], ["--sigma", "1", "--rho1", "1"]):
+        assert main(["solve", example1_path, "--algo", "brute", *budgets]) == 2
+        err = capsys.readouterr().err
+        assert "HDG_SEARCH_CAP" in err and "Traceback" not in err
+
+
+def _bench_line(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "all solvers agree" in out
+    return out.splitlines()[0]
+
+
+def test_raising_one_search_cap_lowers_no_other(monkeypatch, capsys):
+    # 14 raises brute's cap (12) and sits far below every other default;
+    # each guard takes the larger value, so the run is the unset one.
+    argv = ["bench", "--seed", "1", "--count", "100"]
+    unset = _bench_line(argv, capsys)
+    monkeypatch.setenv("HDG_SEARCH_CAP", "14")
+    assert _bench_line(argv, capsys) == unset

@@ -1,17 +1,13 @@
 import random
 
 from hdg.brute import solve_brute
-from hdg.colors_ntcoal import (
-    TRIVIAL,
-    Guess,
-    is_valid_for,
-    solve_colors_ntcoal,
-    solve_colors_totcoal,
-)
+from hdg.colors_ntcoal import TRIVIAL, Guess, solve_colors_ntcoal
 from hdg.core import TierList, make_instance
-from hdg.fixtures import A, B, C, D, example1
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
+
+from fixtures import A, B, C, D, example1
+from references import is_valid_for
 
 
 def example1_guess():
@@ -77,16 +73,16 @@ def test_rho2_zero_forces_singletons():
     assert solve_colors_ntcoal(inst2, NS) is None
 
 
-def test_totcoal_examples():
+def test_rho1_examples():
     inst = example1(rho1=2)
-    out = solve_colors_totcoal(inst, NS)
+    out = solve_colors_ntcoal(inst, NS)
     assert out is not None and check_outcome(inst, out, NS).stable
 
     # rho1=1 forces the grand coalition, which agent a deserts.
-    assert solve_colors_totcoal(example1(rho1=1), NS) is None
+    assert solve_colors_ntcoal(example1(rho1=1), NS) is None
     grand_lover = TierList([[(1, 1)]])
     cozy = make_instance([0, 1], {0: grand_lover}, types=[0, 0], gamma=2, rho1=1)
-    out = solve_colors_totcoal(cozy, NS)
+    out = solve_colors_ntcoal(cozy, NS)
     assert out is not None and len(out.coalitions) == 1
 
 
@@ -96,8 +92,7 @@ def test_oracle_equivalence_random():
         inst = random_instance(rng, GenCaps(n=7, rho2=2))
         for notion in (NS, IS):
             want = solve_brute(inst, notion) is not None
-            for solver in (solve_colors_ntcoal, solve_colors_totcoal):
-                got = solver(inst, notion)
-                assert (got is not None) == want, f"trial {trial} {notion} {solver.__name__}"
-                if got is not None:
-                    assert check_outcome(inst, got, notion).stable
+            got = solve_colors_ntcoal(inst, notion)
+            assert (got is not None) == want, f"trial {trial} {notion}"
+            if got is not None:
+                assert check_outcome(inst, got, notion).stable

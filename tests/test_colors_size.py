@@ -4,19 +4,20 @@ import random
 import pytest
 
 from hdg.brute import solve_brute
+from hdg import colors_size
 from hdg.colors_size import (
     TWO_PLUS,
-    Branch,
     CoalitionType,
-    branch_is_stable,
     enumerate_coalition_types,
     solve_colors_size,
 )
 from hdg.core import TierList, make_instance
 from hdg.errors import SearchSpaceTooLarge
-from hdg.fixtures import example1
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
+
+from fixtures import example1
+from references import Branch, branch_is_stable
 
 
 def multiset_oracle(pairs, caps, sigma):
@@ -52,10 +53,11 @@ def test_enumerate_types_single_agent():
     assert len(enumerate_coalition_types(inst)) == 1
 
 
-def test_enumerate_types_cap():
+def test_enumerate_types_cap(monkeypatch):
     inst = make_instance([0] * 7, {0: TierList([])}, types=[0] * 7)
+    monkeypatch.setattr(colors_size, "TYPES_CAP", 3)
     with pytest.raises(SearchSpaceTooLarge):
-        enumerate_coalition_types(inst, cap=3)
+        enumerate_coalition_types(inst)
 
 
 def ctype(*pairs):

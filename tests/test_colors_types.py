@@ -1,18 +1,19 @@
 import random
 
 from hdg.brute import solve_brute
-from hdg.colors_types import (
+from hdg.colors_types import solve_colors_types
+from hdg.core import TierList, compare, make_instance, palette_of, reduce_counts
+from hdg.randgen import GenCaps, random_instance
+from hdg.stability import IS, NS, check_outcome
+
+from fixtures import A, B, C, D, example1
+from references import (
     Pattern,
     WorstPair,
     branch_reaches_target,
     coalition_compatible,
-    solve_colors_types,
     solve_colors_types_branchwise,
 )
-from hdg.core import TierList, compare, make_instance, palette_of, reduce_counts
-from hdg.fixtures import A, B, C, D, example1
-from hdg.randgen import GenCaps, random_instance
-from hdg.stability import IS, NS, check_outcome
 
 
 def zero_pattern(instance):

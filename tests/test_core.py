@@ -9,20 +9,17 @@ from hdg.core import (
     EQUAL,
     GREATER,
     LESS,
-    Composition,
     NamedFamily,
     TierList,
-    add_agent,
     compare,
-    empty_composition,
-    infer_types,
     make_instance,
     palette_of,
     realizable_palettes,
     reduce_counts,
 )
 from hdg.errors import DimensionMismatch, EmptyCoalition, InvalidInput
-from hdg.fixtures import A, B, C, D, example1
+
+from fixtures import A, B, C, D, example1
 
 
 def test_palette_of_example1_triple():
@@ -73,21 +70,10 @@ def test_compare_dimension_mismatch():
         compare(0, (1, 0, 0), (1, 0), example1())
 
 
-def test_add_agent_increments():
-    comp = Composition((1, 2))
-    out = add_agent(comp, 0)
-    assert out.counts == (2, 2) and out.size == 4
-
-
-def test_add_agent_to_empty():
-    out = add_agent(empty_composition(2), 1)
-    assert out.counts == (0, 1) and out.size == 1
-
-
 def test_add_agent_reduce_matches_palette_of_concrete_sets():
-    # Independent oracle: build the same coalition as an explicit agent set
-    # and compare palettes.
-    assert add_agent(Composition((2, 0)), 1).palette() == (2, 1)
+    # Adding one agent to a coalition's color counts and reducing gives the
+    # palette of the grown agent set.  Independent oracle: build the same
+    # coalition as an explicit agent set and compare palettes.
     inst = make_instance(
         colors=[0, 0, 0, 1, 1, 1, 2, 2],
         prefs={0: TierList([])},
@@ -101,13 +87,12 @@ def test_add_agent_reduce_matches_palette_of_concrete_sets():
         counts = [0, 0, 0]
         for agent in coalition:
             counts[inst.colors[agent]] += 1
-        comp = Composition(tuple(counts))
         extra_color = rng.choice(
             [c for c in range(3) if any(a not in coalition for a in by_color[c])]
         )
         extra = next(a for a in by_color[extra_color] if a not in coalition)
-        grown = add_agent(comp, extra_color)
-        assert grown.palette() == palette_of(set(coalition) | {extra}, inst)
+        counts[extra_color] += 1
+        assert reduce_counts(counts) == palette_of(set(coalition) | {extra}, inst)
 
 
 @given(
@@ -217,16 +202,3 @@ def test_realizable_palettes_example1():
         (1, 2),
     }
 
-
-def test_infer_types_merges_behaviorally_equal_orders():
-    master = TierList([[(1, 2)], [(2, 1)]])
-    clone = TierList([[(1, 2)], [(2, 1)], [(5, 1)]])  # (5,1) unrealizable here
-    inst = make_instance(
-        colors=[0, 1, 1],
-        prefs={0: master, 1: clone},
-        types=[0, 1, 0],
-        gamma=2,
-    )
-    merged = infer_types(inst)
-    assert len(merged.prefs) == 1
-    assert len(infer_types(example1()).prefs) == 2

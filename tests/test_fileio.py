@@ -8,9 +8,10 @@ from hdg.fileio import (
     serialize_instance,
     serialize_outcome,
 )
-from hdg.fixtures import example1
 from hdg.reductions import from_independent_set, from_partition, from_x3c
 from hdg.stability import NS, Outcome, check_outcome
+
+from fixtures import example1
 
 
 def roundtrip(instance):

@@ -2,8 +2,9 @@ from pathlib import Path
 
 from hdg.cli import main
 from hdg.fileio import load_instance, load_outcome, serialize_instance
-from hdg.fixtures import example1
 from hdg.stability import NS, check_outcome
+
+from fixtures import example1
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 

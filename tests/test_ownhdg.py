@@ -6,7 +6,6 @@ import pytest
 from hdg.brute import solve_brute
 from hdg.core import NamedFamily, TierList, make_instance
 from hdg.errors import OwnColorViolation
-from hdg.fixtures import example1
 from hdg.ownhdg import Record, arc_exists, own_ratio_orders, solve_ownhdg_nash
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import NS, check_outcome
@@ -20,6 +19,8 @@ def own_order(color, *tiers):
 
 
 from fractions import Fraction
+
+from fixtures import example1
 
 F = Fraction
 

@@ -1,17 +1,19 @@
 import pytest
 
 from hdg.core import GREATER, TierList, compare, make_instance
-from hdg.errors import InvalidOutcome
-from hdg.fixtures import A, B, C, D, example1
+from hdg.errors import InvalidOutcome, SolverDivergence
 from hdg.stability import (
     EMPTY,
     IS,
     NS,
     Outcome,
     check_outcome,
+    deal_outcome,
     find_is_deviation,
     find_ns_deviation,
 )
+
+from fixtures import A, B, C, D, example1
 
 
 def outcome(*sets):
@@ -137,3 +139,40 @@ def test_returned_deviation_replays_through_comparator():
                 base = palette_of(target, inst)
                 for member in target:
                     assert compare(inst.types[member], joined, base, inst) >= 0
+
+
+def test_check_outcome_walks_the_agents_once(monkeypatch):
+    # The partition check and the deviation search share one member_of pass.
+    calls = []
+    real = Outcome.member_of
+
+    def counting(self, n):
+        calls.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(Outcome, "member_of", counting)
+    inst = example1()
+    for notion in (NS, IS):
+        for blocks in all_partitions(range(inst.n)):
+            calls.clear()
+            check_outcome(inst, Outcome.from_sets(blocks), notion)
+            assert calls == [inst.n]
+
+
+def test_deal_outcome_deals_each_class_in_id_order():
+    # example1's classes: a is (0, 0), b is (0, 1), c and d are (1, 0).
+    inst = example1()
+    out = deal_outcome(inst, [[((0, 1), 1), ((1, 0), 2)], [((0, 0), 1), ((1, 0), 0)]])
+    assert out == outcome({B, C, D}, {A})
+    assert deal_outcome(inst, [[((1, 0), 1)], [((1, 0), 1), ((0, 0), 1), ((0, 1), 1)]]) == (
+        outcome({C}, {A, B, D})
+    )
+
+
+def test_deal_outcome_rejects_counts_that_are_not_a_partition():
+    inst = example1()
+    undealt = [[((1, 0), 2)], [((0, 0), 1)]]  # b is left over
+    overdrawn = [[((1, 0), 3), ((0, 0), 1), ((0, 1), 1)]]  # three of c, d
+    for blocks in (undealt, overdrawn):
+        with pytest.raises(SolverDivergence):
+            deal_outcome(inst, blocks)
