@@ -14,11 +14,12 @@ import itertools
 from typing import Iterator
 
 from .core import Instance
-from .errors import InstanceTooLarge, search_cap
+from .errors import InstanceTooLarge, SearchSpaceTooLarge, search_cap
 from .stability import NS, Outcome, find_is_deviation, find_ns_deviation
 
 BRUTE_CAP = 12
 POSITIONS_CAP = 16
+PLACEMENTS_CAP = 100_000
 
 
 def partitions_within_budgets(instance: Instance) -> Iterator[Outcome]:
@@ -91,7 +92,8 @@ def solve_brute_positions(instance: Instance, notion: str) -> Outcome | None:
 
     Branches over the number of non-trivial coalitions and their sizes,
     then over which agents occupy the positions; leftover agents become
-    singletons.
+    singletons.  PLACEMENTS_CAP bounds the placements checked, which grow
+    like n^(rho2*sigma) even when rho2*sigma is within POSITIONS_CAP.
     """
     b = instance.budgets
     n = instance.n
@@ -99,6 +101,8 @@ def solve_brute_positions(instance: Instance, notion: str) -> Outcome | None:
     positions = min(b.rho2, n // 2) * min(b.sigma, n)
     if positions > limit:
         raise InstanceTooLarge(f"rho2*sigma={positions} exceeds positions cap {limit}")
+    placement_limit = search_cap(PLACEMENTS_CAP)
+    tried = 0
     finder = find_ns_deviation if notion == NS else find_is_deviation
 
     def size_vectors(d: int) -> Iterator[tuple[int, ...]]:
@@ -133,6 +137,11 @@ def solve_brute_positions(instance: Instance, notion: str) -> Outcome | None:
             if d + (n - sum(sizes)) > b.rho1:
                 continue
             for blocks in fill(sizes, 0, list(range(n)), -1):
+                tried += 1
+                if tried > placement_limit:
+                    raise SearchSpaceTooLarge(
+                        f"more than {placement_limit} placements (cap via HDG_SEARCH_CAP)"
+                    )
                 taken = {a for blk in blocks for a in blk}
                 full = blocks + [[a] for a in range(n) if a not in taken]
                 outcome = Outcome.from_sets(full)

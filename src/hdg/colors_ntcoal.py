@@ -3,17 +3,19 @@
 Guess the number of non-trivial coalitions and each one's per-color
 composition; the leftover agents of each color sit in trivial coalitions.
 An agent may occupy a slot only when it weakly prefers that coalition's
-palette over joining any other guessed coalition (or going alone), so a
-saturating assignment -- found by maximum flow on agents versus
-(coalition, color) slots -- is exactly a stable outcome.
+palette over joining any other guessed coalition (or going alone), and
+that depends only on its (color, type) class, so a saturating flow of the
+classes (supplies n_ct) onto the (coalition, color) slots is exactly a
+stable outcome, found by maximum flow on a network whose size does not
+depend on n.
 
 Individual stability additionally guesses, per coalition and color,
-whether joiners of that color would be accepted, with a concrete blocking
-member certifying each refusal, and per color pair whether some trivial
+whether joiners of that color would be accepted, with a blocking member
+class certifying each refusal, and per color pair whether some trivial
 coalition would accept the second color.  Agents of one (color, type)
-class are interchangeable, so blocking agents are drawn canonically from
-each class, and accept/blocked guesses that can never affect any agent's
-validity are fixed to their permissive value.
+class are interchangeable, so a blocker is a demand for one agent of its
+class in its coalition, and accept/blocked guesses that can never affect
+any agent's validity are fixed to their permissive value.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import Instance, Palette, compositions_upto, reduce_counts, singleton
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
 from .prefs import TierCache
-from .stability import IS, NS, Outcome, check_outcome
+from .stability import IS, NS, Outcome, check_outcome, deal_outcome
 
 GUESS_CAP = 500_000
 
@@ -40,14 +42,15 @@ class Guess:
     The three optional fields exist only for individual stability:
     accepted[j][c] says coalition j would accept color-c joiners, blocked
     holds (c, c') pairs where no trivial c-coalition accepts color c', and
-    blockers pins specific agents to the coalition they refuse joiners for.
+    blockers demands one agent of a (color, type) class in each coalition
+    that class refuses joiners for.
     """
 
     compositions: tuple[tuple[int, ...], ...]
     trivial_counts: tuple[int, ...]
     accepted: tuple[tuple[bool, ...], ...] | None = None
     blocked: frozenset[tuple[int, int]] | None = None
-    blockers: tuple[tuple[int, int], ...] = ()  # (agent, coalition index)
+    blockers: tuple[tuple[tuple[int, int], int], ...] = ()  # ((color, type), coalition index)
 
 
 def _comp_palette(comp: tuple[int, ...]) -> Palette:
@@ -139,7 +142,14 @@ def _compositions(instance: Instance) -> list[tuple[int, ...]]:
 def _try_flow(
     instance: Instance, cache: TierCache, guess: Guess, notion: str
 ) -> Outcome | None:
-    """Assignment network for one guess; an outcome on saturation."""
+    """Transportation network of classes onto slots; an outcome on saturation.
+
+    Rows are the instance's (color, type) classes with supply n_ct, slots
+    the (coalition, color) and (trivial, color) seats with their counts.
+    Blocker demands are seated first: each takes one agent of its class
+    and one seat of its coalition, and fails the guess when the class or
+    the seat runs short or the class may not sit there.
+    """
     gamma = instance.gamma
     slots: list[tuple] = []
     caps: list[int] = []
@@ -154,7 +164,6 @@ def _try_flow(
             caps.append(guess.trivial_counts[c])
     slot_index = {s: i for i, s in enumerate(slots)}
 
-    forced = dict(guess.blockers)
     class_ok: dict[tuple[int, int, object], bool] = {}
 
     def valid(color, type_id, target) -> bool:
@@ -165,35 +174,38 @@ def _try_flow(
             class_ok[key] = hit
         return hit
 
+    rows = instance.present_pairs
+    row_index = {pair: r for r, pair in enumerate(rows)}
+    supplies = [instance.n_ct[pair] for pair in rows]
+    for pair, j in guess.blockers:
+        if not valid(*pair, j):
+            return None  # blocker cannot sit where it blocks
+        r, s = row_index[pair], slot_index[(j, pair[0])]
+        supplies[r] -= 1
+        caps[s] -= 1
+        if supplies[r] < 0 or caps[s] < 0:
+            return None
+
     edges = set()
-    for agent in range(instance.n):
-        color, type_id = instance.colors[agent], instance.types[agent]
-        if agent in forced:
-            j = forced[agent]
-            if not valid(color, type_id, j):
-                return None  # blocker cannot sit where it blocks
-            edges.add((agent, slot_index[(j, color)]))
-            continue
-        for s, slot in enumerate(slots):
-            kind, c = slot
-            if c != color:
-                continue
-            if valid(color, type_id, TRIVIAL if kind == TRIVIAL else kind):
-                edges.add((agent, s))
-    net = FlowNetwork(instance.n, tuple(caps), frozenset(edges))
-    value, assignment = max_flow(net)
-    if value != instance.n:
+    for r, (color, type_id) in enumerate(rows):
+        for s, (target, c) in enumerate(slots):
+            if c == color and valid(color, type_id, target):
+                edges.add((r, s))
+    net = FlowNetwork(tuple(supplies), tuple(caps), frozenset(edges))
+    value, flow = max_flow(net)
+    if value != sum(supplies):
         return None
-    members: dict[int, list[int]] = {}
-    singles: list[list[int]] = []
-    for agent, s in assignment.items():
-        kind, c = slots[s]
-        if kind == TRIVIAL:
-            singles.append([agent])
+    members: list[dict[tuple[int, int], int]] = [{} for _ in guess.compositions]
+    singles: list[list[tuple[tuple[int, int], int]]] = []
+    for pair, j in guess.blockers:
+        members[j][pair] = members[j].get(pair, 0) + 1
+    for (r, s), amount in flow.items():
+        target = slots[s][0]
+        if target == TRIVIAL:
+            singles.extend([(rows[r], 1)] for _ in range(amount))
         else:
-            members.setdefault(kind, []).append(agent)
-    blocks = [members[j] for j in sorted(members)] + sorted(singles)
-    return Outcome.from_sets(blocks)
+            members[target][rows[r]] = members[target].get(rows[r], 0) + amount
+    return deal_outcome(instance, [sorted(m.items()) for m in members] + singles)
 
 
 def _is_guesses(
@@ -206,8 +218,8 @@ def _is_guesses(
 
     Flags whose restrictive choice cannot change any agent's validity are
     fixed to the permissive one; restrictive accept flags need a member
-    class that objects to the join, from which one canonical blocking
-    agent per class is pinned to the coalition.
+    class that objects to the join, and each chosen objecting class
+    becomes a demand for one of its agents in the coalition.
     """
     gamma = instance.gamma
     types_of_color: dict[int, list[int]] = {}
@@ -285,9 +297,11 @@ def _is_guesses(
             }
             cover_choices.append(sorted(covers, key=sorted))
         for cover_pick in itertools.product(*cover_choices):
-            blockers = _assign_blockers(instance, cover_pick)
-            if blockers is None:
-                continue
+            blockers = tuple(
+                (klass, j)
+                for j, classes in enumerate(cover_pick)
+                for klass in sorted(classes)
+            )
             for blocked in _subsets(relevant_blocked):
                 yield Guess(
                     compositions=comps,
@@ -301,22 +315,6 @@ def _is_guesses(
 def _subsets(items: list) -> Iterator[tuple]:
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
-
-
-def _assign_blockers(instance: Instance, cover_pick) -> tuple | None:
-    """Concrete agents per (coalition, class) cover; one agent may block
-    several colors of its own coalition but never two coalitions."""
-    used: dict[tuple[int, int], int] = {}
-    out: list[tuple[int, int]] = []
-    for j, classes in enumerate(cover_pick):
-        for klass in sorted(classes):
-            pool = instance.agents_of_ct[klass]
-            idx = used.get(klass, 0)
-            if idx >= len(pool):
-                return None
-            out.append((pool[idx], j))
-            used[klass] = idx + 1
-    return tuple(out)
 
 
 def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:

@@ -55,6 +55,15 @@ _TOP_LEVEL = {
 }
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """JSON ints as a tuple; booleans, floats and strings raise InvalidInput."""
+    values = tuple(values)
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise InvalidInput(f"{what} must be int, not {type(bad).__name__}")
+    return values
+
+
 def instance_from_data(data: Mapping) -> Instance:
     if not isinstance(data, dict):
         raise InvalidInput("instance data must be a JSON object")
@@ -72,14 +81,17 @@ def instance_from_data(data: Mapping) -> Instance:
         for key, block in data["types"].items():
             if "tiers" in block:
                 prefs[int(key)] = TierList(
-                    [[tuple(p) for p in tier] for tier in block["tiers"]]
+                    [
+                        [_integers(p, f"type {key} palette entry") for p in tier]
+                        for tier in block["tiers"]
+                    ]
                 )
             else:
                 prefs[int(key)] = NamedFamily(block["family"], block["params"])
         instance = Instance(
             gamma=data["gamma"],
-            colors=tuple(a["color"] for a in agents),
-            types=tuple(a["type"] for a in agents),
+            colors=_integers((a["color"] for a in agents), "agent color"),
+            types=_integers((a["type"] for a in agents), "agent type"),
             prefs=prefs,
             budgets=Budgets(data["sigma"], data["rho1"], data["rho2"]),
             agent_ids=tuple(str(a["id"]) for a in agents),

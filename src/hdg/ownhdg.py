@@ -5,7 +5,8 @@ fraction its own color holds in its coalition.  The solver branches over
 the sizes of the (at most rho2) non-trivial coalitions, then runs a
 reachability DP that admits one color class at a time: a record stores how
 many agents each planned coalition already holds, and an arc between
-records exists when the new color's agents can be routed (by max flow) to
+records exists when the new color's agents can be routed (by max flow,
+one row per type of the color with its agent count as supply) to
 coalitions and singletons without creating Nash deviations.  Because the
 whole color class is placed in one step, the deviation checks against
 planned coalitions use their final same-color counts.
@@ -28,7 +29,7 @@ from typing import Callable, Mapping
 from .core import Instance, NamedFamily, compositions_upto, reduce_counts
 from .errors import OwnColorViolation, SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
-from .stability import NS, Outcome, check_outcome
+from .stability import NS, Outcome, check_outcome, deal_outcome
 
 UNIVERSE_CAP = 200_000
 
@@ -114,7 +115,7 @@ def arc_exists(
     instance: Instance,
     orders: Mapping[tuple[int, int], FracOrder] | None = None,
     half_guard_colors: frozenset[int] = frozenset(),
-) -> dict[int, int] | None:
+) -> dict[tuple[int, int], int] | None:
     """Placement of the next color class realizing record_to, or None.
 
     Agents may go to planned coalition j (slot value j) when the final
@@ -122,7 +123,9 @@ def arc_exists(
     to joining any other planned coalition, or stay alone (slot value -1)
     when being alone is weakly preferred to joining every planned
     coalition.  Colors in half_guard_colors must additionally tolerate the
-    ratio 1/2 (a singleton of another color exists somewhere).
+    ratio 1/2 (a singleton of another color exists somewhere).  Both rules
+    depend only on an agent's type, so the network has one row per type
+    of the color, and the placement maps (type, slot value) to a count.
     """
     if record_to.colors_done != record_from.colors_done + 1:
         return None
@@ -132,50 +135,36 @@ def arc_exists(
         return None
     if orders is None:
         orders = own_ratio_orders(instance)
-    agents = [a for a in range(instance.n) if instance.colors[a] == i]
-    spare = len(agents) - sum(new)
+    spare = instance.class_sizes[i] - sum(new)
     if spare < 0:
         return None
 
     one = Fraction(1)
     half = Fraction(1, 2)
     guard = i in half_guard_colors
-
-    def weakly(order: FracOrder, p: Fraction, q: Fraction) -> bool:
-        return order(p) <= order(q)
-
-    slots: list[int] = [j for j in range(len(size_fn)) if new[j] > 0]
-    caps = [new[j] for j in slots] + [spare]
+    lures = [Fraction(new[l] + 1, size_fn[l] + 1) for l in range(len(size_fn))]
+    slots: list[int] = [j for j in range(len(size_fn)) if new[j] > 0] + [-1]
+    caps = [new[j] for j in slots[:-1]] + [spare]
+    rows = [t for c, t in instance.present_pairs if c == i]
     edges = set()
-    for idx, agent in enumerate(agents):
-        order = orders[(i, instance.types[agent])]
-        lures = [
-            Fraction(new[l] + 1, size_fn[l] + 1) for l in range(len(size_fn))
-        ]
+    for r, t in enumerate(rows):
+        order = orders[(i, t)]
         for s, j in enumerate(slots):
-            mine = Fraction(new[j], size_fn[j])
-            ok = weakly(order, mine, one) and all(
-                weakly(order, mine, lure)
-                for l, lure in enumerate(lures)
-                if l != j
-            )
-            if ok and guard and not weakly(order, mine, half):
-                ok = False
+            mine = one if j == -1 else Fraction(new[j], size_fn[j])
+            rank = order(mine)
+            ok = all(rank <= order(lure) for l, lure in enumerate(lures) if l != j)
+            if ok and j != -1:
+                ok = rank <= order(one)
+            if ok and guard:
+                ok = rank <= order(half)
             if ok:
-                edges.add((idx, s))
-        alone_ok = all(weakly(order, one, lure) for lure in lures)
-        if alone_ok and guard and not weakly(order, one, half):
-            alone_ok = False
-        if alone_ok:
-            edges.add((idx, len(slots)))
-    net = FlowNetwork(len(agents), tuple(caps), frozenset(edges))
-    value, assignment = max_flow(net)
-    if value != len(agents):
+                edges.add((r, s))
+    supplies = tuple(instance.n_ct[(i, t)] for t in rows)
+    net = FlowNetwork(supplies, tuple(caps), frozenset(edges))
+    value, flow = max_flow(net)
+    if value != instance.class_sizes[i]:
         return None
-    placement = {}
-    for idx, s in assignment.items():
-        placement[agents[idx]] = slots[s] if s < len(slots) else -1
-    return placement
+    return {(rows[r], slots[s]): amount for (r, s), amount in flow.items()}
 
 
 def _size_functions(instance: Instance):
@@ -228,14 +217,13 @@ def solve_ownhdg_nash(instance: Instance) -> Outcome | None:
 
 
 def _search_records(instance, orders, sizes, profile, guard_colors):
-    n = instance.n
     gamma = instance.gamma
     start = Record(0, (0,) * len(sizes))
     frontier = {start.alloc: None}  # alloc -> (prev alloc, placement)
     levels = [frontier]
     for i in range(gamma):
         class_size = instance.class_sizes[i]
-        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], dict[int, int]]] = {}
+        nxt: dict[tuple[int, ...], tuple[tuple[int, ...], dict[tuple[int, int], int]]] = {}
         for alloc in levels[i]:
             room = [s - a for s, a in zip(sizes, alloc)]
             for new in itertools.product(*(range(r + 1) for r in room)):
@@ -263,15 +251,15 @@ def _search_records(instance, orders, sizes, profile, guard_colors):
     if sizes not in levels[gamma]:
         return None
 
-    blocks: list[list[int]] = [[] for _ in sizes]
-    singles: list[list[int]] = []
+    blocks: list[list[tuple[tuple[int, int], int]]] = [[] for _ in sizes]
+    singles: list[list[tuple[tuple[int, int], int]]] = []
     alloc = sizes
     for i in range(gamma, 0, -1):
         prev, placement = levels[i][alloc]
-        for agent, j in placement.items():
+        for (t, j), amount in placement.items():
             if j == -1:
-                singles.append([agent])
+                singles.extend([((i - 1, t), 1)] for _ in range(amount))
             else:
-                blocks[j].append(agent)
+                blocks[j].append(((i - 1, t), amount))
         alloc = prev
-    return Outcome.from_sets([b for b in blocks if b] + sorted(singles))
+    return deal_outcome(instance, [b for b in blocks if b] + singles)

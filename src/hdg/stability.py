@@ -35,11 +35,17 @@ EMPTY = -1
 
 @dataclass(frozen=True)
 class Outcome:
-    coalitions: tuple[frozenset[int], ...]
+    """A partition of the agents, each coalition a tuple of sorted agent ids.
+
+    Sorted tuples make equal partitions (in the same coalition order) equal
+    and cost about a quarter of the memory of frozensets on singletons.
+    """
+
+    coalitions: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_sets(cls, sets) -> "Outcome":
-        return cls(tuple(frozenset(s) for s in sets))
+        return cls(tuple(tuple(sorted(s)) for s in sets))
 
     def member_of(self, n: int) -> list[int]:
         """Coalition index per agent; validates the partition property."""
@@ -51,7 +57,7 @@ class Outcome:
                 if not 0 <= agent < n:
                     raise InvalidOutcome(f"unknown agent {agent}")
                 if owner[agent] != -1:
-                    raise InvalidOutcome(f"agent {agent} in two coalitions")
+                    raise InvalidOutcome(f"agent {agent} listed twice")
                 owner[agent] = idx
         missing = [i for i, b in enumerate(owner) if b == -1]
         if missing:
@@ -76,7 +82,7 @@ def deal_outcome(instance: Instance, blocks) -> Outcome:
             start = dealt[pair]
             members.extend(pools[pair][start : start + k])
             dealt[pair] = start + k
-        coalitions.append(frozenset(members))
+        coalitions.append(tuple(sorted(members)))
     if any(dealt[pair] != len(agents) for pair, agents in pools.items()):
         raise SolverDivergence("class counts do not deal out every agent exactly once")
     return Outcome(tuple(coalitions))

@@ -306,14 +306,14 @@ def test_criterion_7_subroutine_oracles():
             for s in range(slots)
             if rng.random() < 0.6
         )
-        net = FlowNetwork(agents, caps, edges)
-        value, assignment = max_flow(net)
+        net = FlowNetwork((1,) * agents, caps, edges)
+        value, flow = max_flow(net)
         assert value == brute_max_assignment(agents, caps, edges)
-        assert len(assignment) == value
+        assert sum(flow.values()) == value
         loads = [0] * slots
-        for a, s in assignment.items():
-            assert (a, s) in edges
-            loads[s] += 1
+        for (a, s), amount in flow.items():
+            assert (a, s) in edges and amount == 1
+            loads[s] += amount
         assert all(l <= c for l, c in zip(loads, caps))
     flow_elapsed = time.time() - start
     assert flow_elapsed < 60

@@ -81,8 +81,8 @@ def test_capacity_reduction_never_increases_flow():
         edges = frozenset(
             (a, s) for a in range(agents) for s in range(slots) if rng.random() < 0.6
         )
-        before, _ = max_flow(FlowNetwork(agents, tuple(caps), edges))
+        before, _ = max_flow(FlowNetwork((1,) * agents, tuple(caps), edges))
         shrink = rng.randrange(slots)
         caps[shrink] -= 1
-        after, _ = max_flow(FlowNetwork(agents, tuple(caps), edges))
+        after, _ = max_flow(FlowNetwork((1,) * agents, tuple(caps), edges))
         assert after <= before

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hdg import brute
 from hdg.brute import (
     enumerate_stable,
     partitions_within_budgets,
@@ -9,7 +10,7 @@ from hdg.brute import (
     solve_brute_positions,
 )
 from hdg.core import TierList, make_instance, singleton_palette
-from hdg.errors import InstanceTooLarge
+from hdg.errors import InstanceTooLarge, SearchSpaceTooLarge
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, Outcome, check_outcome, find_ns_deviation
 
@@ -27,7 +28,7 @@ def test_example1_ns_yes_and_witness_stable():
 def test_singleton_instance():
     inst = make_instance([0], {0: TierList([])}, types=[0])
     out = solve_brute(inst, NS)
-    assert out is not None and out.coalitions == (frozenset({0}),)
+    assert out is not None and out.coalitions == ((0,),)
 
 
 def loner_instance(rho1):
@@ -54,6 +55,33 @@ def test_brute_cap(monkeypatch):
         solve_brute(inst, NS)
     monkeypatch.setenv("HDG_SEARCH_CAP", "13")
     assert solve_brute(inst, NS) is not None
+
+
+def test_positions_placement_cap(monkeypatch):
+    # rho2*sigma = 6 is inside POSITIONS_CAP whatever n is; the placements
+    # checked are what grow with n.  The color-1 agent only likes being
+    # alone and every color-0 agent would join it for a (1, 1) palette, so
+    # no outcome is stable and every placement is checked.
+    likes_mixed = TierList([[(1, 1)], [(1, 0)]])
+    likes_alone = TierList([[(0, 1)]])
+    inst = make_instance(
+        [0, 0, 0, 0, 0, 1], {0: likes_mixed, 1: likes_alone}, types=[0, 0, 0, 0, 0, 1],
+        sigma=3, rho2=2,
+    )
+    checked = []
+    real = brute.find_ns_deviation
+    monkeypatch.setattr(
+        brute, "find_ns_deviation", lambda i, o: checked.append(o) or real(i, o)
+    )
+    assert solve_brute_positions(inst, NS) is None
+    total = len(checked)
+    assert total > 10
+    monkeypatch.setattr(brute, "PLACEMENTS_CAP", total - 1)
+    message = rf"more than {total - 1} placements .*HDG_SEARCH_CAP"
+    with pytest.raises(SearchSpaceTooLarge, match=message):
+        solve_brute_positions(inst, NS)
+    monkeypatch.setenv("HDG_SEARCH_CAP", str(total))
+    assert solve_brute_positions(inst, NS) is None
 
 
 def test_obvious_no_instance_skips_enumeration():

@@ -83,6 +83,34 @@ def test_malformed_instance_file_is_error(example1_path, tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("palette", True),
+        ("palette", 1.5),
+        ("color", True),
+        ("color", 1.5),
+        ("type", True),
+        ("type", "0"),
+    ],
+)
+def test_non_integer_json_values_are_errors(example1_path, tmp_path, capsys, field, value):
+    # A JSON true used to be read as 1: a palette [true, true] as (1, 1),
+    # an agent "color": true as color 1, and the solve exited 0.
+    with open(example1_path) as fh:
+        data = json.load(fh)
+    if field == "palette":
+        block = next(b for b in data["types"].values() if b.get("tiers"))
+        block["tiers"][0][0] = [value] * data["gamma"]
+    else:
+        data["agents"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "must be int" in err and "Traceback" not in err
+
+
 def test_solve_rejects_a_witness_that_fails_its_check(example1_path, monkeypatch, capsys):
     # A wrong solver: every agent alone, which agent b deserts to join c.
     from hdg import bench

@@ -54,7 +54,8 @@ def test_arc_alone_rule():
     # Placing zero color-0 agents into the planned pair: tempting ratio
     # would be 1/3 (bottom), so going alone is fine.
     placement = arc_exists(Record(0, (0,)), Record(1, (0,)), sizes, inst, orders)
-    assert placement == {0: -1, 1: -1}
+    # Both type-0 agents stay alone (slot value -1).
+    assert placement == {(0, -1): 2}
 
 
 def test_arc_placements_match_rule_replay():

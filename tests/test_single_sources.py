@@ -2,7 +2,8 @@
 
 `bench.SOLVERS` is the only list of solvers: `hdg solve --algo` offers its
 names and the bench runs its entries and nothing else.  `errors.search_cap`
-is the only reader of the environment.
+is the only reader of the environment.  `stability.deal_outcome` is the
+only materialiser of the class-level solvers' witnesses.
 """
 
 import argparse
@@ -13,6 +14,7 @@ from pathlib import Path
 import hdg
 from hdg import bench, cli
 from hdg.errors import search_cap
+from hdg.stability import NS, Outcome
 
 from fixtures import example1
 
@@ -73,3 +75,35 @@ def test_search_cap_only_raises_a_guard(monkeypatch):
     monkeypatch.setenv("HDG_SEARCH_CAP", "14")
     assert search_cap(12) == 14
     assert search_cap(400_000) == 400_000
+
+
+# Solvers that decide on class counts; each builds its witness by dealing
+# agents out of classes, never from hand-built agent lists.
+CLASS_LEVEL = {
+    "colors_size": "colors-size",
+    "colors_types": "colors-types",
+    "colors_ntcoal": "colors-ntcoal",
+    "ownhdg": "own-nash",
+}
+
+
+def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
+    for module in CLASS_LEVEL:
+        assert "from_sets" not in Path(hdg.__file__).with_name(f"{module}.py").read_text()
+
+    def forbidden(cls, sets):
+        raise AssertionError("a solver built its witness with Outcome.from_sets")
+
+    monkeypatch.setattr(Outcome, "from_sets", classmethod(forbidden))
+    dealt = []
+    for module, algo in CLASS_LEVEL.items():
+        mod = importlib.import_module(f"hdg.{module}")
+        real = mod.deal_outcome
+
+        def dealing(instance, blocks, real=real, algo=algo):
+            dealt.append(algo)
+            return real(instance, blocks)
+
+        monkeypatch.setattr(mod, "deal_outcome", dealing)
+        assert bench.SOLVERS[algo].solve(example1(), NS) is not None
+    assert dealt == list(CLASS_LEVEL.values())
