@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .brute import solve_brute, solve_brute_positions
+from .brute import solve_brute
 from .colors_ntcoal import solve_colors_ntcoal
 from .colors_size import solve_colors_size
 from .colors_types import solve_colors_types
@@ -35,7 +35,6 @@ class Solver(NamedTuple):
 # both read this table and nothing else.
 SOLVERS = {
     "brute": Solver(solve_brute),
-    "brute-positions": Solver(solve_brute_positions),
     "colors-size": Solver(solve_colors_size),
     "colors-types": Solver(solve_colors_types),
     "colors-ntcoal": Solver(solve_colors_ntcoal),

@@ -29,12 +29,12 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 def reduce_counts(counts: Sequence[int]) -> Palette:
     """Reduce a color-count vector to its palette (gcd-1 form)."""
-    if any(c < 0 for c in counts):
+    if min(counts, default=0) < 0:
         raise InvalidInput(f"negative color count in {counts!r}")
-    g = math.gcd(*counts) if counts else 0
+    g = math.gcd(*counts)
     if g == 0:
         raise EmptyCoalition("cannot take the palette of an empty coalition")
-    return tuple(c // g for c in counts)
+    return tuple(counts) if g == 1 else tuple([c // g for c in counts])
 
 
 def singleton_palette(color: int, gamma: int) -> Palette:

@@ -104,17 +104,3 @@ def _usage_bound(system: ILPSystem, var: int, eq, le) -> int:
             b = r // coeffs[var]
             bound = b if bound is None else min(bound, b)
     return 0 if bound is None else bound
-
-
-def evaluate(system: ILPSystem, assignment: dict[int, int]) -> bool:
-    """Re-check an assignment against every row exactly."""
-    xs = [assignment.get(i, 0) for i in range(system.num_vars)]
-    if any(x < 0 for x in xs):
-        return False
-    for coeffs, rhs in system.equalities:
-        if sum(c * x for c, x in zip(coeffs, xs)) != rhs:
-            return False
-    for coeffs, rhs in system.inequalities_le:
-        if sum(c * x for c, x in zip(coeffs, xs)) > rhs:
-            return False
-    return True

@@ -4,7 +4,7 @@ Each generator maps a source instance (exact cover, number partition,
 multidimensional subset sum, independent set, group activity selection)
 to a diversity game whose stable outcomes correspond to source solutions.
 They serve as adversarial fixtures, and tiny inputs are cross-verified
-end to end against the source-side brute-force deciders kept here.
+end to end against source-side brute-force deciders (in the test suite).
 
 Several constructions share a trap gadget: one red agent, one blue agent
 and m green agents whose orders force every green into a "desirable"
@@ -14,14 +14,12 @@ each other in a cycle and no outcome is stable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .core import Instance, NamedFamily, Palette, TierList, make_instance
-from .errors import InstanceTooLarge, InvalidInput
-from .stability import Outcome
+from .errors import InvalidInput
 
 # ---------------------------------------------------------------------------
 # Trap gadget.
@@ -144,34 +142,6 @@ def from_x3c(universe: Sequence[int], family: Sequence[Iterable[int]]) -> Instan
     )
 
 
-def x3c_solvable(universe: Sequence[int], family: Sequence[Iterable[int]]) -> bool:
-    """Exhaustive exact-cover search."""
-    triples = [frozenset(x) for x in family]
-    want = frozenset(universe)
-
-    def rec(covered: frozenset, start: int) -> bool:
-        if covered == want:
-            return True
-        for i in range(start, len(triples)):
-            if triples[i] & covered:
-                continue
-            if rec(covered | triples[i], i + 1):
-                return True
-        return False
-
-    return rec(frozenset(), 0)
-
-
-def decode_x3c(instance: Instance, outcome: Outcome) -> list[tuple[int, ...]]:
-    """Triples housed with a green agent, read back from agent ids."""
-    cover = []
-    for block in outcome.coalitions:
-        ids = sorted(instance.agent_ids[a] for a in block)
-        if any(i.startswith("g") for i in ids):
-            cover.append(tuple(sorted(int(i[1:]) for i in ids if i.startswith("u"))))
-    return sorted(cover)
-
-
 # ---------------------------------------------------------------------------
 # Partition.
 # ---------------------------------------------------------------------------
@@ -235,37 +205,6 @@ def from_partition(values: Sequence[int], notion: str) -> Instance:
         rho2=3,
         agent_ids=ids + ["g0", "g1", "R", "B"],
     )
-
-
-def partition_solvable(values: Sequence[int]) -> bool:
-    total = sum(values)
-    if total % 2 != 0:
-        return False
-    target = total // 2
-    values = list(values)
-
-    def rec(i: int, acc: int) -> bool:
-        if acc == target:
-            return True
-        if i == len(values) or acc > target:
-            return False
-        return rec(i + 1, acc + values[i]) or rec(i + 1, acc)
-
-    return rec(0, 0)
-
-
-def decode_partition(instance: Instance, outcome: Outcome) -> list[list[int]]:
-    """Value multisets of the coalitions holding value agents."""
-    halves = []
-    for block in outcome.coalitions:
-        vals = sorted(
-            int(instance.agent_ids[a].split(".")[0][1:])
-            for a in block
-            if instance.agent_ids[a].startswith("v")
-        )
-        if vals:
-            halves.append(vals)
-    return sorted(halves)
 
 
 # ---------------------------------------------------------------------------
@@ -332,40 +271,6 @@ def from_mss(sets: Sequence[Sequence[Sequence[int]]], target: Sequence[int]) -> 
     )
 
 
-def mss_solvable(sets, target) -> bool:
-    k = len(target)
-    for pick in itertools.product(*(list(group) + [None] for group in sets)):
-        sums = [0] * k
-        for vec in pick:
-            if vec is None:
-                continue
-            for j in range(k):
-                sums[j] += vec[j]
-        if sums == list(target):
-            return True
-    return False
-
-
-def decode_mss(instance: Instance, outcome: Outcome) -> dict[int, tuple[int, ...]]:
-    """Chosen vector per marker, read off the marker coalitions."""
-    omega = sum(1 for name in instance.agent_ids if name.startswith("m"))
-    width = instance.gamma - omega
-    chosen = {}
-    for block in outcome.coalitions:
-        markers = [a for a in block if instance.agent_ids[a].startswith("m")]
-        if len(markers) != 1 or len(block) == 1:
-            continue
-        i = int(instance.agent_ids[markers[0]][1:])
-        axes: dict[int, int] = {}
-        for a in block:
-            name = instance.agent_ids[a]
-            if name.startswith("n"):
-                j = int(name.split(".")[0][1:])
-                axes[j] = axes.get(j, 0) + 1
-        chosen[i] = tuple(axes.get(j, 0) for j in range(width))
-    return chosen
-
-
 # ---------------------------------------------------------------------------
 # Independent set.
 # ---------------------------------------------------------------------------
@@ -423,25 +328,6 @@ def from_independent_set(
     )
 
 
-def independent_set_solvable(num_vertices: int, edges, k: int) -> bool:
-    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
-    for combo in itertools.combinations(range(num_vertices), k):
-        if not any(
-            (min(u, v), max(u, v)) in edge_set
-            for u, v in itertools.combinations(combo, 2)
-        ):
-            return True
-    return False
-
-
-def decode_independent_set(instance: Instance, outcome: Outcome) -> tuple[int, ...]:
-    for block in outcome.coalitions:
-        ids = [instance.agent_ids[a] for a in block]
-        if "G" in ids and len(ids) > 1:
-            return tuple(sorted(int(i[1:]) for i in ids if i.startswith("x")))
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # Simple group activity selection.
 # ---------------------------------------------------------------------------
@@ -496,57 +382,6 @@ def gasp_normalize(sgasp: SGaspInstance) -> SGaspInstance:
         approvals=approvals,
         group_size_param=s,
     )
-
-
-def sgasp_solvable(sgasp: SGaspInstance, cap: int = 2_000_000) -> bool:
-    """Brute-force decider; groups interchangeable participants.
-
-    Enumerates how many participants of each approval class go to each
-    activity (everyone must be assigned somewhere).
-    """
-    classes: dict[frozenset, int] = {}
-    for p in sgasp.participants:
-        classes[sgasp.approvals.get(p, frozenset())] = (
-            classes.get(sgasp.approvals.get(p, frozenset()), 0) + 1
-        )
-    acts = list(sgasp.activities)
-    class_list = list(classes.items())
-
-    def splits(count: int, bins: int):
-        if bins == 1:
-            yield (count,)
-            return
-        for head in range(count + 1):
-            for rest in splits(count - head, bins - 1):
-                yield (head,) + rest
-
-    work = 1
-    for _, count in class_list:
-        ways = 1
-        for i in range(len(acts) - 1):
-            ways = ways * (count + i + 1) // (i + 1)
-        work *= max(ways, 1)
-        if work > cap:
-            raise InstanceTooLarge(f"sGASP brute force needs {work} > {cap} branches")
-
-    for layout in itertools.product(
-        *(list(splits(count, len(acts))) for _, count in class_list)
-    ):
-        sizes = [0] * len(acts)
-        for split in layout:
-            for i, x in enumerate(split):
-                sizes[i] += x
-        ok = True
-        for (approval, _), split in zip(class_list, layout):
-            for i, x in enumerate(split):
-                if x > 0 and (acts[i], sizes[i]) not in approval:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 def _z(i: int) -> int:

@@ -1,26 +1,35 @@
-"""Literal, per-branch forms of the parameterized solvers, for tests only.
+"""Reference code for tests only.
 
-Each solver decides its branches implicitly (colors-types defers the branch
-choice into one DP, colors-size prunes supports during its walk,
-colors-ntcoal decides validity per agent class).  The functions here spell
-one branch out at a time on top of the solver's own building blocks, so
-tests can check those blocks against the definitions on tiny inputs.
-Unlike `oracles.py`, this code shares helpers with the solvers.
+* Literal, per-branch forms of the parameterized solvers.  Each solver
+  decides its branches implicitly (colors-types defers the branch choice
+  into one DP, colors-size prunes supports during its walk, colors-ntcoal
+  decides validity per agent class).  The functions here spell one branch
+  out at a time on top of the solver's own building blocks, so tests can
+  check those blocks against the definitions on tiny inputs.
+* The agent-level enumeration of budget-respecting partitions, the
+  small-n reference for the class-level brute force.
+* Source-side deciders and witness decoders of the reductions, and an
+  exact row check of ILP assignments.
+
+Unlike `oracles.py`, this code shares helpers and types with the solvers.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from hdg.colors_ntcoal import Guess, _class_valid
 from hdg.colors_size import TWO_PLUS, CoalitionType, _deviation_free
 from hdg.colors_types import _Setup
 from hdg.core import Instance, Palette, reduce_counts
-from hdg.errors import SearchSpaceTooLarge
+from hdg.errors import InstanceTooLarge, SearchSpaceTooLarge
+from hdg.ilp import ILPSystem
 from hdg.prefs import TierCache
-from hdg.stability import IS, NS
+from hdg.reductions import SGaspInstance
+from hdg.stability import IS, NS, Outcome
 
 # --------------------------------------------------------------------------
 # colors-types: explicit worst/second-worst branch product.
@@ -245,3 +254,235 @@ def is_valid_for(
         guess,
         notion,
     )
+
+
+# --------------------------------------------------------------------------
+# Agent-level partitions: the small-n reference of the class-level brute force.
+# --------------------------------------------------------------------------
+
+
+def partitions_within_budgets(instance: Instance) -> Iterator[Outcome]:
+    """All budget-respecting partitions, one per symmetry class.
+
+    Agents sharing a (color, type) pair are interchangeable, so among the
+    restricted-growth strings we keep only those where adjacent same-class
+    agents have non-decreasing block labels; swapping an out-of-order pair
+    yields a lexicographically smaller string of the same symmetry class,
+    hence the lex-minimum of every class survives the filter.
+    """
+    n = instance.n
+    b = instance.budgets
+    classes = list(zip(instance.colors, instance.types))
+    labels = [0] * n
+    sizes = [0] * (n + 1)
+
+    def rec(i: int, used: int, nontrivial: int) -> Iterator[Outcome]:
+        if i == n:
+            blocks: list[list[int]] = [[] for _ in range(used)]
+            for agent, lab in enumerate(labels):
+                blocks[lab].append(agent)
+            yield Outcome.from_sets(blocks)
+            return
+        lo = labels[i - 1] if i > 0 and classes[i] == classes[i - 1] else 0
+        for lab in range(lo, min(used, b.rho1 - 1) + 1):
+            new_block = lab == used
+            if not new_block and sizes[lab] >= b.sigma:
+                continue
+            grew_nontrivial = not new_block and sizes[lab] == 1
+            if grew_nontrivial and nontrivial >= b.rho2:
+                continue
+            labels[i] = lab
+            sizes[lab] += 1
+            yield from rec(
+                i + 1, used + (1 if new_block else 0), nontrivial + (1 if grew_nontrivial else 0)
+            )
+            sizes[lab] -= 1
+
+    yield from rec(0, 0, 0)
+
+
+# --------------------------------------------------------------------------
+# Reductions: source-side deciders and witness decoders.
+# --------------------------------------------------------------------------
+
+
+def x3c_solvable(universe: Sequence[int], family: Sequence[Iterable[int]]) -> bool:
+    """Exhaustive exact-cover search."""
+    triples = [frozenset(x) for x in family]
+    want = frozenset(universe)
+
+    def rec(covered: frozenset, start: int) -> bool:
+        if covered == want:
+            return True
+        for i in range(start, len(triples)):
+            if triples[i] & covered:
+                continue
+            if rec(covered | triples[i], i + 1):
+                return True
+        return False
+
+    return rec(frozenset(), 0)
+
+
+def decode_x3c(instance: Instance, outcome: Outcome) -> list[tuple[int, ...]]:
+    """Triples housed with a green agent, read back from agent ids."""
+    cover = []
+    for block in outcome.coalitions:
+        ids = sorted(instance.agent_ids[a] for a in block)
+        if any(i.startswith("g") for i in ids):
+            cover.append(tuple(sorted(int(i[1:]) for i in ids if i.startswith("u"))))
+    return sorted(cover)
+
+
+def partition_solvable(values: Sequence[int]) -> bool:
+    total = sum(values)
+    if total % 2 != 0:
+        return False
+    target = total // 2
+    values = list(values)
+
+    def rec(i: int, acc: int) -> bool:
+        if acc == target:
+            return True
+        if i == len(values) or acc > target:
+            return False
+        return rec(i + 1, acc + values[i]) or rec(i + 1, acc)
+
+    return rec(0, 0)
+
+
+def decode_partition(instance: Instance, outcome: Outcome) -> list[list[int]]:
+    """Value multisets of the coalitions holding value agents."""
+    halves = []
+    for block in outcome.coalitions:
+        vals = sorted(
+            int(instance.agent_ids[a].split(".")[0][1:])
+            for a in block
+            if instance.agent_ids[a].startswith("v")
+        )
+        if vals:
+            halves.append(vals)
+    return sorted(halves)
+
+
+def mss_solvable(sets, target) -> bool:
+    k = len(target)
+    for pick in itertools.product(*(list(group) + [None] for group in sets)):
+        sums = [0] * k
+        for vec in pick:
+            if vec is None:
+                continue
+            for j in range(k):
+                sums[j] += vec[j]
+        if sums == list(target):
+            return True
+    return False
+
+
+def decode_mss(instance: Instance, outcome: Outcome) -> dict[int, tuple[int, ...]]:
+    """Chosen vector per marker, read off the marker coalitions."""
+    omega = sum(1 for name in instance.agent_ids if name.startswith("m"))
+    width = instance.gamma - omega
+    chosen = {}
+    for block in outcome.coalitions:
+        markers = [a for a in block if instance.agent_ids[a].startswith("m")]
+        if len(markers) != 1 or len(block) == 1:
+            continue
+        i = int(instance.agent_ids[markers[0]][1:])
+        axes: dict[int, int] = {}
+        for a in block:
+            name = instance.agent_ids[a]
+            if name.startswith("n"):
+                j = int(name.split(".")[0][1:])
+                axes[j] = axes.get(j, 0) + 1
+        chosen[i] = tuple(axes.get(j, 0) for j in range(width))
+    return chosen
+
+
+def independent_set_solvable(num_vertices: int, edges, k: int) -> bool:
+    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
+    for combo in itertools.combinations(range(num_vertices), k):
+        if not any(
+            (min(u, v), max(u, v)) in edge_set
+            for u, v in itertools.combinations(combo, 2)
+        ):
+            return True
+    return False
+
+
+def decode_independent_set(instance: Instance, outcome: Outcome) -> tuple[int, ...]:
+    for block in outcome.coalitions:
+        ids = [instance.agent_ids[a] for a in block]
+        if "G" in ids and len(ids) > 1:
+            return tuple(sorted(int(i[1:]) for i in ids if i.startswith("x")))
+    return ()
+
+
+def sgasp_solvable(sgasp: SGaspInstance, cap: int = 2_000_000) -> bool:
+    """Brute-force decider; groups interchangeable participants.
+
+    Enumerates how many participants of each approval class go to each
+    activity (everyone must be assigned somewhere).
+    """
+    classes: dict[frozenset, int] = {}
+    for p in sgasp.participants:
+        classes[sgasp.approvals.get(p, frozenset())] = (
+            classes.get(sgasp.approvals.get(p, frozenset()), 0) + 1
+        )
+    acts = list(sgasp.activities)
+    class_list = list(classes.items())
+
+    def splits(count: int, bins: int):
+        if bins == 1:
+            yield (count,)
+            return
+        for head in range(count + 1):
+            for rest in splits(count - head, bins - 1):
+                yield (head,) + rest
+
+    work = 1
+    for _, count in class_list:
+        ways = 1
+        for i in range(len(acts) - 1):
+            ways = ways * (count + i + 1) // (i + 1)
+        work *= max(ways, 1)
+        if work > cap:
+            raise InstanceTooLarge(f"sGASP brute force needs {work} > {cap} branches")
+
+    for layout in itertools.product(
+        *(list(splits(count, len(acts))) for _, count in class_list)
+    ):
+        sizes = [0] * len(acts)
+        for split in layout:
+            for i, x in enumerate(split):
+                sizes[i] += x
+        ok = True
+        for (approval, _), split in zip(class_list, layout):
+            for i, x in enumerate(split):
+                if x > 0 and (acts[i], sizes[i]) not in approval:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
+# --------------------------------------------------------------------------
+# ILP: exact row check of an assignment.
+# --------------------------------------------------------------------------
+
+
+def evaluate(system: ILPSystem, assignment: dict[int, int]) -> bool:
+    """Re-check an assignment against every row exactly."""
+    xs = [assignment.get(i, 0) for i in range(system.num_vars)]
+    if any(x < 0 for x in xs):
+        return False
+    for coeffs, rhs in system.equalities:
+        if sum(c * x for c, x in zip(coeffs, xs)) != rhs:
+            return False
+    for coeffs, rhs in system.inequalities_le:
+        if sum(c * x for c, x in zip(coeffs, xs)) > rhs:
+            return False
+    return True

@@ -11,7 +11,7 @@ from fractions import Fraction
 from hdg.bench import BenchReport, check_instance
 from hdg.brute import enumerate_stable, solve_brute
 from hdg.core import palette_of
-from hdg.ilp import ILPSystem, evaluate, feasible
+from hdg.ilp import ILPSystem, feasible
 from hdg.maxflow import FlowNetwork, max_flow
 from hdg.randgen import GenCaps, random_instance
 from hdg.reductions import (
@@ -22,11 +22,7 @@ from hdg.reductions import (
     from_sgasp,
     from_x3c,
     gasp_normalize,
-    independent_set_solvable,
-    mss_solvable,
-    partition_solvable,
     small_split_ratios,
-    x3c_solvable,
 )
 from hdg.stability import (
     IS,
@@ -39,6 +35,13 @@ from hdg.stability import (
 
 from fixtures import A, B, C, D, example1
 from oracles import all_partitions, box_exhaustive_feasible, brute_max_assignment
+from references import (
+    evaluate,
+    independent_set_solvable,
+    mss_solvable,
+    partition_solvable,
+    x3c_solvable,
+)
 
 
 CAPS = GenCaps(n=7, gamma=3, tau=3, sigma=5, rho1=5, rho2=2)

@@ -3,19 +3,21 @@ import random
 import pytest
 
 from hdg import brute
-from hdg.brute import (
-    enumerate_stable,
-    partitions_within_budgets,
-    solve_brute,
-    solve_brute_positions,
-)
+from hdg.brute import enumerate_stable, solve_brute
 from hdg.core import TierList, make_instance, singleton_palette
-from hdg.errors import InstanceTooLarge, SearchSpaceTooLarge
+from hdg.errors import SearchSpaceTooLarge, SolverDivergence
 from hdg.randgen import GenCaps, random_instance
-from hdg.stability import IS, NS, Outcome, check_outcome, find_ns_deviation
+from hdg.stability import IS, NS, Outcome, check_outcome, find_is_deviation, find_ns_deviation
 
 from fixtures import example1
+from references import partitions_within_budgets
 from test_stability import all_partitions
+
+
+def agent_level_yes(instance, notion):
+    """Whether some budget-respecting partition, enumerated agent by agent, is stable."""
+    finder = find_ns_deviation if notion == NS else find_is_deviation
+    return any(finder(instance, out) is None for out in partitions_within_budgets(instance))
 
 
 def test_example1_ns_yes_and_witness_stable():
@@ -50,57 +52,74 @@ def test_budget_starved_instance_is_no():
 
 
 def test_brute_cap(monkeypatch):
+    # The cap counts outcomes, not agents: 13 agents are answered at the
+    # default cap, on the first outcome tried.
     inst = make_instance([0] * 13, {0: TierList([])}, types=[0] * 13)
-    with pytest.raises(InstanceTooLarge):
+    assert solve_brute(inst, NS) is not None
+    monkeypatch.setattr(brute, "BRUTE_CAP", 0)
+    with pytest.raises(SearchSpaceTooLarge, match=r"more than 0 outcomes .*HDG_SEARCH_CAP"):
         solve_brute(inst, NS)
-    monkeypatch.setenv("HDG_SEARCH_CAP", "13")
+    monkeypatch.setenv("HDG_SEARCH_CAP", "1")
     assert solve_brute(inst, NS) is not None
 
 
-def test_positions_placement_cap(monkeypatch):
-    # rho2*sigma = 6 is inside POSITIONS_CAP whatever n is; the placements
-    # checked are what grow with n.  The color-1 agent only likes being
-    # alone and every color-0 agent would join it for a (1, 1) palette, so
-    # no outcome is stable and every placement is checked.
-    likes_mixed = TierList([[(1, 1)], [(1, 0)]])
-    likes_alone = TierList([[(0, 1)]])
-    inst = make_instance(
-        [0, 0, 0, 0, 0, 1], {0: likes_mixed, 1: likes_alone}, types=[0, 0, 0, 0, 0, 1],
-        sigma=3, rho2=2,
-    )
+def counting_ns(monkeypatch):
     checked = []
     real = brute.find_ns_deviation
-    monkeypatch.setattr(
-        brute, "find_ns_deviation", lambda i, o: checked.append(o) or real(i, o)
+    monkeypatch.setattr(brute, "find_ns_deviation", lambda i, o: checked.append(o) or real(i, o))
+    return checked
+
+
+def test_outcome_cap_counts_every_outcome_tried(monkeypatch):
+    # The color-1 agent only likes being alone and every color-0 agent
+    # would join it, so no outcome is stable and every outcome is tried.
+    likes_mixed = TierList([[(1, 1)], [(1, 0)]])
+    likes_pair = TierList([[(2, 1)], [(1, 0)]])
+    likes_alone = TierList([[(0, 1)]])
+    inst = make_instance(
+        [0] * 6 + [1], {0: likes_mixed, 1: likes_alone, 2: likes_pair},
+        types=[0, 0, 0, 2, 2, 2, 1], sigma=3, rho2=3,
     )
-    assert solve_brute_positions(inst, NS) is None
+    checked = counting_ns(monkeypatch)
+    assert solve_brute(inst, NS) is None
     total = len(checked)
     assert total > 10
-    monkeypatch.setattr(brute, "PLACEMENTS_CAP", total - 1)
-    message = rf"more than {total - 1} placements .*HDG_SEARCH_CAP"
+    assert len(set(checked)) == total  # no outcome is tried twice
+    monkeypatch.setattr(brute, "BRUTE_CAP", total - 1)
+    message = rf"more than {total - 1} outcomes .*HDG_SEARCH_CAP"
     with pytest.raises(SearchSpaceTooLarge, match=message):
-        solve_brute_positions(inst, NS)
+        solve_brute(inst, NS)
     monkeypatch.setenv("HDG_SEARCH_CAP", str(total))
-    assert solve_brute_positions(inst, NS) is None
-
-
-def test_obvious_no_instance_skips_enumeration():
-    # n > rho1 * sigma leaves no budget-feasible partition; answered
-    # without touching the cap.
-    inst = make_instance([0] * 13, {0: TierList([])}, types=[0] * 13, sigma=2, rho1=3)
     assert solve_brute(inst, NS) is None
+
+
+def test_obvious_no_instance_skips_enumeration(monkeypatch):
+    # n > rho1 * sigma leaves no budget-feasible partition; answered
+    # without trying an outcome.
+    inst = make_instance([0] * 13, {0: TierList([])}, types=[0] * 13, sigma=2, rho1=3)
+    checked = counting_ns(monkeypatch)
+    assert solve_brute(inst, NS) is None
+    assert checked == []
+
+
+def _canonical(outcome):
+    return tuple(sorted(tuple(sorted(b)) for b in outcome.coalitions))
 
 
 def test_partition_enumeration_covers_all_symmetry_classes():
     # With pairwise-distinct (color, type) classes no pruning applies, so
-    # the enumerator must produce every partition: Bell(4) = 15.
+    # both enumerators must produce every partition: Bell(4) = 15.  With
+    # no preferences every outcome is stable, so the class-level one
+    # yields them all.
     inst = make_instance([0, 1, 2, 3], {c: TierList([]) for c in range(4)}, types=[0, 1, 2, 3])
-    got = {tuple(sorted(tuple(sorted(b)) for b in o.coalitions)) for o in partitions_within_budgets(inst)}
     want = {
         tuple(sorted(tuple(sorted(b)) for b in blocks))
         for blocks in all_partitions(range(4))
     }
-    assert got == want
+    assert {_canonical(o) for o in partitions_within_budgets(inst)} == want
+    for notion in (NS, IS):
+        got = [_canonical(o) for o in enumerate_stable(inst, notion)]
+        assert len(got) == len(want) and set(got) == want
 
 
 def test_symmetry_pruning_preserves_stability_verdicts():
@@ -115,38 +134,37 @@ def test_symmetry_pruning_preserves_stability_verdicts():
         assert pruned_yes == full_yes
 
 
-def test_positions_agrees_on_example1_variant():
+def test_example1_variant_with_one_nontrivial_coalition():
     inst = example1(rho2=1, sigma=3)
-    out = solve_brute_positions(inst, NS)
+    out = solve_brute(inst, NS)
     assert out is not None
     assert check_outcome(inst, out, NS).stable
 
 
-def test_positions_rho2_zero_forces_singletons():
+def test_rho2_zero_forces_singletons():
     inst = loner_instance(rho1=4)
     tight = make_instance(
         inst.colors, dict(inst.prefs), types=inst.types, rho2=0
     )
-    out = solve_brute_positions(tight, NS)
+    out = solve_brute(tight, NS)
     assert out is not None
     assert all(len(c) == 1 for c in out.coalitions)
     grand_lover = make_instance(
         [0, 1], {0: TierList([[(1, 1)]]), 1: TierList([[(1, 1)]])}, types=[0, 1], rho2=0
     )
     # Being together beats anything, so all-singletons is unstable.
-    assert solve_brute_positions(grand_lover, NS) is None
+    assert solve_brute(grand_lover, NS) is None
 
 
-def test_positions_oracle_equivalence_random():
+def test_agrees_with_agent_level_reference_random():
     rng = random.Random(23)
     for _ in range(40):
         inst = random_instance(rng, GenCaps(n=6))
         for notion in (NS, IS):
-            a = solve_brute(inst, notion)
-            b = solve_brute_positions(inst, notion)
-            assert (a is None) == (b is None)
-            if b is not None:
-                assert check_outcome(inst, b, notion).stable
+            out = solve_brute(inst, notion)
+            assert (out is not None) == agent_level_yes(inst, notion)
+            if out is not None:
+                assert check_outcome(inst, out, notion).stable
 
 
 def test_every_enumerated_stable_outcome_verifies():
@@ -157,3 +175,31 @@ def test_every_enumerated_stable_outcome_verifies():
             for out in enumerate_stable(inst, notion):
                 assert check_outcome(inst, out, notion).stable
                 assert find_ns_deviation(inst, out) is None or notion == IS
+
+
+def test_unstable_witness_is_a_divergence(monkeypatch):
+    # A deviation search that misses every deviation hands over an
+    # unstable outcome; the re-verification catches it.
+    monkeypatch.setattr(brute, "find_ns_deviation", lambda i, o: None)
+    grand_lover = make_instance(
+        [0, 1], {0: TierList([[(1, 1)]]), 1: TierList([[(1, 1)]])}, types=[0, 1], rho2=0
+    )
+    with pytest.raises(SolverDivergence, match="fails its check"):
+        solve_brute(grand_lover, NS)
+
+
+def test_subtree_prune_needs_a_deviator_inside_the_chosen_coalitions():
+    # One type, happiest in a (2, 1) or (1, 1) coalition, indifferent to
+    # the rest; two (2, 1) coalitions and a lone color-0 agent are stable.
+    # With one (2, 1) coalition chosen and everyone else alone, the first
+    # deviator is agent 3, a lone color-1 agent joining it.  That deviation
+    # is gone once agent 3 sits in a second chosen coalition, so it must
+    # not cut the subtree.
+    inst = make_instance(
+        [0, 0, 1, 1, 0, 0, 0], {0: TierList([[(2, 1), (1, 1)]])}, types=[0] * 7,
+        sigma=3, rho1=5, rho2=3,
+    )
+    for notion in (NS, IS):
+        assert agent_level_yes(inst, notion)
+        out = solve_brute(inst, notion)
+        assert out is not None and check_outcome(inst, out, notion).stable

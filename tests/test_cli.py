@@ -183,9 +183,15 @@ def _bench_line(argv, capsys):
 
 
 def test_raising_one_search_cap_lowers_no_other(monkeypatch, capsys):
-    # 14 raises brute's cap (12) and sits far below every other default;
-    # each guard takes the larger value, so the run is the unset one.
+    # 60,000 raises colors-size's coalition-type cap (50,000) and sits
+    # below every other default; each guard takes the larger value, so the
+    # run is the unset one.
+    from hdg import brute, colors_ntcoal, colors_size, colors_types, ownhdg
+
+    others = (brute.BRUTE_CAP, colors_ntcoal.GUESS_CAP, colors_size.SUPPORT_CAP,
+              colors_types.STATES_CAP, ownhdg.UNIVERSE_CAP)
+    assert colors_size.TYPES_CAP < 60_000 < min(others)
     argv = ["bench", "--seed", "1", "--count", "100"]
     unset = _bench_line(argv, capsys)
-    monkeypatch.setenv("HDG_SEARCH_CAP", "14")
+    monkeypatch.setenv("HDG_SEARCH_CAP", "60000")
     assert _bench_line(argv, capsys) == unset

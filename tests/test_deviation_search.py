@@ -8,13 +8,13 @@ return the same witness -- agent, target and kind -- on every input.
 import math
 import random
 
-from hdg.brute import partitions_within_budgets
 from hdg.core import NamedFamily, TierList, make_instance
 from hdg.prefs import TierCache
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, Outcome, find_is_deviation, find_ns_deviation
 
 from oracles import all_partitions, reference_deviation
+from references import partitions_within_budgets
 
 FINDERS = ((NS, find_ns_deviation), (IS, find_is_deviation))
 
@@ -64,8 +64,8 @@ def test_all_budget_feasible_partitions_of_acceptance_instances():
 
 
 def test_symmetry_class_partitions_with_unrestricted_budgets():
-    # The partitions brute force actually visits, on instances whose
-    # budgets allow every coalition shape.
+    # One partition per symmetry class (the agent-level reference
+    # enumeration), on instances whose budgets allow every coalition shape.
     rng = random.Random(5)
     caps = GenCaps(n=7, gamma=3, tau=3, sigma=7, rho1=7, rho2=7)
     for _ in range(25):

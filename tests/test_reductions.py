@@ -8,24 +8,27 @@ from hdg.core import palette_of
 from hdg.errors import InvalidInput
 from hdg.reductions import (
     SGaspInstance,
-    decode_independent_set,
-    decode_mss,
-    decode_partition,
-    decode_x3c,
     from_independent_set,
     from_mss,
     from_partition,
     from_sgasp,
     from_x3c,
     gasp_normalize,
+    small_split_ratios,
+)
+from hdg.stability import IS, NS
+
+from references import (
+    decode_independent_set,
+    decode_mss,
+    decode_partition,
+    decode_x3c,
     independent_set_solvable,
     mss_solvable,
     partition_solvable,
     sgasp_solvable,
-    small_split_ratios,
     x3c_solvable,
 )
-from hdg.stability import IS, NS
 
 
 def test_x3c_single_triple_yes():

@@ -3,10 +3,12 @@
 `bench.SOLVERS` is the only list of solvers: `hdg solve --algo` offers its
 names and the bench runs its entries and nothing else.  `errors.search_cap`
 is the only reader of the environment.  `stability.deal_outcome` is the
-only materialiser of the class-level solvers' witnesses.
+only materialiser of the class-level solvers' witnesses.  Every solver the
+benchmark in `perfbench/` names is an `hdg` export.
 """
 
 import argparse
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -78,13 +80,16 @@ def test_search_cap_only_raises_a_guard(monkeypatch):
 
 
 # Solvers that decide on class counts; each builds its witness by dealing
-# agents out of classes, never from hand-built agent lists.
+# agents out of classes, never from hand-built agent lists.  Brute force
+# deals every outcome it tries, the others only their witness.
 CLASS_LEVEL = {
     "colors_size": "colors-size",
     "colors_types": "colors-types",
     "colors_ntcoal": "colors-ntcoal",
     "ownhdg": "own-nash",
+    "brute": "brute",
 }
+DEALS_EVERY_CANDIDATE = {"brute"}
 
 
 def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
@@ -95,15 +100,35 @@ def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
         raise AssertionError("a solver built its witness with Outcome.from_sets")
 
     monkeypatch.setattr(Outcome, "from_sets", classmethod(forbidden))
-    dealt = []
+    dealers = []
     for module, algo in CLASS_LEVEL.items():
         mod = importlib.import_module(f"hdg.{module}")
         real = mod.deal_outcome
+        dealt = []
 
-        def dealing(instance, blocks, real=real, algo=algo):
-            dealt.append(algo)
-            return real(instance, blocks)
+        def dealing(instance, blocks, real=real, dealt=dealt):
+            dealt.append(real(instance, blocks))
+            return dealt[-1]
 
         monkeypatch.setattr(mod, "deal_outcome", dealing)
-        assert bench.SOLVERS[algo].solve(example1(), NS) is not None
-    assert dealt == list(CLASS_LEVEL.values())
+        witness = bench.SOLVERS[algo].solve(example1(), NS)
+        assert witness is not None and witness is dealt[-1]
+        if module not in DEALS_EVERY_CANDIDATE:
+            assert len(dealt) == 1
+        dealers.append(algo)
+    assert dealers == list(CLASS_LEVEL.values())
+
+
+def test_perfbench_solver_exports_exist():
+    # perfbench/run.py calls solvers by their `hdg` export names; read the
+    # table from its source, without importing the benchmark.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
+    table = next(
+        node.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SOLVER_EXPORTS" for t in node.targets)
+    )
+    exports = ast.literal_eval(table)
+    assert exports and all(hasattr(hdg, name) for name in exports.values())
+    assert hdg.solve_brute_positions is hdg.solve_brute
