@@ -1,21 +1,33 @@
 """Solver for bounded color count plus bounded number of agent types.
 
-The search packs coalitions one by one, summarizing partial packings by a
-pattern: agents used per (color, type), a flag per (color, type) for "one
-coalition below the second-worst palette already exists", and the two
-coalition counters.  Whether a candidate coalition may join a partial
-packing depends on two branched palettes per (color, type): the worst
-palette C1 any coalition holding such an agent may have, and the
-second-worst palette C2 (with C2 weakly above C1), which together encode
-all deviation checks between packed coalitions.
+The search packs coalitions ("candidates": a count per (color, type)
+within the size budget) until every agent is placed.  Whether a candidate
+may join a partial packing depends on two branched palettes per (color,
+type): the worst palette C1 any coalition holding such an agent may have,
+and the second-worst palette C2 (with C2 weakly above C1), which together
+encode all deviation checks between packed coalitions.
 
 Enumerating the branch product up front is hopeless even at toy sizes, so
-the production solver runs one DP in which every (color, type) carries the
-set of still-viable (C2, w) choices, each with an interval of viable C1
-ranks; the per-(color, type) choices never interact, so this is exactly
-the disjunction of the per-branch DPs.  A literal per-branch reference
-implementation, for cross-checking on tiny inputs, lives with the tests in
-`tests/references.py`.
+the solver runs one search in which every (color, type) carries the set
+of still-viable (C2, w) choices, each with an interval of viable C1 ranks
+(`Entries`); the per-(color, type) choices never interact, so this is
+exactly the disjunction of the per-branch searches.  A literal per-branch
+reference implementation, for cross-checking on tiny inputs, lives with
+the tests in `tests/references.py`.
+
+A packing is a multiset of coalitions, and the order in which they are
+packed does not matter: `_apply_candidate` adds to `w`, takes the max of
+`lo` and the min of `hi`, and its filters only drop entries that no later
+candidate could revive, so any order of the same candidates gives the same
+entries.  A search state is therefore (residual counts per (color, type),
+r, viability): r counts the non-trivial coalitions, which rho2 bounds, and
+the viability is the tuple of every pair's entries.  Any fitting candidate
+may follow any state.  The search is breadth-first, one level per
+coalition, so rho1 is a bound on the level and each state is met first
+with the fewest coalitions.  A state is dropped when its residual and
+viability were already reached with no more non-trivial coalitions: that
+earlier state can finish every packing this one can.  `STATES_CAP` bounds
+the number of distinct states kept.
 
 Branched C1 palettes are additionally required to sit weakly above the
 agent's own singleton palette: any packing certified with a C1 below the
@@ -27,7 +39,6 @@ singletons, so completeness is unaffected.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 
 from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
@@ -150,7 +161,7 @@ class _Setup:
 
 
 # --------------------------------------------------------------------------
-# Production solver: branch choices deferred into viability sets.
+# Search: branch choices deferred into viability sets.
 # --------------------------------------------------------------------------
 
 # One entry: (theta2 rank, w used so far, lo..hi interval of theta1 ranks).
@@ -190,77 +201,160 @@ def _apply_candidate(
     return tuple(sorted(set(out)))
 
 
-def solve_colors_types(instance: Instance, notion: str) -> Outcome | None:
-    """Some stable budget-respecting outcome, or None if none exists."""
-    setup = _Setup(instance, notion)
-    pairs = setup.pairs
-    n_vec = setup.n_vec
-    budgets = instance.budgets
-    limit = search_cap(STATES_CAP)
+class _Residuals:
+    """Count vectors packed into ints, and the candidates that fit each.
 
-    init_viab = tuple(_initial_entries(setup, i) for i in range(len(pairs)))
-    if any(not e for e in init_viab):
-        return None
-    zero = (0,) * len(pairs)
-    start = (zero, 0, 0, 0, init_viab)  # a, r, l, next candidate index, viability
+    A residual (agents per (color, type) still to pack) is one int with a
+    field per pair.  Each field carries a guard bit above its count, so
+    subtracting a packed candidate leaves every guard bit set exactly when
+    the candidate fits, and the difference is the next residual.
+    """
 
-    transition_cache: dict[tuple[int, int, Entries], Entries] = {}
+    def __init__(self, setup: _Setup):
+        width = max(setup.n_vec).bit_length() + 1
+        self.bits = width * len(setup.n_vec)
+        self.empty = self._pack([1 << (width - 1)] * len(setup.n_vec), width)
+        self.full = self.empty + self._pack(setup.n_vec, width)
+        self._packed = [
+            (k, self._pack(vec, width), sum(vec) >= 2)
+            for k, vec in enumerate(setup.candidates)
+        ]
+        self._fits: dict[int, tuple[list, list]] = {}
 
-    def shift(viab, cand_idx):
+    @staticmethod
+    def _pack(vec, width: int) -> int:
+        return sum(x << (i * width) for i, x in enumerate(vec))
+
+    def fits(self, residual: int) -> tuple[list, list]:
+        """(singletons, non-singletons) that fit, as (candidate, next residual)."""
+        lists = self._fits.get(residual)
+        if lists is None:
+            lists = self._fits[residual] = ([], [])
+            empty = self.empty
+            for k, vec, multi in self._packed:
+                rest = residual - vec
+                if rest & empty == empty:
+                    lists[multi].append((k, rest))
+        return lists
+
+
+class _Viabilities:
+    """Interned viability tuples and the moves between them.
+
+    Entry tuples are interned per pair; a viability is the tuple of its
+    pairs' entry ids, interned in turn.  `moves[vid * n_cand + k]` holds
+    the id after packing candidate k, or -1 when some pair is left with no
+    entry; the per-pair moves below it are shared by every viability.
+    """
+
+    def __init__(self, setup: _Setup, init_viab: tuple[Entries, ...]):
+        self.setup = setup
+        self.n_cand = len(setup.candidates)
+        self.pair_ids: list[dict[Entries, int]] = [{e: 0} for e in init_viab]
+        self.pair_entries: list[list[Entries]] = [[e] for e in init_viab]
+        self.pair_moves: list[dict[int, int]] = [{} for _ in init_viab]
+        self.ids = {(0,) * len(init_viab): 0}
+        self.viabs = list(self.ids)
+        self.moves: dict[int, int] = {}
+
+    def move(self, vid: int, cand_idx: int) -> int:
         out = []
-        for i, entries in enumerate(viab):
-            key = (i, cand_idx, entries)
-            new = transition_cache.get(key)
-            if new is None:
-                new = _apply_candidate(setup, i, entries, cand_idx)
-                transition_cache[key] = new
-            if not new:
-                return None
-            out.append(new)
-        return tuple(out)
+        for i, eid in enumerate(self.viabs[vid]):
+            key = eid * self.n_cand + cand_idx
+            nxt = self.pair_moves[i].get(key)
+            if nxt is None:
+                new = _apply_candidate(self.setup, i, self.pair_entries[i][eid], cand_idx)
+                nxt = self.pair_ids[i].get(new, -1) if new else -1
+                if new and nxt < 0:
+                    nxt = self.pair_ids[i][new] = len(self.pair_entries[i])
+                    self.pair_entries[i].append(new)
+                self.pair_moves[i][key] = nxt
+            if nxt < 0:
+                break
+            out.append(nxt)
+        else:
+            viab = tuple(out)
+            nxt = self.ids.get(viab)
+            if nxt is None:
+                nxt = self.ids[viab] = len(self.viabs)
+                self.viabs.append(viab)
+        self.moves[vid * self.n_cand + cand_idx] = nxt
+        return nxt
 
-    seen = {start}
-    queue = deque([start])
-    parent: dict[tuple, tuple] = {}
-    target_state = None
-    while queue:
-        state = queue.popleft()
-        a, r, l, nxt, viab = state
-        if a == n_vec:
-            target_state = state
-            break
-        if l + 1 > budgets.rho1:
-            continue
-        for cand_idx in range(nxt, len(setup.candidates)):
-            vec = setup.candidates[cand_idx]
-            new_a = tuple(x + y for x, y in zip(a, vec))
-            if any(x > m for x, m in zip(new_a, n_vec)):
-                continue
-            r_c = 1 if sum(vec) >= 2 else 0
-            if r + r_c > budgets.rho2:
-                continue
-            new_viab = shift(viab, cand_idx)
-            if new_viab is None:
-                continue
-            new_state = (new_a, r + r_c, l + 1, cand_idx, new_viab)
-            if new_state in seen:
-                continue
-            if len(seen) > limit:
-                raise SearchSpaceTooLarge(
-                    f"more than {limit} packing states (cap via HDG_SEARCH_CAP)"
-                )
-            seen.add(new_state)
-            parent[new_state] = (state, cand_idx)
-            queue.append(new_state)
 
-    if target_state is None:
-        return None
+State = tuple[int, int, int]  # residual, r, viability id
 
-    chosen: list[int] = []
-    state = target_state
+
+def _search(setup: _Setup, init_viab: tuple[Entries, ...]) -> list[int] | None:
+    """Candidate indices of some full packing, or None if there is none.
+
+    Breadth-first over states, one level per coalition packed; any fitting
+    candidate may follow any state.  best_r, keyed on (viability id,
+    residual) packed into one int, holds the fewest non-trivial coalitions
+    the key was reached with, all at this level or an earlier one; a state
+    that does not beat it is dominated and dropped.
+    """
+    budgets = setup.instance.budgets
+    rho1, rho2 = budgets.rho1, budgets.rho2
+    limit = search_cap(STATES_CAP)
+    residuals = _Residuals(setup)
+    empty, bits = residuals.empty, residuals.bits
+    viabilities = _Viabilities(setup, init_viab)
+    moves, n_cand = viabilities.moves, viabilities.n_cand
+
+    start: State = (residuals.full, 0, 0)
+    best_r = {residuals.full: 0}
+    parent: dict[State, tuple[State, int]] = {}
+    frontier = [start]
+    for _ in range(rho1):
+        next_frontier = []
+        for state in frontier:
+            residual, r, vid = state
+            base = vid * n_cand
+            for group, new_r in zip(residuals.fits(residual), (r, r + 1)):
+                if new_r > rho2:
+                    break
+                for cand_idx, rest in group:
+                    nid = moves.get(base + cand_idx)
+                    if nid is None:
+                        nid = viabilities.move(vid, cand_idx)
+                    if nid < 0:
+                        continue
+                    key = nid << bits | rest
+                    old_r = best_r.get(key)
+                    if old_r is not None and old_r <= new_r:
+                        continue
+                    if len(parent) >= limit:
+                        raise SearchSpaceTooLarge(
+                            f"more than {limit} packing states (cap via HDG_SEARCH_CAP)"
+                        )
+                    best_r[key] = new_r
+                    new_state = (rest, new_r, nid)
+                    parent[new_state] = (state, cand_idx)
+                    if rest == empty:
+                        return _unwind(parent, new_state)
+                    next_frontier.append(new_state)
+        frontier = next_frontier
+    return None
+
+
+def _unwind(parent: dict[State, tuple[State, int]], state: State) -> list[int]:
+    chosen = []
     while state in parent:
         state, cand_idx = parent[state]
         chosen.append(cand_idx)
+    return chosen
+
+
+def solve_colors_types(instance: Instance, notion: str) -> Outcome | None:
+    """Some stable budget-respecting outcome, or None if none exists."""
+    setup = _Setup(instance, notion)
+    init_viab = tuple(_initial_entries(setup, i) for i in range(len(setup.pairs)))
+    if any(not e for e in init_viab):
+        return None
+    chosen = _search(setup, init_viab)
+    if chosen is None:
+        return None
     outcome = deal_outcome(
         instance, (zip(setup.pairs, setup.candidates[i]) for i in chosen)
     )

@@ -1,8 +1,9 @@
 import random
+from itertools import permutations
 
 from hdg.brute import solve_brute
-from hdg.colors_types import solve_colors_types
-from hdg.core import TierList, compare, make_instance, palette_of, reduce_counts
+from hdg.colors_types import _apply_candidate, _initial_entries, _Setup, solve_colors_types
+from hdg.core import TierList, compare, make_instance, palette_of, realizable_palettes, reduce_counts
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
@@ -155,3 +156,71 @@ def test_oracle_equivalence_random():
             assert (got is not None) == want, f"trial {trial} {notion}"
             if got is not None:
                 assert check_outcome(inst, got, notion).stable
+
+
+def test_packing_order_never_changes_the_entries():
+    # The solver keys packing states on the multiset of candidates packed,
+    # which is sound only because `_apply_candidate` commutes: every order
+    # of a multiset gives the same entries for every pair.
+    rng = random.Random(4242)
+    cases = changed = 0
+    for _ in range(60):
+        inst = random_instance(rng, GenCaps(n=7))
+        for notion in (NS, IS):
+            setup = _Setup(inst, notion)
+            for _ in range(8):
+                multiset = rng.choices(range(len(setup.candidates)), k=rng.randint(2, 4))
+                for i in range(len(setup.pairs)):
+                    start = _initial_entries(setup, i)
+                    results = set()
+                    for order in set(permutations(multiset)):
+                        entries = start
+                        for cand_idx in order:
+                            entries = _apply_candidate(setup, i, entries, cand_idx)
+                        results.add(entries)
+                    assert len(results) == 1, (inst, notion, multiset, i)
+                    cases += 1
+                    changed += results != {start} and results != {()}
+    assert cases > 1000 and changed > 100
+
+
+def sweep_game(profile, n, rho2):
+    """A game of the benchmark's n-sweep: gamma=2, tau=2, sigma=4, four
+    equal (color, type) classes, each type a random weak order over six
+    palettes of at most five agents."""
+    base = make_instance([0] * 5 + [1] * 5, {0: TierList([])}, types=[0] * 10, gamma=2)
+    palettes = realizable_palettes(base, 5)
+    rng = random.Random(7919 + profile)
+    prefs = {}
+    for t in (0, 1):
+        tiers = []
+        for p in rng.sample(palettes, k=6):
+            if tiers and rng.random() < 0.4:
+                tiers[-1].append(p)
+            else:
+                tiers.append([p])
+        prefs[t] = TierList(tiers)
+    colors = [(k % 4) // 2 for k in range(n)]
+    types = [k % 2 for k in range(n)]
+    return make_instance(colors, prefs, types=types, gamma=2, sigma=4, rho2=rho2)
+
+
+def test_sweep_games_at_24_agents_agree_with_brute():
+    for rho2, notions in ((2, (NS, IS)), (4, (IS,))):
+        for profile in (0, 1):
+            inst = sweep_game(profile, 24, rho2)
+            for notion in notions:
+                want = solve_brute(inst, notion) is not None
+                got = solve_colors_types(inst, notion)
+                assert (got is not None) == want, (profile, rho2, notion)
+                if got is not None:
+                    assert check_outcome(inst, got, notion).stable
+
+
+def test_sweep_game_that_tripped_the_state_cap_now_answers():
+    # Keyed on the packing order, this search passed STATES_CAP (400,000)
+    # packing states; keyed on the multiset it needs about 110,000.
+    inst = sweep_game(1, 24, 8)
+    out = solve_colors_types(inst, IS)
+    assert out is not None
+    assert check_outcome(inst, out, IS).stable
