@@ -112,20 +112,18 @@ def cmd_check(args) -> int:
     return 1
 
 
-def cmd_gen(args) -> int:
-    with open(args.source) as fh:
-        src = json.load(fh)
+def _instance_from_source(src, args) -> Instance:
     if args.problem == "x3c":
-        instance = reductions.from_x3c(src["universe"], src["family"])
-    elif args.problem == "partition":
-        instance = reductions.from_partition(src["values"], args.notion)
-    elif args.problem == "mss":
-        instance = reductions.from_mss(src["sets"], tuple(src["target"]))
-    elif args.problem == "indset":
-        instance = reductions.from_independent_set(
+        return reductions.from_x3c(src["universe"], src["family"])
+    if args.problem == "partition":
+        return reductions.from_partition(src["values"], args.notion)
+    if args.problem == "mss":
+        return reductions.from_mss(src["sets"], tuple(src["target"]))
+    if args.problem == "indset":
+        return reductions.from_independent_set(
             src["num_vertices"], [tuple(e) for e in src["edges"]], src["k"]
         )
-    elif args.problem == "sgasp":
+    if args.problem == "sgasp":
         sgasp = reductions.SGaspInstance(
             participants=tuple(src["participants"]),
             activities=tuple(src["activities"]),
@@ -135,9 +133,19 @@ def cmd_gen(args) -> int:
             },
             group_size_param=src.get("s"),
         )
-        instance = reductions.from_sgasp(sgasp, normalized=args.normalized)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidInput(args.problem)
+        return reductions.from_sgasp(sgasp, normalized=args.normalized)
+    raise InvalidInput(args.problem)  # pragma: no cover - argparse restricts choices
+
+
+def cmd_gen(args) -> int:
+    try:
+        with open(args.source) as fh:
+            src = json.load(fh)
+        instance = _instance_from_source(src, args)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # A source of the wrong shape (not JSON, a missing key, a string
+        # where a number belongs) fails inside the reduction's arithmetic.
+        raise InvalidInput(f"malformed {args.problem} source: {exc!r}") from exc
     save_instance(instance, args.out)
     print(f"wrote {instance.n} agents, {instance.gamma} colors to {args.out}")
     return 0

@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, chain, groupby, repeat, starmap
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import DimensionMismatch, EmptyCoalition, InvalidInput
 
@@ -338,7 +341,138 @@ def _sgasp_spoiler(params: dict) -> Callable[[Palette], int]:
 
 # --------------------------------------------------------------------------
 # Instances.
+#
+# An instance holds one column per agent attribute.  Generated instances
+# can have millions of agents in a handful of (color, type) classes, so a
+# column may also be stored compactly: `Runs` for colors and types,
+# `IdColumn` for agent ids.  Both are immutable sequences; class data is
+# read from their runs without expanding them.
 # --------------------------------------------------------------------------
+
+
+class _Column:
+    """Length, indexing and slicing of a compact column, from the end
+    position of each of its runs.
+
+    A plain class registered as a `Sequence` (which supplies `index`,
+    `count`, `in` and `reversed`): telling a compact column from a tuple is
+    then a plain type test, not an ABC lookup, on every instance built.
+    """
+
+    __slots__ = ("_ends",)
+    __contains__ = Sequence.__contains__
+    __reversed__ = Sequence.__reversed__
+    index = Sequence.index
+    count = Sequence.count
+
+    def _read(self, run: int, offset: int):
+        """The entry at `offset` within run `run`."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("column index out of range")
+        run = bisect_right(self._ends, i)
+        return self._read(run, i - (self._ends[run - 1] if run else 0))
+
+
+Sequence.register(_Column)
+
+
+class Runs(_Column):
+    """Column given as (value, count) runs.
+
+    Empty runs are dropped and adjacent runs of equal value merged, so
+    `runs` is the column's unique run-length form.
+    """
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: Iterable[tuple[object, int]]):
+        merged: list[list] = []
+        for value, count in runs:
+            if count < 0:
+                raise InvalidInput(f"negative run length {count}")
+            if not count:
+                continue
+            if merged and merged[-1][0] == value:
+                merged[-1][1] += count
+            else:
+                merged.append([value, count])
+        self.runs: tuple[tuple[object, int], ...] = tuple(map(tuple, merged))
+        self._ends = list(accumulate(count for _, count in self.runs))
+
+    def _read(self, run: int, offset: int):
+        return self.runs[run][0]
+
+    def __iter__(self):
+        return chain.from_iterable(starmap(repeat, self.runs))
+
+
+class IdColumn(_Column):
+    """Agent-id column of explicit names and numbered blocks.
+
+    Each part is a name, or a (prefix, count) block that stands for the
+    names f"{prefix}0", ..., f"{prefix}{count - 1}"; block names are made
+    only when read.
+    """
+
+    __slots__ = ("_chunks",)
+
+    def __init__(self, parts: Iterable[str | tuple[str, int]]):
+        chunks: list[tuple[str, int, tuple[str, ...] | None]] = []  # (prefix, count, names)
+        for named, group in groupby(parts, key=lambda part: isinstance(part, str)):
+            if named:
+                names = tuple(group)
+                chunks.append(("", len(names), names))
+                continue
+            for prefix, count in group:
+                if count < 0:
+                    raise InvalidInput(f"negative id block length {count}")
+                if count:
+                    chunks.append((prefix, count, None))
+        self._chunks = tuple(chunks)
+        self._ends = list(accumulate(count for _, count, _ in self._chunks))
+
+    def _read(self, run: int, offset: int):
+        prefix, _, names = self._chunks[run]
+        return f"{prefix}{offset}" if names is None else names[offset]
+
+    def __iter__(self):
+        return chain.from_iterable(
+            map(prefix.__add__, map(str, range(count))) if names is None else names
+            for prefix, count, names in self._chunks
+        )
+
+
+def _distinct(column: Sequence) -> set:
+    if isinstance(column, Runs):
+        return {value for value, _ in column.runs}
+    return set(column)
+
+
+def class_blocks(
+    colors: Sequence[int], types: Sequence[int]
+) -> Iterator[tuple[tuple[int, int], int, int]]:
+    """((color, type), start, count) for each maximal run of agents of one class."""
+    if isinstance(colors, Runs) and isinstance(types, Runs):
+        start = 0
+        for end in sorted(set(colors._ends).union(types._ends)):
+            yield (colors[start], types[start]), start, end - start
+            start = end
+        return
+    start = 0
+    for pair, group in groupby(zip(colors, types)):
+        count = len(list(group))
+        yield pair, start, count
+        start += count
 
 
 @dataclass(frozen=True)
@@ -354,11 +488,11 @@ class Budgets:
 @dataclass(frozen=True, eq=False)
 class Instance:
     gamma: int
-    colors: tuple[int, ...]
-    types: tuple[int, ...]
+    colors: Sequence[int]
+    types: Sequence[int]
     prefs: Mapping[int, PreferenceOrder]
     budgets: Budgets
-    agent_ids: tuple[str, ...] = ()
+    agent_ids: Sequence[str] = ()
 
     def __post_init__(self):
         n = len(self.colors)
@@ -368,11 +502,12 @@ class Instance:
             raise InvalidInput("instance needs at least one color")
         if len(self.types) != n:
             raise InvalidInput("colors and types must have equal length")
-        if not all(0 <= c < self.gamma for c in self.colors):
+        if not all(0 <= c < self.gamma for c in _distinct(self.colors)):
             raise InvalidInput("agent color out of range")
-        for t in self.types:
-            if t not in self.prefs:
-                raise InvalidInput(f"agent type {t} has no preference order")
+        missing = _distinct(self.types) - self.prefs.keys()
+        if missing:
+            t = next(t for t in self.types if t in missing)
+            raise InvalidInput(f"agent type {t} has no preference order")
         for t, order in self.prefs.items():
             if isinstance(order, TierList):
                 for tier in order.tiers:
@@ -395,30 +530,37 @@ class Instance:
         return len(self.colors)
 
     @cached_property
-    def class_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.gamma
-        for c in self.colors:
-            sizes[c] += 1
-        return tuple(sizes)
+    def agents_of_ct(self) -> dict[tuple[int, int], Sequence[int]]:
+        """Agents of each (color, type) pair, in id order, in order of first
+        appearance: a range when the class is one block, else a tuple."""
+        blocks: dict[tuple[int, int], list[range]] = {}
+        for pair, start, count in class_blocks(self.colors, self.types):
+            blocks.setdefault(pair, []).append(range(start, start + count))
+        return {
+            pair: runs[0] if len(runs) == 1 else tuple(chain.from_iterable(runs))
+            for pair, runs in blocks.items()
+        }
 
     @cached_property
     def n_ct(self) -> dict[tuple[int, int], int]:
         """Number of agents per (color, type) pair; only nonzero pairs."""
-        out: dict[tuple[int, int], int] = {}
-        for c, t in zip(self.colors, self.types):
-            out[(c, t)] = out.get((c, t), 0) + 1
-        return out
+        return {pair: len(agents) for pair, agents in self.agents_of_ct.items()}
 
     @cached_property
-    def agents_of_ct(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for i, (c, t) in enumerate(zip(self.colors, self.types)):
-            out.setdefault((c, t), []).append(i)
-        return {k: tuple(v) for k, v in out.items()}
+    def class_sizes(self) -> tuple[int, ...]:
+        sizes = [0] * self.gamma
+        for (c, _), count in self.n_ct.items():
+            sizes[c] += count
+        return tuple(sizes)
 
     @cached_property
     def present_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.n_ct))
+
+
+def _column(values: Sequence) -> Sequence:
+    """Compact columns as they are; any other sequence as a tuple."""
+    return values if isinstance(values, _Column) else tuple(values)
 
 
 def make_instance(
@@ -434,7 +576,7 @@ def make_instance(
     """Convenience constructor with unrestricted budgets by default."""
     n = len(colors)
     if types is None:
-        types = list(colors)
+        types = colors
     if gamma is None:
         gamma = max(colors) + 1 if colors else 1
     rho1_val = n if rho1 is None else rho1
@@ -445,11 +587,11 @@ def make_instance(
     )
     return Instance(
         gamma=gamma,
-        colors=tuple(colors),
-        types=tuple(types),
+        colors=_column(colors),
+        types=_column(types),
         prefs=dict(prefs),
         budgets=budgets,
-        agent_ids=tuple(agent_ids),
+        agent_ids=_column(agent_ids),
     )
 
 

@@ -36,8 +36,8 @@ def instance_to_data(instance: Instance) -> dict:
         "rho1": instance.budgets.rho1,
         "rho2": instance.budgets.rho2,
         "agents": [
-            {"id": instance.agent_ids[a], "color": instance.colors[a], "type": instance.types[a]}
-            for a in range(instance.n)
+            {"id": name, "color": color, "type": t}
+            for name, color, t in zip(instance.agent_ids, instance.colors, instance.types)
         ],
         "types": types,
     }

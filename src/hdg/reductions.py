@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Instance, NamedFamily, Palette, TierList, make_instance
+from .core import IdColumn, Instance, NamedFamily, Palette, Runs, TierList, make_instance
 from .errors import InvalidInput
 
 # ---------------------------------------------------------------------------
@@ -341,6 +341,16 @@ class SGaspInstance:
     group_size_param: int | None = None  # the s of normalized instances
 
     def __post_init__(self):
+        if len(set(self.participants)) != len(self.participants):
+            raise InvalidInput("participant names must be unique")
+        if len(set(self.activities)) != len(self.activities):
+            raise InvalidInput("activity names must be unique")
+        unknown = set(self.approvals) - set(self.participants)
+        if unknown:
+            raise InvalidInput(f"approvals for unknown participants {sorted(unknown)}")
+        s = self.group_size_param
+        if s is not None and (type(s) is not int or s < 1):
+            raise InvalidInput(f"group size parameter {s!r} is not an integer >= 1")
         for p in self.participants:
             for a, t in self.approvals.get(p, frozenset()):
                 if a not in self.activities or t < 1:
@@ -432,9 +442,11 @@ def from_sgasp(sgasp: SGaspInstance, normalized: bool = True) -> Instance:
 
     red, blue = 0, 1
     prefs: dict[int, TierList | NamedFamily] = {}
-    colors: list[int] = []
-    types: list[int] = []
-    ids: list[str] = []
+    # Run-length columns: one run per participant and per agent class, so
+    # the build costs O(participants + activities), not one entry per agent.
+    color_runs: list[tuple[int, int]] = []
+    type_runs: list[tuple[int, int]] = []
+    ids: list[str | tuple[str, int]] = []
 
     # Normal (blue) agents: one per participant, one type per approval set.
     type_of_approval: dict[frozenset, int] = {}
@@ -450,8 +462,8 @@ def from_sgasp(sgasp: SGaspInstance, normalized: bool = True) -> Instance:
             )
             tiers = [tier] if tier else []
             prefs[t] = TierList(tiers + [[(0, 1)]])
-        colors.append(blue)
-        types.append(t)
+        color_runs.append((blue, 1))
+        type_runs.append((t, 1))
         ids.append(f"p:{p}")
 
     # Marker (red) agents: z_i per activity, tolerating any window size.
@@ -463,10 +475,9 @@ def from_sgasp(sgasp: SGaspInstance, normalized: bool = True) -> Instance:
             {_ratio_palette(Fraction(_z(i), _z(i) + sz)) for sz in range(low, high + 1)}
         )
         prefs[t] = TierList([tier, [(1, 0)]])
-        for x in range(_z(i)):
-            colors.append(red)
-            types.append(t)
-            ids.append(f"m{i}.{x}")
+        color_runs.append((red, _z(i)))
+        type_runs.append((t, _z(i)))
+        ids.append((f"m{i}.", _z(i)))
 
     # Spoiler (red) agents.
     spoiler_type = marker_base + num_a
@@ -481,15 +492,14 @@ def from_sgasp(sgasp: SGaspInstance, normalized: bool = True) -> Instance:
         },
     )
     num_spoilers = (400 * num_a**2) * 200 * num_a**2 + 1
-    for x in range(num_spoilers):
-        colors.append(red)
-        types.append(spoiler_type)
-        ids.append(f"s{x}")
+    color_runs.append((red, num_spoilers))
+    type_runs.append((spoiler_type, num_spoilers))
+    ids.append(("s", num_spoilers))
 
     return make_instance(
-        colors=colors,
-        types=types,
+        colors=Runs(color_runs),
+        types=Runs(type_runs),
         prefs=prefs,
         gamma=2,
-        agent_ids=ids,
+        agent_ids=IdColumn(ids),
     )

@@ -8,8 +8,9 @@
   check those blocks against the definitions on tiny inputs.
 * The agent-level enumeration of budget-respecting partitions, the
   small-n reference for the class-level brute force.
-* Source-side deciders and witness decoders of the reductions, and an
-  exact row check of ILP assignments.
+* Source-side deciders and witness decoders of the reductions, the
+  agent-by-agent form of the sGASP construction's columns, and an exact
+  row check of ILP assignments.
 
 Unlike `oracles.py`, this code shares helpers and types with the solvers.
 """
@@ -467,6 +468,37 @@ def sgasp_solvable(sgasp: SGaspInstance, cap: int = 2_000_000) -> bool:
         if ok:
             return True
     return False
+
+
+def sgasp_agent_columns(sgasp: SGaspInstance) -> tuple[list[int], list[int], list[str]]:
+    """Colors, types and ids of `from_sgasp` on a normalized instance, one
+    agent at a time.
+
+    Blue participants come first, with one type per distinct approval set
+    in order of first use; then z_i = 100 i + 1 red markers per activity,
+    one type each; then the red spoilers, one more type.
+    """
+    red, blue = 0, 1
+    colors: list[int] = []
+    types: list[int] = []
+    ids: list[str] = []
+    type_of: dict[frozenset, int] = {}
+    for p in sgasp.participants:
+        t = type_of.setdefault(sgasp.approvals.get(p, frozenset()), len(type_of))
+        colors.append(blue)
+        types.append(t)
+        ids.append(f"p:{p}")
+    num_a = len(sgasp.activities)
+    for i in range(1, num_a + 1):
+        for x in range(100 * i + 1):
+            colors.append(red)
+            types.append(len(type_of) + i - 1)
+            ids.append(f"m{i}.{x}")
+    for x in range(400 * num_a**2 * 200 * num_a**2 + 1):
+        colors.append(red)
+        types.append(len(type_of) + num_a)
+        ids.append(f"s{x}")
+    return colors, types, ids
 
 
 # --------------------------------------------------------------------------

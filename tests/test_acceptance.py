@@ -213,18 +213,21 @@ def test_criterion_5_sgasp_structural_audit():
             low, high = 2 * s * num_a + 1, 2 * s * (num_a + 1) - 1
 
             # Agent counts: z_i = 100 i + 1 markers, the exact spoiler count.
+            # Every id is read once, into a list; ids are unique, so the
+            # few lookups below can use list.index.
+            ids = list(inst.agent_ids)
             for i in range(1, num_a + 1):
-                markers = [x for x in inst.agent_ids if x.startswith(f"m{i}.")]
+                prefix = f"m{i}."
+                markers = [x for x in ids if x.startswith(prefix)]
                 assert len(markers) == 100 * i + 1
-            spoilers = [x for x in inst.agent_ids if x.startswith("s")]
+            spoilers = [x for x in ids if x.startswith("s")]
             assert len(spoilers) == (400 * num_a**2) * 200 * num_a**2 + 1
-            blues = [x for x in inst.agent_ids if x.startswith("p:")]
+            blues = [x for x in ids if x.startswith("p:")]
             assert len(blues) == len(norm.participants)
 
             # Tier sets recomputed independently from the approvals.
-            id_of = {name: idx for idx, name in enumerate(inst.agent_ids)}
             for p in norm.participants:
-                order = inst.prefs[inst.types[id_of[f"p:{p}"]]]
+                order = inst.prefs[inst.types[ids.index(f"p:{p}")]]
                 expect = set()
                 for a, t in norm.approvals[p]:
                     z = 100 * (acts.index(a) + 1) + 1
@@ -234,14 +237,14 @@ def test_criterion_5_sgasp_structural_audit():
                     not expect and order.tiers[0] == frozenset({(0, 1)})
                 )
             for i in range(1, num_a + 1):
-                order = inst.prefs[inst.types[id_of[f"m{i}.0"]]]
+                order = inst.prefs[inst.types[ids.index(f"m{i}.0")]]
                 z = 100 * i + 1
                 expect = set()
                 for t in range(low, high + 1):
                     f = Fraction(z, z + t)
                     expect.add((f.numerator, f.denominator - f.numerator))
                 assert set(order.tiers[0]) == expect
-            spoiler_order = inst.prefs[inst.types[id_of["s0"]]]
+            spoiler_order = inst.prefs[inst.types[ids.index("s0")]]
             splits = {
                 Fraction(n_, d_) for n_, d_ in spoiler_order.params["splits"]
             }

@@ -150,6 +150,29 @@ def test_gen_rejects_bad_source(tmp_path):
     assert main(["gen", "x3c", "--source", str(src), "--out", str(out)]) == 2
 
 
+_SGASP_SOURCE = {"participants": ["p"], "activities": ["a"], "approvals": {"p": [["a", 1]]}}
+
+
+@pytest.mark.parametrize(
+    "problem, text, flags",
+    [
+        ("x3c", "{}", []),
+        ("sgasp", "{}", []),
+        ("x3c", "not json", []),
+        ("sgasp", json.dumps({**_SGASP_SOURCE, "s": "x"}), ["--normalized"]),
+        ("partition", json.dumps({"values": [1, "x"]}), []),
+    ],
+)
+def test_gen_malformed_source_is_error(tmp_path, capsys, problem, text, flags):
+    src = tmp_path / "source.json"
+    src.write_text(text)
+    out = tmp_path / "instance.json"
+    assert main(["gen", problem, "--source", str(src), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bench_smoke(capsys):
     assert main(["bench", "--seed", "1", "--count", "25"]) == 0
     assert "all solvers agree" in capsys.readouterr().out

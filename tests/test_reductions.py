@@ -251,6 +251,27 @@ def test_from_sgasp_counts_and_tiers():
     assert order.tier_of((0, 1)) == 1
 
 
+@pytest.mark.parametrize(
+    "participants, activities, approvals",
+    [
+        (("p", "p"), ("a",), {}),
+        (("p",), ("a", "a"), {}),
+        (("p",), ("a",), {"q": frozenset({("a", 1)})}),
+    ],
+)
+def test_sgasp_rejects_duplicate_names_and_unknown_approvers(participants, activities, approvals):
+    # Duplicate participants used to give a file with repeated agent ids,
+    # and approvals of a name that is not a participant were dropped.
+    with pytest.raises(InvalidInput):
+        SGaspInstance(participants, activities, approvals)
+
+
+@pytest.mark.parametrize("s", ["x", 0, 1.5, True])
+def test_sgasp_rejects_a_bad_size_parameter(s):
+    with pytest.raises(InvalidInput):
+        SGaspInstance(("p",), ("a",), {}, group_size_param=s)
+
+
 def test_small_split_ratios_long_form():
     ratios = small_split_ratios(1, 2)
     # z_1 = 101, odd t in [5, 7]; lam = 1 keeps r = 101 > 76, so only

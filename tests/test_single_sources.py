@@ -4,16 +4,20 @@
 names and the bench runs its entries and nothing else.  `errors.search_cap`
 is the only reader of the environment.  `stability.deal_outcome` is the
 only materialiser of the class-level solvers' witnesses.  Every solver the
-benchmark in `perfbench/` names is an `hdg` export.
+benchmark in `perfbench/` names is an `hdg` export.  Only `hdg.core` tells
+compact columns from tuples, and the class data the benchmark traces stays
+a set of cached properties on `Instance`.
 """
 
 import argparse
 import ast
+import functools
 import importlib
 import pkgutil
 from pathlib import Path
 
 import hdg
+import hdg.core
 from hdg import bench, cli
 from hdg.errors import search_cap
 from hdg.stability import NS, Outcome
@@ -119,16 +123,49 @@ def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
     assert dealers == list(CLASS_LEVEL.values())
 
 
-def test_perfbench_solver_exports_exist():
-    # perfbench/run.py calls solvers by their `hdg` export names; read the
-    # table from its source, without importing the benchmark.
-    source = (Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text()
-    table = next(
+def _perfbench_constant(module: str, name: str):
+    """A literal assigned at the top of a perfbench module, read without
+    importing the benchmark."""
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / module).read_text()
+    value = next(
         node.value
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Assign)
-        and any(isinstance(t, ast.Name) and t.id == "SOLVER_EXPORTS" for t in node.targets)
+        and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
     )
-    exports = ast.literal_eval(table)
+    return ast.literal_eval(value)
+
+
+def test_perfbench_solver_exports_exist():
+    # perfbench/run.py calls solvers by their `hdg` export names.
+    exports = _perfbench_constant("run.py", "SOLVER_EXPORTS")
     assert exports and all(hasattr(hdg, name) for name in exports.values())
     assert hdg.solve_brute_positions is hdg.solve_brute
+
+
+def test_only_core_tells_compact_columns_from_tuples():
+    compact = {"Runs", "IdColumn", "_Column"}
+    checkers = []
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                named = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node.args[1])
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                if named & compact:
+                    checkers.append(path.name)
+    assert checkers and set(checkers) == {"core.py"}
+
+
+def test_perfbench_class_data_are_cached_properties():
+    names = _perfbench_constant("workloads.py", "CLASS_DATA")
+    assert names
+    for name in names:
+        assert isinstance(vars(hdg.core.Instance).get(name), functools.cached_property), name
