@@ -5,7 +5,6 @@ from .core import (
     Instance,
     NamedFamily,
     TierList,
-    compare,
     make_instance,
     palette_of,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "Instance",
     "NamedFamily",
     "TierList",
-    "compare",
     "make_instance",
     "palette_of",
     "EMPTY",

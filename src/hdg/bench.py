@@ -19,7 +19,7 @@ from .colors_ntcoal import solve_colors_ntcoal
 from .colors_size import solve_colors_size
 from .colors_types import solve_colors_types
 from .core import Instance
-from .errors import InstanceTooLarge, OwnColorViolation, SearchSpaceTooLarge
+from .errors import OwnColorViolation, SearchSpaceTooLarge
 from .fileio import serialize_instance
 from .ownhdg import solve_ownhdg_nash
 from .randgen import GenCaps, random_instance
@@ -65,7 +65,7 @@ def check_instance(instance, report: BenchReport, label: str, out_dir=None) -> N
                 continue
             try:
                 outcome = solver.solve(instance, notion)
-            except (InstanceTooLarge, SearchSpaceTooLarge, OwnColorViolation):
+            except (SearchSpaceTooLarge, OwnColorViolation):
                 continue  # declined: a guard tripped, or not an own-ratio game
             answers[name] = outcome is not None
             report.runs += 1

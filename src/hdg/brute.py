@@ -19,7 +19,6 @@ from typing import Iterator
 
 from .core import Instance, compositions_upto, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
-from .prefs import TierCache
 from .stability import NS, Outcome, check_outcome, deal_outcome
 from .stability import find_is_deviation, find_ns_deviation
 
@@ -29,15 +28,18 @@ BRUTE_CAP = 200_000  # outcomes tried
 def _usable_vectors(instance: Instance, pairs) -> Iterator[tuple[int, ...]]:
     """Count vectors over the (color, type) `pairs`, of size 2..sigma, that
     no member class would leave to go alone."""
-    tier = TierCache(instance).tier
-    alone = [tier(t, singleton_palette(c, instance.gamma)) for c, t in pairs]
+    prefs = instance.prefs
+    alone = [prefs[t].tier_of(singleton_palette(c, instance.gamma)) for c, t in pairs]
     pools = [len(instance.agents_of_ct[pair]) for pair in pairs]
     for v in compositions_upto(pools, instance.budgets.sigma, 2):
         counts = [0] * instance.gamma
         for (c, _), x in zip(pairs, v):
             counts[c] += x
         palette = reduce_counts(counts)
-        if all(not x or alone[j] >= tier(pairs[j][1], palette) for j, x in enumerate(v)):
+        if all(
+            not x or alone[j] >= prefs[t].tier_of(palette)
+            for j, ((_, t), x) in enumerate(zip(pairs, v))
+        ):
             yield v
 
 

@@ -11,7 +11,6 @@ from .bench import SOLVERS, run_bench
 from .core import Budgets, Instance
 from .errors import (
     HdgError,
-    InstanceTooLarge,
     InvalidInput,
     OwnColorViolation,
     SearchSpaceTooLarge,
@@ -230,9 +229,6 @@ def main(argv=None) -> int:
         return 2
     except SearchSpaceTooLarge as exc:
         print(f"search space too large: {exc}", file=sys.stderr)
-        return 2
-    except InstanceTooLarge as exc:
-        print(f"instance too large for this solver: {exc}", file=sys.stderr)
         return 2
     except HdgError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from typing import Iterator
 from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
-from .prefs import TierCache
 from .stability import IS, NS, Outcome, check_outcome, deal_outcome
 
 GUESS_CAP = 500_000
@@ -53,10 +52,6 @@ class Guess:
     blockers: tuple[tuple[tuple[int, int], int], ...] = ()  # ((color, type), coalition index)
 
 
-def _comp_palette(comp: tuple[int, ...]) -> Palette:
-    return reduce_counts(comp)
-
-
 def _joined(comp: tuple[int, ...], color: int) -> Palette:
     grown = list(comp)
     grown[color] += 1
@@ -71,7 +66,6 @@ def _pair_palette(c1: int, c2: int, gamma: int) -> Palette:
 
 
 def _class_valid(
-    cache: TierCache,
     instance: Instance,
     color: int,
     type_id: int,
@@ -80,6 +74,7 @@ def _class_valid(
     notion: str,
 ) -> bool:
     gamma = instance.gamma
+    tier_of = instance.prefs[type_id].tier_of
     comps = guess.compositions
     if target == TRIVIAL:
         if guess.trivial_counts[color] == 0:
@@ -89,8 +84,9 @@ def _class_valid(
     else:
         if comps[target][color] == 0:
             return False
-        own = _comp_palette(comps[target])
+        own = reduce_counts(comps[target])
         own_index = target
+    own_tier = tier_of(own)
 
     def accepts(j: int) -> bool:
         return guess.accepted is None or guess.accepted[j][color]
@@ -100,7 +96,7 @@ def _class_valid(
             continue
         if notion == IS and not accepts(j):
             continue
-        if cache.prefers(type_id, _joined(comp, color), own):
+        if tier_of(_joined(comp, color)) < own_tier:
             return False
     for c2 in range(gamma):
         if guess.trivial_counts[c2] == 0 or c2 == color:
@@ -111,17 +107,15 @@ def _class_valid(
             and (c2, color) in guess.blocked
         ):
             continue
-        if cache.prefers(type_id, _pair_palette(c2, color, gamma), own):
+        if tier_of(_pair_palette(c2, color, gamma)) < own_tier:
             return False
     # Joining a same-color singleton or going alone both yield the
     # singleton palette, covered by one check.
-    if cache.prefers(type_id, singleton_palette(color, gamma), own):
+    if tier_of(singleton_palette(color, gamma)) < own_tier:
         return False
     if target == TRIVIAL and notion == IS and guess.blocked is not None:
         for c_from, c_to in guess.blocked:
-            if c_from == color and not cache.prefers(
-                type_id, own, _pair_palette(color, c_to, gamma)
-            ):
+            if c_from == color and own_tier >= tier_of(_pair_palette(color, c_to, gamma)):
                 return False
     return True
 
@@ -139,9 +133,7 @@ def _compositions(instance: Instance) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _try_flow(
-    instance: Instance, cache: TierCache, guess: Guess, notion: str
-) -> Outcome | None:
+def _try_flow(instance: Instance, guess: Guess, notion: str) -> Outcome | None:
     """Transportation network of classes onto slots; an outcome on saturation.
 
     Rows are the instance's (color, type) classes with supply n_ct, slots
@@ -170,7 +162,7 @@ def _try_flow(
         key = (color, type_id, target)
         hit = class_ok.get(key)
         if hit is None:
-            hit = _class_valid(cache, instance, color, type_id, target, guess, notion)
+            hit = _class_valid(instance, color, type_id, target, guess, notion)
             class_ok[key] = hit
         return hit
 
@@ -210,7 +202,6 @@ def _try_flow(
 
 def _is_guesses(
     instance: Instance,
-    cache: TierCache,
     comps: tuple[tuple[int, ...], ...],
     trivial_counts: tuple[int, ...],
 ) -> Iterator[Guess]:
@@ -221,7 +212,7 @@ def _is_guesses(
     class that objects to the join, and each chosen objecting class
     becomes a demand for one of its agents in the coalition.
     """
-    gamma = instance.gamma
+    gamma, prefs = instance.gamma, instance.prefs
     types_of_color: dict[int, list[int]] = {}
     for (c, t) in instance.present_pairs:
         types_of_color.setdefault(c, []).append(t)
@@ -230,7 +221,7 @@ def _is_guesses(
         out = [singleton_palette(color, gamma)]
         for comp in comps:
             if comp[color] > 0:
-                out.append(_comp_palette(comp))
+                out.append(reduce_counts(comp))
         return out
 
     # Acceptance flags that could matter: some joiner class strictly
@@ -238,13 +229,13 @@ def _is_guesses(
     relevant_accept: list[tuple[int, int]] = []
     objectors: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j, comp in enumerate(comps):
-        own = _comp_palette(comp)
+        own = reduce_counts(comp)
         for c in range(gamma):
             if not types_of_color.get(c):
                 continue
             lure = _joined(comp, c)
             if not any(
-                cache.prefers(t, lure, seat)
+                prefs[t].tier_of(lure) < prefs[t].tier_of(seat)
                 for t in types_of_color[c]
                 for seat in seats(c)
             ):
@@ -254,7 +245,7 @@ def _is_guesses(
                 for c2 in range(gamma)
                 if comp[c2] > 0
                 for t2 in types_of_color.get(c2, [])
-                if cache.prefers(t2, own, lure)
+                if prefs[t2].tier_of(own) < prefs[t2].tier_of(lure)
             ]
             relevant_accept.append((j, c))
             objectors[(j, c)] = classes
@@ -268,7 +259,7 @@ def _is_guesses(
                 continue
             lure = _pair_palette(c_from, c_to, gamma)
             if any(
-                cache.prefers(t, lure, seat)
+                prefs[t].tier_of(lure) < prefs[t].tier_of(seat)
                 for t in types_of_color[c_to]
                 for seat in seats(c_to)
             ):
@@ -319,7 +310,6 @@ def _subsets(items: list) -> Iterator[tuple]:
 
 def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
     """Some stable budget-respecting outcome, or None if none exists."""
-    cache = TierCache(instance)
     budgets = instance.budgets
     n = instance.n
     sizes = instance.class_sizes
@@ -341,14 +331,14 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
                     [Guess(compositions=comps, trivial_counts=trivial_counts)]
                 )
             else:
-                guesses = _is_guesses(instance, cache, comps, trivial_counts)
+                guesses = _is_guesses(instance, comps, trivial_counts)
             for guess in guesses:
                 examined += 1
                 if examined > limit:
                     raise SearchSpaceTooLarge(
                         f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
                     )
-                outcome = _try_flow(instance, cache, guess, notion)
+                outcome = _try_flow(instance, guess, notion)
                 if outcome is not None:
                     verdict = check_outcome(instance, outcome, notion)
                     if not verdict.stable:

@@ -13,11 +13,11 @@ any outcome respecting the branch depends on nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
-from .core import Instance, Palette, reduce_counts, singleton_palette
+from .core import Instance, Palette, PreferenceOrder, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
-from .prefs import TierCache
 from .stability import IS, Outcome, check_outcome, deal_outcome
 
 TWO_PLUS = 2  # multiplicity class "at least two"
@@ -84,7 +84,7 @@ def enumerate_coalition_types(instance: Instance) -> list[CoalitionType]:
 
 
 def _deviation_free(
-    cache: TierCache,
+    prefs: Mapping[int, PreferenceOrder],
     gamma: int,
     source: CoalitionType,
     target: CoalitionType | None,
@@ -100,12 +100,12 @@ def _deviation_free(
             grown = list(target_counts)
             grown[c] += 1
             lure = reduce_counts(grown)
-        if not cache.prefers(t, lure, src_palette):
+        if prefs[t].tier_of(lure) >= prefs[t].tier_of(src_palette):
             continue
         if notion == IS and target is not None:
             base = reduce_counts(target_counts)
             if any(
-                cache.prefers(t2, base, lure)
+                prefs[t2].tier_of(base) < prefs[t2].tier_of(lure)
                 for (_, t2), _ in target.pair_counts
             ):
                 continue  # some member of the target vetoes the join
@@ -153,18 +153,17 @@ def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
     surviving branches go to integer feasibility, smallest committed agent
     count first.
     """
-    cache = TierCache(instance)
-    gamma = instance.gamma
+    prefs, gamma = instance.prefs, instance.gamma
     types = enumerate_coalition_types(instance)
     # Types whose members would rather go alone can never be realized.
     types = [
         t
         for t in types
-        if _deviation_free(cache, gamma, t, None, None, notion)
+        if _deviation_free(prefs, gamma, t, None, None, notion)
     ]
     counts = [t.color_counts(gamma) for t in types]
     self_ok = [
-        _deviation_free(cache, gamma, t, t, counts[i], notion)
+        _deviation_free(prefs, gamma, t, t, counts[i], notion)
         for i, t in enumerate(types)
     ]
     compat: dict[tuple[int, int], bool] = {}
@@ -174,8 +173,8 @@ def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
         val = compat.get(key)
         if val is None:
             val = _deviation_free(
-                cache, gamma, types[i], types[j], counts[j], notion
-            ) and _deviation_free(cache, gamma, types[j], types[i], counts[i], notion)
+                prefs, gamma, types[i], types[j], counts[j], notion
+            ) and _deviation_free(prefs, gamma, types[j], types[i], counts[i], notion)
             compat[key] = val
         return val
 

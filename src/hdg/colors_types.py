@@ -42,7 +42,6 @@ from bisect import bisect_left
 
 from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
-from .prefs import TierCache, order_values
 from .stability import IS, Outcome, check_outcome, deal_outcome
 
 STATES_CAP = 400_000
@@ -53,11 +52,17 @@ STATES_CAP = 400_000
 # --------------------------------------------------------------------------
 
 
+def _order_values(tier_of, universe) -> dict[Palette, int]:
+    """Dense order values over a palette universe; higher = better."""
+    tiers = {p: tier_of(p) for p in universe}
+    dense = {t: i for i, t in enumerate(sorted(set(tiers.values()), reverse=True))}
+    return {p: dense[t] for p, t in tiers.items()}
+
+
 class _Setup:
     def __init__(self, instance: Instance, notion: str):
         self.instance = instance
         self.notion = notion
-        self.cache = TierCache(instance)
         self.pairs: list[tuple[int, int]] = list(instance.present_pairs)
         self.n_vec = tuple(instance.n_ct[p] for p in self.pairs)
         self.sigma = min(instance.budgets.sigma, instance.n)
@@ -130,7 +135,7 @@ class _Setup:
         self.singleton_rank: list[int] = []
         for i, (c, t) in enumerate(self.pairs):
             universe = theta_by_color[c] | plus_by_pair[i]
-            values = order_values(self.cache, t, sorted(universe))
+            values = _order_values(inst.prefs[t].tier_of, sorted(universe))
             self.rank.append(values)
             self.theta_ranks.append(sorted({values[p] for p in theta_by_color[c]}))
             self.singleton_rank.append(values[singleton_palette(c, inst.gamma)])
@@ -149,7 +154,8 @@ class _Setup:
                 if not escape and self.notion == IS:
                     plus = self.cand_plus[idx][i]
                     escape = any(
-                        self.cache.prefers(t2, pal, plus) for t2 in present_types
+                        inst.prefs[t2].tier_of(pal) < inst.prefs[t2].tier_of(plus)
+                        for t2 in present_types
                     )
                 row.append((in_s, r_c, r_plus, escape))
             self.cand_static.append(row)

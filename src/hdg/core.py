@@ -3,9 +3,9 @@
 Agents carry a color and a preference type.  A type is a weak order over
 coalition *palettes* -- the per-color composition of a coalition reduced to
 lowest terms, so that two coalitions with proportional color counts look
-identical to every agent.  Orders are accessed only through pairwise
-comparisons (an oracle), which lets combinatorially large preference
-families be encoded as named comparators instead of explicit tier lists.
+identical to every agent.  Orders are read only through `tier_of(palette)`
+(an oracle), which lets combinatorially large preference families be
+encoded as named comparators instead of explicit tier lists.
 
 Palettes are plain tuples of nonnegative integers with gcd 1; all
 comparisons are exact integer arithmetic, never floating point.
@@ -23,11 +23,9 @@ from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat, starmap
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import DimensionMismatch, EmptyCoalition, InvalidInput
+from .errors import EmptyCoalition, InvalidInput
 
 Palette = tuple[int, ...]
-
-LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def reduce_counts(counts: Sequence[int]) -> Palette:
@@ -133,6 +131,40 @@ class NamedFamily:
 
 PreferenceOrder = TierList | NamedFamily
 
+# Family parameters checked against gamma when an Instance is built: those
+# naming one color, those listing colors (and the color pairs of "edges"),
+# and those with one entry per color.
+_COLOR_PARAMS = ("color", "green_color", "green", "red", "blue", "guard")
+_COLOR_LIST_PARAMS = ("marker_colors", "vertex_colors")
+_PER_COLOR_PARAMS = ("values", "class_sizes")
+
+
+def _check_family_params(type_id: int, order: NamedFamily, gamma: int) -> None:
+    params = order.params
+    named = [params[key] for key in _COLOR_PARAMS if params.get(key) is not None]
+    for key in _COLOR_LIST_PARAMS:
+        named.extend(params.get(key, ()))
+    for edge in params.get("edges", ()):
+        named.extend(edge)
+    for c in named:
+        if type(c) is not int or not 0 <= c < gamma:
+            raise InvalidInput(
+                f"type {type_id} ({order.name}) names color {c!r}, not one of 0..{gamma - 1}"
+            )
+    for key in _PER_COLOR_PARAMS:
+        if key in params and len(params[key]) != gamma:
+            raise InvalidInput(
+                f"type {type_id} ({order.name}) has {len(params[key])} {key!r}, "
+                f"not gamma={gamma}"
+            )
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """A family's ratio parameter [num, den], which must lie in [0, 1]."""
+    if type(num) is not int or type(den) is not int or not 0 <= num <= den or den < 1:
+        raise InvalidInput(f"ratio [{num!r}, {den!r}] is not num/den with 0 <= num <= den")
+    return Fraction(num, den)
+
 
 @register_family("own_ratio_tiers")
 def _own_ratio_tiers(params: dict) -> Callable[[Palette], int]:
@@ -142,7 +174,7 @@ def _own_ratio_tiers(params: dict) -> Callable[[Palette], int]:
     tiers = params["tiers"]
     for i, tier in enumerate(tiers):
         for num, den in tier:
-            frac = Fraction(num, den)
+            frac = _ratio(num, den)
             if frac in table:
                 raise InvalidInput(f"ratio {num}/{den} appears in two tiers")
             table[frac] = i
@@ -325,7 +357,7 @@ def _sgasp_spoiler(params: dict) -> Callable[[Palette], int]:
     # small-split ratios, then all red, then everything else.
     red = params["red"]
     blue = params["blue"]
-    splits = {Fraction(num, den) for num, den in params["splits"]}
+    splits = {_ratio(num, den) for num, den in params["splits"]}
 
     def tier_of(p: Palette) -> int:
         if p[red] == 1 and p[blue] >= 1:
@@ -517,6 +549,8 @@ class Instance:
                                 f"type {t} lists palette {p} of length {len(p)}, "
                                 f"not gamma={self.gamma}"
                             )
+            else:
+                _check_family_params(t, order, self.gamma)
         b = self.budgets
         if not (1 <= b.sigma <= n and 1 <= b.rho1 <= n and 0 <= b.rho2 <= b.rho1):
             raise InvalidInput(f"budgets {b} out of range for n={n}")
@@ -609,21 +643,6 @@ def palette_of(coalition: Iterable[int], instance: Instance) -> Palette:
     return reduce_counts(counts)
 
 
-def compare(type_id: int, p: Palette, q: Palette, instance: Instance) -> int:
-    """Oracle comparison of two palettes under one type's weak order.
-
-    Returns GREATER when p is strictly preferred, LESS when q is, and
-    EQUAL on indifference.
-    """
-    if len(p) != instance.gamma or len(q) != instance.gamma:
-        raise DimensionMismatch(
-            f"palettes {p} / {q} do not match gamma={instance.gamma}"
-        )
-    order = instance.prefs[type_id]
-    a, b = order.tier_of(p), order.tier_of(q)
-    return GREATER if a < b else LESS if a > b else EQUAL
-
-
 # --------------------------------------------------------------------------
 # Palette universes.
 # --------------------------------------------------------------------------
@@ -648,14 +667,7 @@ def compositions_upto(
     yield from rec(0, [], 0)
 
 
-def realizable_palettes(
-    instance: Instance, max_size: int, require_color: int | None = None
-) -> list[Palette]:
+def realizable_palettes(instance: Instance, max_size: int) -> list[Palette]:
     """Distinct palettes of coalitions the instance can actually form."""
-    limits = instance.class_sizes
-    seen: set[Palette] = set()
-    for counts in compositions_upto(limits, min(max_size, instance.n)):
-        if require_color is not None and counts[require_color] == 0:
-            continue
-        seen.add(reduce_counts(counts))
-    return sorted(seen)
+    vectors = compositions_upto(instance.class_sizes, min(max_size, instance.n))
+    return sorted({reduce_counts(counts) for counts in vectors})

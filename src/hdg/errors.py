@@ -15,16 +15,8 @@ class EmptyCoalition(HdgError):
     """A palette was requested for an empty coalition."""
 
 
-class DimensionMismatch(HdgError):
-    """A palette does not match the instance's color count."""
-
-
 class InvalidOutcome(HdgError):
     """An outcome is not a partition of the agent set."""
-
-
-class InstanceTooLarge(HdgError):
-    """Instance exceeds the configured cap of an exhaustive solver."""
 
 
 class SearchSpaceTooLarge(HdgError):

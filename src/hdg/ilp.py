@@ -31,76 +31,36 @@ class ILPSystem:
 
 
 def feasible(system: ILPSystem) -> dict[int, int] | None:
-    """A nonnegative integer assignment satisfying all rows, or None.
+    """The lexicographically smallest nonnegative integer assignment
+    satisfying all rows, or None.
 
-    Adds one variable at a time, memoizing on the residual right-hand
-    sides; a state is feasible when all equality residuals reach zero with
-    every inequality budget still nonnegative.
+    Assigns one variable at a time, smallest value first, on the residual
+    right-hand sides of all rows; no value may drive a residual negative,
+    and the equality residuals must end at zero.  A (variable, residuals)
+    state shown infeasible is remembered and never searched again.
     """
-    eq0 = tuple(rhs for _, rhs in system.equalities)
-    le0 = tuple(rhs for _, rhs in system.inequalities_le)
-    if any(r < 0 for r in eq0) or any(r < 0 for r in le0):
+    rows = system.equalities + system.inequalities_le
+    n_eq = len(system.equalities)
+    start = tuple(rhs for _, rhs in rows)
+    if min(start, default=0) < 0:
         return None
-    memo: dict[tuple[int, tuple[int, ...], tuple[int, ...]], bool] = {}
+    columns = [tuple(coeffs[var] for coeffs, _ in rows) for var in range(system.num_vars)]
+    dead: set[tuple[int, tuple[int, ...]]] = set()
+    values: list[int] = []
 
-    def ok(var: int, eq: tuple[int, ...], le: tuple[int, ...]) -> bool:
+    def extend(var: int, residual: tuple[int, ...]) -> bool:
         if var == system.num_vars:
-            return not any(eq)
-        key = (var, eq, le)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        bound = _usage_bound(system, var, eq, le)
-        result = False
+            return not any(residual[:n_eq])
+        if (var, residual) in dead:
+            return False
+        column = columns[var]
+        bound = min((r // a for a, r in zip(column, residual) if a), default=0)
         for k in range(bound + 1):
-            new_eq = tuple(
-                r - k * coeffs[var] for (coeffs, _), r in zip(system.equalities, eq)
-            )
-            new_le = tuple(
-                r - k * coeffs[var]
-                for (coeffs, _), r in zip(system.inequalities_le, le)
-            )
-            if any(r < 0 for r in new_eq) or any(r < 0 for r in new_le):
-                continue
-            if ok(var + 1, new_eq, new_le):
-                result = True
-                break
-        memo[key] = result
-        return result
+            values.append(k)
+            if extend(var + 1, tuple(r - k * a for a, r in zip(column, residual))):
+                return True
+            values.pop()
+        dead.add((var, residual))
+        return False
 
-    if not ok(0, eq0, le0):
-        return None
-
-    # Reconstruct one witness along memoized feasible states.
-    assignment: dict[int, int] = {}
-    eq, le = eq0, le0
-    for var in range(system.num_vars):
-        for k in range(_usage_bound(system, var, eq, le) + 1):
-            new_eq = tuple(
-                r - k * coeffs[var] for (coeffs, _), r in zip(system.equalities, eq)
-            )
-            new_le = tuple(
-                r - k * coeffs[var]
-                for (coeffs, _), r in zip(system.inequalities_le, le)
-            )
-            if any(r < 0 for r in new_eq) or any(r < 0 for r in new_le):
-                continue
-            if ok(var + 1, new_eq, new_le):
-                assignment[var] = k
-                eq, le = new_eq, new_le
-                break
-    assert not any(eq)
-    return assignment
-
-
-def _usage_bound(system: ILPSystem, var: int, eq, le) -> int:
-    bound = None
-    for (coeffs, _), r in zip(system.equalities, eq):
-        if coeffs[var] > 0:
-            b = r // coeffs[var]
-            bound = b if bound is None else min(bound, b)
-    for (coeffs, _), r in zip(system.inequalities_le, le):
-        if coeffs[var] > 0:
-            b = r // coeffs[var]
-            bound = b if bound is None else min(bound, b)
-    return 0 if bound is None else bound
+    return dict(enumerate(values)) if extend(0, start) else None

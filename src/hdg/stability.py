@@ -11,10 +11,11 @@ Whether an agent deviates to C depends only on the agent's (color, type),
 its own coalition's color counts, C's color counts and, under IS, the set
 of types present in C.  The search therefore groups coalitions by that
 signature in one O(n) pass and decides each agent class -- own signature,
-color and type -- against each group at most once, reading tiers through
-one per-call `TierCache`.  Groups are tried lazily in order of their first
-coalition index, so the witness is the one an agent-by-agent scan would
-return: lowest agent, then lowest target index, the empty coalition last.
+color and type -- against each group at most once, reading tiers straight
+from each type's `tier_of`, with no cache.  Groups are tried lazily in
+order of their first coalition index, so the witness is the one an
+agent-by-agent scan would return: lowest agent, then lowest target index,
+the empty coalition last.
 The cost is O(n + agent classes x groups) oracle work instead of O(n^2).
 """
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 from .core import Instance, reduce_counts, singleton_palette
 from .errors import InvalidOutcome, SolverDivergence
-from .prefs import TierCache
 
 NS = "ns"
 IS = "is"
@@ -97,7 +97,7 @@ class Deviation:
 
 def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], kind: str):
     colors, types, gamma = instance.colors, instance.types, instance.gamma
-    tier = TierCache(instance).tier
+    prefs = instance.prefs
     under_is = kind == IS
 
     # One pass over the agents: counts and signature per coalition, and
@@ -144,7 +144,8 @@ def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], ki
         color, t = colors[agent], types[agent]
         if (g_own, color, t) in settled:
             continue
-        own_tier = tier(t, palettes[g_own])
+        tier_of = prefs[t].tier_of
+        own_tier = tier_of(palettes[g_own])
         best = None
         for g, cand in enumerate(first):
             if best is not None and cand > best:
@@ -156,14 +157,15 @@ def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], ki
             counts = list(counts_of[g])
             counts[color] += 1
             joined = reduce_counts(counts)
-            if tier(t, joined) >= own_tier:
+            if tier_of(joined) >= own_tier:
                 continue
             if under_is and not all(
-                tier(u, joined) <= tier(u, palettes[g]) for u in present[g]
+                prefs[u].tier_of(joined) <= prefs[u].tier_of(palettes[g])
+                for u in present[g]
             ):
                 continue
             best = cand
-        if best is None and tier(t, singleton_palette(color, gamma)) < own_tier:
+        if best is None and tier_of(singleton_palette(color, gamma)) < own_tier:
             # Deviation to the empty coalition: always accepted under IS.
             best = EMPTY
         if best is not None:

@@ -26,9 +26,8 @@ from hdg.colors_ntcoal import Guess, _class_valid
 from hdg.colors_size import TWO_PLUS, CoalitionType, _deviation_free
 from hdg.colors_types import _Setup
 from hdg.core import Instance, Palette, reduce_counts
-from hdg.errors import InstanceTooLarge, SearchSpaceTooLarge
+from hdg.errors import SearchSpaceTooLarge
 from hdg.ilp import ILPSystem
-from hdg.prefs import TierCache
 from hdg.reductions import SGaspInstance
 from hdg.stability import IS, NS, Outcome
 
@@ -72,7 +71,7 @@ def coalition_compatible(
     The candidate is a count vector over (color, type) pairs.  Pairs with
     no agents in the instance are skipped entirely.
     """
-    cache = TierCache(instance)
+    prefs = instance.prefs
     gamma = instance.gamma
     size = sum(candidate.values())
     if size == 0 or size > instance.budgets.sigma:
@@ -93,24 +92,25 @@ def coalition_compatible(
         n_ct = instance.n_ct[pair]
         a_c = candidate.get(pair, 0)
         c1, c2 = worst_pairs.worst(pair), worst_pairs.second_worst(pair)
-        if a_c >= 1 and cache.prefers(t, c1, palette):
+        tier_of = prefs[t].tier_of
+        if a_c >= 1 and tier_of(c1) < tier_of(palette):
             return False
         if pattern.a.get(pair, 0) + a_c > n_ct:
             return False
-        w_c = 1 if a_c >= 1 and cache.prefers(t, c2, palette) else 0
+        w_c = 1 if a_c >= 1 and tier_of(c2) < tier_of(palette) else 0
         if pattern.w.get(pair, 0) + w_c > 1:
             return False
         grown = list(counts)
         grown[c] += 1
         plus = reduce_counts(grown)
-        if w_c == 1 and not cache.prefers(t, plus, c2):
+        if w_c == 1 and tier_of(plus) >= tier_of(c2):
             continue
-        if w_c == 0 and not cache.prefers(t, plus, c1):
+        if w_c == 0 and tier_of(plus) >= tier_of(c1):
             continue
         if a_c == n_ct:
             continue
         if notion == IS and any(
-            cache.prefers(t2, palette, plus) for t2 in present_types
+            prefs[t2].tier_of(palette) < prefs[t2].tier_of(plus) for t2 in present_types
         ):
             continue
         return False
@@ -172,9 +172,8 @@ def branch_reaches_target(
             pal = setup.palette_of_candidate(vec)
             new_w = list(w)
             for i, (c, t) in enumerate(pairs):
-                if vec[i] >= 1 and setup.cache.prefers(
-                    t, worst_pairs.second_worst(pairs[i]), pal
-                ):
+                tier_of = instance.prefs[t].tier_of
+                if vec[i] >= 1 and tier_of(worst_pairs.second_worst(pairs[i])) < tier_of(pal):
                     new_w[i] += 1
             new = (
                 tuple(x + y for x, y in zip(a, vec)),
@@ -221,17 +220,16 @@ def branch_is_stable(instance: Instance, branch: Branch, notion: str) -> bool:
     against every other realized type, against a second copy of its own
     type when that type occurs at least twice, and against going alone.
     """
-    cache = TierCache(instance)
-    gamma = instance.gamma
+    prefs, gamma = instance.prefs, instance.gamma
     realized = branch.realized()
     counts = {t: t.color_counts(gamma) for t in realized}
     for src in realized:
-        if not _deviation_free(cache, gamma, src, None, None, notion):
+        if not _deviation_free(prefs, gamma, src, None, None, notion):
             return False
         for dst in realized:
             if dst == src and branch.pi[dst] != TWO_PLUS:
                 continue
-            if not _deviation_free(cache, gamma, src, dst, counts[dst], notion):
+            if not _deviation_free(prefs, gamma, src, dst, counts[dst], notion):
                 return False
     return True
 
@@ -245,9 +243,7 @@ def is_valid_for(
     agent: int, target, guess: Guess, instance: Instance, notion: str
 ) -> bool:
     """May this agent occupy the given coalition (or a trivial one)?"""
-    cache = TierCache(instance)
     return _class_valid(
-        cache,
         instance,
         instance.colors[agent],
         instance.types[agent],
@@ -448,7 +444,7 @@ def sgasp_solvable(sgasp: SGaspInstance, cap: int = 2_000_000) -> bool:
             ways = ways * (count + i + 1) // (i + 1)
         work *= max(ways, 1)
         if work > cap:
-            raise InstanceTooLarge(f"sGASP brute force needs {work} > {cap} branches")
+            raise SearchSpaceTooLarge(f"sGASP brute force needs {work} > {cap} branches")
 
     for layout in itertools.product(
         *(list(splits(count, len(acts))) for _, count in class_list)

@@ -3,12 +3,7 @@ import random
 import pytest
 
 from hdg.bench import BenchReport, run_bench
-from hdg.errors import (
-    InstanceTooLarge,
-    OwnColorViolation,
-    SearchSpaceTooLarge,
-    SolverDivergence,
-)
+from hdg.errors import OwnColorViolation, SearchSpaceTooLarge, SolverDivergence
 from hdg.maxflow import FlowNetwork, max_flow
 from hdg.randgen import GenCaps
 
@@ -43,7 +38,7 @@ def test_offending_instance_serialized(tmp_path, monkeypatch):
     assert serialize_instance(back) == serialize_instance(instance)
 
 
-@pytest.mark.parametrize("error", [InstanceTooLarge, SearchSpaceTooLarge, OwnColorViolation])
+@pytest.mark.parametrize("error", [SearchSpaceTooLarge, OwnColorViolation])
 def test_solver_tripping_a_guard_is_declined(monkeypatch, error):
     from hdg import bench
     from fixtures import example1

@@ -111,6 +111,33 @@ def test_non_integer_json_values_are_errors(example1_path, tmp_path, capsys, fie
     assert "must be int" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        # Each used to end in a traceback or, for -1, a YES read off the last color.
+        ("own_ratio_tiers", {"color": 5, "tiers": [[[1, 2]]]}, "names color 5"),
+        ("own_ratio_tiers", {"color": -1, "tiers": [[[1, 2]]]}, "names color -1"),
+        ("own_ratio_tiers", {"color": 0, "tiers": [[[1, 0]]]}, "ratio [1, 0]"),
+        ("marker_trichotomy", {"marker_colors": [7]}, "names color 7"),
+    ],
+)
+def test_family_parameters_out_of_range_are_errors(tmp_path, capsys, family, params, message):
+    data = {
+        "n": 2,
+        "gamma": 2,
+        "sigma": 2,
+        "rho1": 2,
+        "rho2": 2,
+        "agents": [{"id": "a", "color": 0, "type": 0}, {"id": "b", "color": 1, "type": 0}],
+        "types": {"0": {"family": family, "params": params}},
+    }
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and message in err
+
+
 def test_solve_rejects_a_witness_that_fails_its_check(example1_path, monkeypatch, capsys):
     # A wrong solver: every agent alone, which agent b deserts to join c.
     from hdg import bench

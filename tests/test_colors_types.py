@@ -3,7 +3,7 @@ from itertools import permutations
 
 from hdg.brute import solve_brute
 from hdg.colors_types import _apply_candidate, _initial_entries, _Setup, solve_colors_types
-from hdg.core import TierList, compare, make_instance, palette_of, realizable_palettes, reduce_counts
+from hdg.core import TierList, make_instance, palette_of, realizable_palettes, reduce_counts
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
@@ -54,27 +54,28 @@ def replay_compatible(candidate, pattern, wp, inst, notion):
         counts[c] += k
     pal = reduce_counts(counts)
     for c, t in inst.present_pairs:
+        tier_of = inst.prefs[t].tier_of
         a_c = candidate.get((c, t), 0)
         c1, c2 = wp.palettes[(c, t)]
-        if a_c >= 1 and compare(t, pal, c1, inst) < 0:
+        if a_c >= 1 and tier_of(pal) > tier_of(c1):
             return False
         if pattern.a[(c, t)] + a_c > inst.n_ct[(c, t)]:
             return False
-        w_c = 1 if a_c >= 1 and compare(t, pal, c2, inst) < 0 else 0
+        w_c = 1 if a_c >= 1 and tier_of(pal) > tier_of(c2) else 0
         if pattern.w[(c, t)] + w_c > 1:
             return False
         grown = list(counts)
         grown[c] += 1
         plus = reduce_counts(grown)
         options = [
-            w_c == 1 and compare(t, plus, c2, inst) <= 0,
-            w_c == 0 and compare(t, plus, c1, inst) <= 0,
+            w_c == 1 and tier_of(plus) >= tier_of(c2),
+            w_c == 0 and tier_of(plus) >= tier_of(c1),
             a_c == inst.n_ct[(c, t)],
         ]
         if notion == IS:
             options.append(
                 any(
-                    compare(t2, plus, pal, inst) < 0
+                    inst.prefs[t2].tier_of(plus) > inst.prefs[t2].tier_of(pal)
                     for (c2_, t2), k in candidate.items()
                     if k >= 1
                 )

@@ -9,7 +9,6 @@ import math
 import random
 
 from hdg.core import NamedFamily, TierList, make_instance
-from hdg.prefs import TierCache
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, Outcome, find_is_deviation, find_ns_deviation
 
@@ -238,15 +237,14 @@ def test_random_outcomes_with_repeated_signatures():
 
 
 def _tier_calls_on_singletons(n, monkeypatch):
-    """Oracle calls and cached tier lookups of both searches on n singletons."""
-    calls = {"tier_of": 0, "lookups": 0}
+    """Oracle calls of both searches on n singletons."""
+    calls = 0
+    real = TierList.tier_of
 
-    def counting(name, real):
-        def counted(*args):
-            calls[name] += 1
-            return real(*args)
-
-        return counted
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
 
     # Going alone is top-ranked by both types, so the all-singleton outcome
     # is stable and every agent is looked at.
@@ -255,8 +253,7 @@ def _tier_calls_on_singletons(n, monkeypatch):
     types = [(a // 2) % 2 for a in range(n)]
     instance = make_instance(colors, {0: top, 1: top}, types=types, gamma=2)
     outcome = Outcome.from_sets([{a} for a in range(n)])
-    monkeypatch.setattr(TierList, "tier_of", counting("tier_of", TierList.tier_of))
-    monkeypatch.setattr(TierCache, "tier", counting("lookups", TierCache.tier))
+    monkeypatch.setattr(TierList, "tier_of", counted)
     for _, finder in FINDERS:
         assert finder(instance, outcome) is None
     monkeypatch.undo()
@@ -266,4 +263,4 @@ def _tier_calls_on_singletons(n, monkeypatch):
 def test_tier_calls_on_singletons_do_not_grow_with_n(monkeypatch):
     small = _tier_calls_on_singletons(100, monkeypatch)
     assert small == _tier_calls_on_singletons(1000, monkeypatch)
-    assert 0 < small["tier_of"] <= small["lookups"] < 100
+    assert 0 < small < 100

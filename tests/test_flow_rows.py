@@ -60,8 +60,8 @@ def test_ntcoal_blocker_demands(monkeypatch):
     seated = []
     real_try = colors_ntcoal._try_flow
 
-    def trying(instance, cache, guess, notion):
-        out = real_try(instance, cache, guess, notion)
+    def trying(instance, guess, notion):
+        out = real_try(instance, guess, notion)
         if out is not None:
             seated.append(guess)
         return out

@@ -71,3 +71,4 @@ def test_agreement_with_box_exhaustion():
         assert (got is None) == (brute is None)
         if got is not None:
             assert evaluate(s, got)
+            assert got == dict(enumerate(brute))  # the lexicographically smallest

@@ -29,7 +29,7 @@ import pytest
 from hdg.bench import SOLVERS
 from hdg.brute import solve_brute
 from hdg.core import NamedFamily, TierList, make_instance, realizable_palettes
-from hdg.errors import InstanceTooLarge, OwnColorViolation, SearchSpaceTooLarge
+from hdg.errors import OwnColorViolation, SearchSpaceTooLarge
 from hdg.fileio import serialize_instance
 from hdg.reductions import from_independent_set, from_x3c
 from hdg.stability import IS, NS
@@ -100,7 +100,7 @@ def test_random_midsize_games_agree_with_the_independent_oracle():
                     continue
                 try:
                     outcome = solver.solve(instance, notion)
-                except (InstanceTooLarge, SearchSpaceTooLarge, OwnColorViolation):
+                except (SearchSpaceTooLarge, OwnColorViolation):
                     continue  # declined: a guard tripped, or not an own-ratio game
                 label = f"game {i} (n={instance.n}, {instance.budgets}) {name}/{notion}"
                 assert (outcome is not None) == want, label

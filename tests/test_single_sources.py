@@ -6,7 +6,8 @@ is the only reader of the environment.  `stability.deal_outcome` is the
 only materialiser of the class-level solvers' witnesses.  Every solver the
 benchmark in `perfbench/` names is an `hdg` export.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
-a set of cached properties on `Instance`.
+a set of cached properties on `Instance`.  Every layer reads preferences
+through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
 """
 
 import argparse
@@ -169,3 +170,24 @@ def test_perfbench_class_data_are_cached_properties():
     assert names
     for name in names:
         assert isinstance(vars(hdg.core.Instance).get(name), functools.cached_property), name
+
+
+def test_tier_of_is_the_only_preference_oracle():
+    methods = []  # (module, class, method) for every method in the package
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods += [
+                    (path.stem, node.name, item.name)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                ]
+            elif isinstance(node, ast.FunctionDef) and node.name == "tier_of":
+                # Outside core, no function may stand in for the oracle.
+                assert path.stem == "core", path.name
+    definers = [(module, cls) for module, cls, name in methods if name == "tier_of"]
+    assert definers == [("core", "TierList"), ("core", "NamedFamily")]
+    assert not [m for m in methods if m[2] in ("tier", "prefers")]
+    assert "prefs" not in {info.name for info in pkgutil.iter_modules(hdg.__path__)}
+    assert not hasattr(hdg, "compare")

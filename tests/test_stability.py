@@ -1,6 +1,6 @@
 import pytest
 
-from hdg.core import GREATER, TierList, compare, make_instance
+from hdg.core import TierList, make_instance
 from hdg.errors import InvalidOutcome, SolverDivergence
 from hdg.stability import (
     EMPTY,
@@ -47,7 +47,8 @@ def test_is_stable_example1_split():
 def test_is_deviation_to_empty_from_grand_coalition():
     inst = example1()
     # Direct comparator evaluation: a strictly prefers being alone.
-    assert compare(inst.types[A], (1, 0), (1, 1), inst) == GREATER
+    order = inst.prefs[inst.types[A]]
+    assert order.tier_of((1, 0)) < order.tier_of((1, 1))
     dev = find_is_deviation(inst, outcome({A, B, C, D}))
     ns_dev = find_ns_deviation(inst, outcome({A, B, C, D}))
     assert (dev.agent, dev.target) == (ns_dev.agent, ns_dev.target)
@@ -134,11 +135,13 @@ def test_returned_deviation_replays_through_comparator():
 
             joined = palette_of(target | {dev.agent}, inst)
             current = palette_of(own, inst)
-            assert compare(inst.types[dev.agent], joined, current, inst) == GREATER
+            order = inst.prefs[inst.types[dev.agent]]
+            assert order.tier_of(joined) < order.tier_of(current)
             if kind == IS and dev.target != EMPTY:
                 base = palette_of(target, inst)
                 for member in target:
-                    assert compare(inst.types[member], joined, base, inst) >= 0
+                    order = inst.prefs[inst.types[member]]
+                    assert order.tier_of(joined) <= order.tier_of(base)
 
 
 def test_check_outcome_walks_the_agents_once(monkeypatch):
