@@ -8,12 +8,17 @@ and an integer feasibility system decides whether the agent counts can be
 partitioned accordingly.  A branch where every occurring type is marked
 with its exact multiplicity class is exactly the data needed: stability of
 any outcome respecting the branch depends on nothing else.
+
+The branches are produced lazily, in the order of the support walk, and
+only those that can still be feasible reach the integer system: a support
+or marking that over-commits a pair count or a coalition budget is dropped
+as soon as it does, and the first feasible branch is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import Instance, Palette, PreferenceOrder, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
@@ -113,52 +118,33 @@ def _deviation_free(
     return True
 
 
-def _build_ilp(
-    instance: Instance,
-    support: list[CoalitionType],
-    pi: list[int],
-) -> tuple[ILPSystem, list[int]]:
-    """Feasibility system over the types marked at-least-two.
+def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, tuple, tuple]]:
+    """Every (support, marking) branch that may be feasible, in walk order,
+    as (support, marking, residual).
 
-    Variables count occurrences beyond the two mandatory copies; equality
-    rows make the per-(color,type) usage hit the instance exactly and the
-    two inequality rows enforce the coalition-count budgets.
+    The support is a list of (type, column) pairs, the marking one
+    multiplicity class per support entry, and the residual what the
+    branch's committed copies leave of each column coordinate.
+
+    Supports grow by types in enumeration order, each new type compatible
+    with every chosen one, and each support is expanded into its markings
+    before it is extended.  A type's column is its use of each present
+    (color, type) pair, then its share of the two coalition budgets (1, and
+    1 if non-trivial), so a residual `n_ct + (rho1, rho2)` going negative
+    means the branch is over-committed; since every chosen type occurs at
+    least once, such a support and all its extensions are skipped, and so
+    is a marking once it over-commits.  A complete marking is also dropped
+    when it leaves agents of a pair to place but no at-least-two type uses
+    that pair.  What is yielded is exactly the set of stable branches whose
+    feasibility system has no over-committed row and no empty row with a
+    positive right-hand side.
     """
+    prefs, gamma, b = instance.prefs, instance.gamma, instance.budgets
     pairs = instance.present_pairs
-    variables = [i for i, k in enumerate(pi) if k == TWO_PLUS]
-    eqs = []
-    for pair in pairs:
-        committed = sum(support[i].count(pair) * pi[i] for i in range(len(support)))
-        coeffs = tuple(support[v].count(pair) for v in variables)
-        eqs.append((coeffs, instance.n_ct[pair] - committed))
-    committed_all = sum(pi)
-    committed_nt = sum(pi[i] for i in range(len(support)) if support[i].size >= 2)
-    les = [
-        (tuple(1 for _ in variables), instance.budgets.rho1 - committed_all),
-        (
-            tuple(1 if support[v].size >= 2 else 0 for v in variables),
-            instance.budgets.rho2 - committed_nt,
-        ),
-    ]
-    if any(rhs < 0 for _, rhs in eqs) or any(rhs < 0 for _, rhs in les):
-        return None, variables  # over-committed branch
-    return ILPSystem(len(variables), tuple(eqs), tuple(les)), variables
-
-
-def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
-    """Some stable budget-respecting outcome, or None if none exists.
-
-    Branches with realized-type supports that admit a deviation are pruned
-    during the support walk, which is exactly the branch stability test;
-    surviving branches go to integer feasibility, smallest committed agent
-    count first.
-    """
-    prefs, gamma = instance.prefs, instance.gamma
-    types = enumerate_coalition_types(instance)
     # Types whose members would rather go alone can never be realized.
     types = [
         t
-        for t in types
+        for t in enumerate_coalition_types(instance)
         if _deviation_free(prefs, gamma, t, None, None, notion)
     ]
     counts = [t.color_counts(gamma) for t in types]
@@ -166,6 +152,10 @@ def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
         _deviation_free(prefs, gamma, t, t, counts[i], notion)
         for i, t in enumerate(types)
     ]
+    columns = [
+        tuple(t.count(p) for p in pairs) + (1, int(t.size >= 2)) for t in types
+    ]
+    covers = [sum(1 << j for j, p in enumerate(pairs) if t.count(p)) for t in types]
     compat: dict[tuple[int, int], bool] = {}
 
     def compatible(i: int, j: int) -> bool:
@@ -178,13 +168,28 @@ def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
             compat[key] = val
         return val
 
-    pairs = instance.present_pairs
-    n_vec = tuple(instance.n_ct[p] for p in pairs)
     budget = search_cap(SUPPORT_CAP)
     examined = 0
-    branches: list[tuple[int, list[int], list[int]]] = []
+    chosen: list[int] = []
+    marking: list[int] = []
 
-    def dfs(start: int, chosen: list[int], residual: tuple[int, ...]):
+    def mark(k: int, residual: tuple[int, ...], covered: int) -> Iterator[tuple]:
+        if k == len(chosen):
+            if all(covered >> j & 1 for j in range(len(pairs)) if residual[j]):
+                yield [(types[i], columns[i]) for i in chosen], tuple(marking), residual
+            return
+        i = chosen[k]
+        marking.append(1)
+        yield from mark(k + 1, residual, covered)
+        marking.pop()
+        if self_ok[i]:
+            left = tuple(r - u for r, u in zip(residual, columns[i]))
+            if min(left) >= 0:
+                marking.append(TWO_PLUS)
+                yield from mark(k + 1, left, covered | covers[i])
+                marking.pop()
+
+    def walk(start: int, residual: tuple[int, ...]) -> Iterator[tuple]:
         nonlocal examined
         examined += 1
         if examined > budget:
@@ -192,51 +197,45 @@ def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
                 f"more than {budget} supports (cap via HDG_SEARCH_CAP)"
             )
         if chosen:
-            _expand_multiplicities(chosen)
-        if len(chosen) >= min(instance.budgets.rho1, instance.n):
-            return
+            yield from mark(0, residual, 0)
         for i in range(start, len(types)):
-            usage = tuple(types[i].count(p) for p in pairs)
-            if any(u > r for u, r in zip(usage, residual)):
+            column = columns[i]
+            if any(u > r for u, r in zip(column, residual)):
                 continue
             if not all(compatible(j, i) for j in chosen):
                 continue
             chosen.append(i)
-            dfs(i + 1, chosen, tuple(r - u for r, u in zip(residual, usage)))
+            yield from walk(i + 1, tuple(r - u for r, u in zip(residual, column)))
             chosen.pop()
 
-    def _expand_multiplicities(chosen: list[int]):
-        # All {exactly-one, at-least-two} markings of the support.
-        def rec(k: int, pi: list[int], committed: int):
-            if k == len(chosen):
-                branches.append((committed, list(chosen), list(pi)))
-                return
-            idx = chosen[k]
-            pi.append(1)
-            rec(k + 1, pi, committed + types[idx].size)
-            pi.pop()
-            if self_ok[idx]:
-                pi.append(TWO_PLUS)
-                rec(k + 1, pi, committed + 2 * types[idx].size)
-                pi.pop()
+    start = tuple(instance.n_ct[p] for p in pairs) + (b.rho1, b.rho2)
+    yield from walk(0, start)
 
-        rec(0, [], 0)
 
-    dfs(0, [], n_vec)
+def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
+    """Some stable budget-respecting outcome, or None if none exists.
 
-    branches.sort(key=lambda b: (b[0], b[1], b[2]))
-    for _, chosen, pi in branches:
-        support = [types[i] for i in chosen]
-        system, variables = _build_ilp(instance, support, pi)
-        if system is None:
-            continue
-        extra = feasible(system)
+    Branches with realized-type supports that admit a deviation are pruned
+    during the support walk, which is exactly the branch stability test;
+    the surviving branches that are not over-committed go to integer
+    feasibility in walk order, and the first feasible one is the witness.
+    Its variables count the copies of each at-least-two type beyond the two
+    it commits; equality rows make the per-(color, type) usage hit the
+    instance exactly and two inequality rows keep the coalition budgets.
+    """
+    width = len(instance.present_pairs)
+    for support, marking, residual in _branches(instance, notion):
+        twos = [k for k, m in enumerate(marking) if m == TWO_PLUS]
+        rows = tuple(
+            (tuple(support[k][1][j] for k in twos), rhs) for j, rhs in enumerate(residual)
+        )
+        extra = feasible(ILPSystem(len(twos), rows[:width], rows[width:]))
         if extra is None:
             continue
-        blocks = []
-        for k, idx in enumerate(chosen):
-            times = pi[k] if pi[k] == 1 else 2 + extra[variables.index(k)]
-            blocks += [types[idx].pair_counts] * times
+        times = list(marking)
+        for v, k in enumerate(twos):
+            times[k] += extra[v]
+        blocks = [ctype.pair_counts for (ctype, _), m in zip(support, times) for _ in range(m)]
         outcome = deal_outcome(instance, blocks)
         verdict = check_outcome(instance, outcome, notion)
         if not verdict.stable:

@@ -507,7 +507,7 @@ def class_blocks(
         start += count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Budgets:
     """Outcome restrictions: max coalition size, max number of coalitions,
     max number of non-trivial (size >= 2) coalitions."""
@@ -582,8 +582,9 @@ class Instance:
 
     @cached_property
     def class_sizes(self) -> tuple[int, ...]:
+        """Number of agents per color."""
         sizes = [0] * self.gamma
-        for (c, _), count in self.n_ct.items():
+        for (c, _), _, count in class_blocks(self.colors, self.types):
             sizes[c] += count
         return tuple(sizes)
 

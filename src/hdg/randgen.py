@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Instance, NamedFamily, TierList, make_instance, realizable_palettes
+from .core import Instance, NamedFamily, Palette, TierList, make_instance, realizable_palettes
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ def random_instance(rng: random.Random, caps: GenCaps = GenCaps(), own_color: bo
     rho1 = rng.randint(1, min(caps.rho1, n))
     rho2 = rng.randint(0, min(caps.rho2, rho1))
 
-    base = make_instance(colors, {0: TierList([])}, types=[0] * n, gamma=gamma)
     prefs = {}
     if own_color:
         # Own-ratio orders read one fixed color, so each type must be
@@ -60,8 +59,10 @@ def random_instance(rng: random.Random, caps: GenCaps = GenCaps(), own_color: bo
         types = [rng.randrange(tau) for _ in range(n)]
         used = sorted(set(types))
         types = [used.index(t) for t in types]
+        base = make_instance(colors, {0: TierList([])}, types=[0] * n, gamma=gamma)
+        universe = realizable_palettes(base, n)
         for t in range(len(used)):
-            prefs[t] = _random_tierlist(rng, base)
+            prefs[t] = _random_tierlist(rng, universe)
     return make_instance(
         colors,
         prefs,
@@ -73,8 +74,7 @@ def random_instance(rng: random.Random, caps: GenCaps = GenCaps(), own_color: bo
     )
 
 
-def _random_tierlist(rng: random.Random, base: Instance) -> TierList:
-    universe = realizable_palettes(base, base.n)
+def _random_tierlist(rng: random.Random, universe: list[Palette]) -> TierList:
     listed = rng.sample(universe, k=rng.randint(0, min(len(universe), 6)))
     rng.shuffle(listed)
     tiers: list[list] = []

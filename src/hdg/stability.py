@@ -33,7 +33,7 @@ IS = "is"
 EMPTY = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Outcome:
     """A partition of the agents, each coalition a tuple of sorted agent ids.
 
@@ -88,7 +88,7 @@ def deal_outcome(instance: Instance, blocks) -> Outcome:
     return Outcome(tuple(coalitions))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deviation:
     agent: int
     target: int  # coalition index, or EMPTY
@@ -184,7 +184,7 @@ def find_is_deviation(instance: Instance, outcome: Outcome) -> Deviation | None:
     return _deviation_search(instance, outcome, outcome.member_of(instance.n), IS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckResult:
     status: str  # "stable" | "unstable" | "budget"
     deviation: Deviation | None = None

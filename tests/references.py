@@ -23,11 +23,11 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from hdg.colors_ntcoal import Guess, _class_valid
-from hdg.colors_size import TWO_PLUS, CoalitionType, _deviation_free
+from hdg.colors_size import TWO_PLUS, CoalitionType, _deviation_free, enumerate_coalition_types
 from hdg.colors_types import _Setup
 from hdg.core import Instance, Palette, reduce_counts
 from hdg.errors import SearchSpaceTooLarge
-from hdg.ilp import ILPSystem
+from hdg.ilp import ILPSystem, feasible
 from hdg.reductions import SGaspInstance
 from hdg.stability import IS, NS, Outcome
 
@@ -199,7 +199,7 @@ def solve_colors_types_branchwise(instance: Instance, notion: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# colors-size: one explicit multiplicity branch.
+# colors-size: explicit multiplicity branches.
 # --------------------------------------------------------------------------
 
 
@@ -232,6 +232,55 @@ def branch_is_stable(instance: Instance, branch: Branch, notion: str) -> bool:
             if not _deviation_free(prefs, gamma, src, dst, counts[dst], notion):
                 return False
     return True
+
+
+def some_branch_is_feasible(instance: Instance, notion: str) -> bool:
+    """Whether some stable (support, marking) branch has an integer solution.
+
+    colors-size without its pruning: every set of distinct realizable types
+    that fits the instance with one copy each, every {one, at-least-two}
+    marking of it that `branch_is_stable` accepts, and one feasibility
+    system per branch with rows built from `CoalitionType.count`.  An
+    over-committed branch has a negative right-hand side, which
+    `ilp.feasible` rejects.
+    """
+    pairs = instance.present_pairs
+    b = instance.budgets
+    types = enumerate_coalition_types(instance)
+
+    def supports(start: int, chosen: list[CoalitionType], left: list[int]):
+        if chosen:
+            yield list(chosen)
+        for i in range(start, len(types)):
+            use = [types[i].count(p) for p in pairs]
+            if all(u <= r for u, r in zip(use, left)):
+                chosen.append(types[i])
+                yield from supports(i + 1, chosen, [r - u for r, u in zip(left, use)])
+                chosen.pop()
+
+    for support in supports(0, [], [instance.n_ct[p] for p in pairs]):
+        for marking in itertools.product((1, TWO_PLUS), repeat=len(support)):
+            if not branch_is_stable(instance, Branch(dict(zip(support, marking))), notion):
+                continue
+            twos = [t for t, m in zip(support, marking) if m == TWO_PLUS]
+            eqs = tuple(
+                (
+                    tuple(t.count(p) for t in twos),
+                    instance.n_ct[p] - sum(t.count(p) * m for t, m in zip(support, marking)),
+                )
+                for p in pairs
+            )
+            nontrivial = [int(t.size >= 2) for t in support]
+            les = (
+                (tuple(1 for _ in twos), b.rho1 - sum(marking)),
+                (
+                    tuple(int(t.size >= 2) for t in twos),
+                    b.rho2 - sum(m * nt for m, nt in zip(marking, nontrivial)),
+                ),
+            )
+            if feasible(ILPSystem(len(twos), eqs, les)) is not None:
+                return True
+    return False
 
 
 # --------------------------------------------------------------------------

@@ -13,11 +13,12 @@ from hdg.colors_size import (
 )
 from hdg.core import TierList, make_instance
 from hdg.errors import SearchSpaceTooLarge
+from hdg.ilp import feasible
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
 from fixtures import example1
-from references import Branch, branch_is_stable
+from references import Branch, branch_is_stable, some_branch_is_feasible
 
 
 def multiset_oracle(pairs, caps, sigma):
@@ -126,3 +127,71 @@ def test_oracle_equivalence_random():
             assert (got is not None) == want, f"trial {trial} {notion}"
             if got is not None:
                 assert check_outcome(inst, got, notion).stable
+
+
+def tight_draws(seed, count):
+    # Budgets that bind: rho2 0..2, rho1 at most 4, sigma 1..5, and one
+    # in three games own-ratio.
+    rng = random.Random(seed)
+    for trial in range(count):
+        caps = GenCaps(
+            n=rng.randint(2, 7), sigma=rng.randint(1, 5), rho1=rng.randint(1, 4),
+            rho2=rng.randint(0, 2),
+        )
+        yield trial, random_instance(rng, caps, own_color=trial % 3 == 2)
+
+
+def test_tight_budgets_agree_with_brute_force():
+    seen = {"sigma": set(), "rho2": set(), "answers": set()}
+    for trial, inst in tight_draws(77, 300):
+        b = inst.budgets
+        seen["sigma"].add(b.sigma)
+        seen["rho2"].add(b.rho2)
+        for notion in (NS, IS):
+            want = solve_brute(inst, notion) is not None
+            got = solve_colors_size(inst, notion)
+            assert (got is not None) == want, f"trial {trial} {b} {notion}"
+            if got is not None:
+                assert check_outcome(inst, got, notion).stable
+            seen["answers"].add((notion, want))
+    assert seen["sigma"] == {1, 2, 3, 4, 5} and seen["rho2"] == {0, 1, 2}
+    assert seen["answers"] == {(nt, yes) for nt in (NS, IS) for yes in (True, False)}
+
+
+def test_pruned_walk_answers_like_every_branch():
+    # The support walk, the marking expansion and the first-feasible stop
+    # drop only branches that cannot be feasible.
+    answers = set()
+    draws = [(-1, example1())] + list(tight_draws(78, 150))
+    draws += [(t, random_instance(random.Random(t), GenCaps(n=6, sigma=4))) for t in range(60)]
+    for trial, inst in draws:
+        for notion in (NS, IS):
+            want = some_branch_is_feasible(inst, notion)
+            assert (solve_colors_size(inst, notion) is not None) == want, f"trial {trial} {notion}"
+            answers.add(want)
+    assert answers == {True, False}
+
+
+def test_no_over_committed_or_unplaceable_branch_reaches_the_ilp(monkeypatch):
+    systems = []
+
+    def recording(system):
+        systems.append(system)
+        return feasible(system)
+
+    monkeypatch.setattr(colors_size, "feasible", recording)
+    for _, inst in tight_draws(79, 100):
+        for notion in (NS, IS):
+            solve_colors_size(inst, notion)
+    assert systems
+    for system in systems:
+        rows = system.equalities + system.inequalities_le
+        assert all(rhs >= 0 for _, rhs in rows)
+        assert not any(rhs > 0 and not any(coeffs) for coeffs, rhs in system.equalities)
+
+
+def test_support_cap(monkeypatch):
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    monkeypatch.setattr(colors_size, "SUPPORT_CAP", 2)
+    with pytest.raises(SearchSpaceTooLarge, match="HDG_SEARCH_CAP"):
+        solve_colors_size(example1(), NS)

@@ -8,10 +8,8 @@ class-level brute force and every table solver are checked against
   classes), sigma 2..4 and rho2 1..4, one in three own-ratio, against
   `Game.stable_exists` on both notions; every witness is re-read by
   `Game.status`.  Games with rho2 of 3 or 4 stay at n <= 16, where that
-  unpruned oracle answers in under a second.  colors-types runs on every
-  game (at most 0.06 s each); colors-size runs up to n = 14 only: past it
-  its search takes up to a second at n = 16 and from seconds to minutes
-  at n = 18..24 (ROADMAP, open item 3), beyond this gate's time.
+  unpruned oracle answers in under a second.  Every table solver runs on
+  every game, and each one must answer at least one game past n = 14.
 * Exact cover (trap gadget) and independent set gadgets past n = 12,
   against the source-side deciders, with each witness decoded there.
   Their many classes put them out of reach of `Game.stable_exists` and of
@@ -42,8 +40,6 @@ _spec.loader.exec_module(reference)
 
 SEED = 6113
 GAMES = 16
-SLOW_SOLVERS = {"colors-size"}
-SLOW_SOLVERS_MAX_N = 14
 
 
 def _tiers(rng, items):
@@ -96,8 +92,6 @@ def test_random_midsize_games_agree_with_the_independent_oracle():
             for name, solver in SOLVERS.items():
                 if notion not in solver.notions:
                     continue
-                if name in SLOW_SOLVERS and instance.n > SLOW_SOLVERS_MAX_N:
-                    continue
                 try:
                     outcome = solver.solve(instance, notion)
                 except (SearchSpaceTooLarge, OwnColorViolation):
@@ -108,13 +102,13 @@ def test_random_midsize_games_agree_with_the_independent_oracle():
                     blocks = [sorted(b) for b in outcome.coalitions]
                     assert game.status(blocks, notion) == "stable", label
                 seen["solvers"].add(name)
-                if instance.n > SLOW_SOLVERS_MAX_N:
+                if instance.n > 14:
                     seen["past_14"].add(name)
     assert min(seen["n"]) <= 14 and max(seen["n"]) >= 22
     assert seen["rho2"] == {1, 2, 3, 4}
     assert seen["answers"] == {(nt, yes) for nt in (NS, IS) for yes in (True, False)}
     assert seen["solvers"] == set(SOLVERS)
-    assert seen["past_14"] == set(SOLVERS) - SLOW_SOLVERS
+    assert seen["past_14"] == set(SOLVERS)
 
 
 X3C_CASES = [

@@ -4,7 +4,8 @@
 names and the bench runs its entries and nothing else.  `errors.search_cap`
 is the only reader of the environment.  `stability.deal_outcome` is the
 only materialiser of the class-level solvers' witnesses.  Every solver the
-benchmark in `perfbench/` names is an `hdg` export.  Only `hdg.core` tells
+benchmark in `perfbench/` names is an `hdg` export, and every entry point
+its traced mode hooks exists.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
 a set of cached properties on `Instance`.  Every layer reads preferences
 through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
@@ -142,6 +143,29 @@ def test_perfbench_solver_exports_exist():
     exports = _perfbench_constant("run.py", "SOLVER_EXPORTS")
     assert exports and all(hasattr(hdg, name) for name in exports.values())
     assert hdg.solve_brute_positions is hdg.solve_brute
+
+
+def test_perfbench_trace_hooks_resolve():
+    # perfbench/tracing.py hooks these (module, attribute) entries where
+    # callers look them up; a rewrite that drops one would silently lose
+    # its layer's spans or counts.  `hdg.prefs` is gone; its hook awaits
+    # removal from the benchmark (ROADMAP, open item 5).
+    entries = _perfbench_constant("tracing.py", "SPAN_HOOKS")
+    entries += _perfbench_constant("tracing.py", "COUNT_HOOKS")
+    missing = set()
+    for module, attr, *_ in entries:
+        try:
+            owner = importlib.import_module(module)
+        except ImportError:
+            missing.add(f"{module}:{attr}")
+            continue
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        if name not in vars(owner):
+            missing.add(f"{module}:{attr}")
+    assert len(entries) > 20
+    assert missing <= {"hdg.prefs:TierCache.tier"}
 
 
 def test_only_core_tells_compact_columns_from_tuples():
