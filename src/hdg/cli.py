@@ -151,6 +151,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.count < 0:
+        raise InvalidInput(f"--count must be at least 0, not {args.count}")
     caps = GenCaps(n=args.cap_n, gamma=args.cap_gamma, tau=args.cap_tau)
     report = run_bench(args.seed, args.count, caps, out_dir=args.out_dir)
     print(

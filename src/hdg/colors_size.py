@@ -1,18 +1,19 @@
 """Solver for bounded color count plus bounded coalition size.
 
 A coalition type is a multiset of (color, preference type) pairs.  The
-search walks over which coalition types occur in the outcome and whether
-each occurs once or at least twice; types that are pairwise deviation-free
-(and tolerate self-copies / going alone) form a stability-feasible branch,
-and an integer feasibility system decides whether the agent counts can be
-partitioned accordingly.  A branch where every occurring type is marked
-with its exact multiplicity class is exactly the data needed: stability of
-any outcome respecting the branch depends on nothing else.
+search walks over which coalition types occur in the outcome, its support.
+Stability depends on the multiplicities only through self-compatibility: a
+type whose members do not want to join a copy of their own coalition is
+stable however often it occurs, and any other type may occur only once.  So
+a support of pairwise deviation-free types (that also tolerate going alone)
+decides stability by itself, and one integer feasibility system per support,
+over the extra copies of its self-compatible types, decides whether the
+agent counts can be partitioned accordingly.
 
-The branches are produced lazily, in the order of the support walk, and
-only those that can still be feasible reach the integer system: a support
-or marking that over-commits a pair count or a coalition budget is dropped
-as soon as it does, and the first feasible branch is the witness.
+The supports are produced lazily, in walk order, and only those that can
+still be feasible reach the integer system: a support that over-commits a
+pair count or a coalition budget is dropped as soon as it does, and the
+first feasible support is the witness.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from .core import Instance, Palette, PreferenceOrder, reduce_counts, singleton_p
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
 from .stability import IS, Outcome, check_outcome, deal_outcome
-
-TWO_PLUS = 2  # multiplicity class "at least two"
 
 TYPES_CAP = 50_000
 SUPPORT_CAP = 2_000_000
@@ -118,26 +117,22 @@ def _deviation_free(
     return True
 
 
-def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, tuple, tuple]]:
-    """Every (support, marking) branch that may be feasible, in walk order,
-    as (support, marking, residual).
-
-    The support is a list of (type, column) pairs, the marking one
-    multiplicity class per support entry, and the residual what the
-    branch's committed copies leave of each column coordinate.
+def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tuple]]:
+    """Every support that may be feasible, once each and in walk order, as
+    (support, reusable, residual): the support's types, its self-compatible
+    types (the only ones that may occur again) with their columns, and what
+    one copy of every support type leaves of each column coordinate.
 
     Supports grow by types in enumeration order, each new type compatible
-    with every chosen one, and each support is expanded into its markings
-    before it is extended.  A type's column is its use of each present
+    with every chosen one.  A type's column is its use of each present
     (color, type) pair, then its share of the two coalition budgets (1, and
     1 if non-trivial), so a residual `n_ct + (rho1, rho2)` going negative
-    means the branch is over-committed; since every chosen type occurs at
-    least once, such a support and all its extensions are skipped, and so
-    is a marking once it over-commits.  A complete marking is also dropped
-    when it leaves agents of a pair to place but no at-least-two type uses
-    that pair.  What is yielded is exactly the set of stable branches whose
-    feasibility system has no over-committed row and no empty row with a
-    positive right-hand side.
+    means the support is over-committed, and it and all its extensions are
+    skipped.  A support is also not yielded when it leaves agents of a pair
+    to place but none of its self-compatible types uses that pair.  What is
+    yielded is exactly the set of stable supports whose feasibility system
+    has no over-committed row and no empty row with a positive right-hand
+    side.
     """
     prefs, gamma, b = instance.prefs, instance.gamma, instance.budgets
     pairs = instance.present_pairs
@@ -155,7 +150,11 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, tuple, tu
     columns = [
         tuple(t.count(p) for p in pairs) + (1, int(t.size >= 2)) for t in types
     ]
-    covers = [sum(1 << j for j, p in enumerate(pairs) if t.count(p)) for t in types]
+    # The pairs a type can take more agents of, by occurring again.
+    covers = [
+        sum(1 << j for j, p in enumerate(pairs) if ok and t.count(p))
+        for t, ok in zip(types, self_ok)
+    ]
     compat: dict[tuple[int, int], bool] = {}
 
     def compatible(i: int, j: int) -> bool:
@@ -171,33 +170,17 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, tuple, tu
     budget = search_cap(SUPPORT_CAP)
     examined = 0
     chosen: list[int] = []
-    marking: list[int] = []
 
-    def mark(k: int, residual: tuple[int, ...], covered: int) -> Iterator[tuple]:
-        if k == len(chosen):
-            if all(covered >> j & 1 for j in range(len(pairs)) if residual[j]):
-                yield [(types[i], columns[i]) for i in chosen], tuple(marking), residual
-            return
-        i = chosen[k]
-        marking.append(1)
-        yield from mark(k + 1, residual, covered)
-        marking.pop()
-        if self_ok[i]:
-            left = tuple(r - u for r, u in zip(residual, columns[i]))
-            if min(left) >= 0:
-                marking.append(TWO_PLUS)
-                yield from mark(k + 1, left, covered | covers[i])
-                marking.pop()
-
-    def walk(start: int, residual: tuple[int, ...]) -> Iterator[tuple]:
+    def walk(start: int, residual: tuple[int, ...], covered: int) -> Iterator[tuple]:
         nonlocal examined
         examined += 1
         if examined > budget:
             raise SearchSpaceTooLarge(
                 f"more than {budget} supports (cap via HDG_SEARCH_CAP)"
             )
-        if chosen:
-            yield from mark(0, residual, 0)
+        if chosen and all(covered >> j & 1 for j in range(len(pairs)) if residual[j]):
+            reusable = [(types[i], columns[i]) for i in chosen if self_ok[i]]
+            yield [types[i] for i in chosen], reusable, residual
         for i in range(start, len(types)):
             column = columns[i]
             if any(u > r for u, r in zip(column, residual)):
@@ -205,37 +188,40 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, tuple, tu
             if not all(compatible(j, i) for j in chosen):
                 continue
             chosen.append(i)
-            yield from walk(i + 1, tuple(r - u for r, u in zip(residual, column)))
+            left = tuple(r - u for r, u in zip(residual, column))
+            yield from walk(i + 1, left, covered | covers[i])
             chosen.pop()
 
     start = tuple(instance.n_ct[p] for p in pairs) + (b.rho1, b.rho2)
-    yield from walk(0, start)
+    yield from walk(0, start, 0)
 
 
 def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
     """Some stable budget-respecting outcome, or None if none exists.
 
-    Branches with realized-type supports that admit a deviation are pruned
-    during the support walk, which is exactly the branch stability test;
-    the surviving branches that are not over-committed go to integer
-    feasibility in walk order, and the first feasible one is the witness.
-    Its variables count the copies of each at-least-two type beyond the two
-    it commits; equality rows make the per-(color, type) usage hit the
-    instance exactly and two inequality rows keep the coalition budgets.
+    Supports of realized types that admit a deviation are pruned during the
+    support walk, which is exactly the stability test: a self-compatible
+    type is stable however often it occurs, and any other type occurs once.
+    The surviving supports go to integer feasibility in walk order, and the
+    first feasible one is the witness.  Its variables count the copies of
+    each self-compatible type beyond the one the support commits; equality
+    rows make the per-(color, type) usage hit the instance exactly and two
+    inequality rows keep the coalition budgets.
     """
     width = len(instance.present_pairs)
-    for support, marking, residual in _branches(instance, notion):
-        twos = [k for k, m in enumerate(marking) if m == TWO_PLUS]
-        rows = tuple(
-            (tuple(support[k][1][j] for k in twos), rhs) for j, rhs in enumerate(residual)
-        )
-        extra = feasible(ILPSystem(len(twos), rows[:width], rows[width:]))
+    for support, reusable, residual in _branches(instance, notion):
+        # `feasible` branches over the variables in order.  Non-trivial
+        # types are bounded by the small rho2 row, while a singleton type
+        # ranges over a whole leftover count; in front, every singleton
+        # count would be multiplied into the search over the non-trivial
+        # types, behind them the singletons only close it.
+        reusable.sort(key=lambda entry: entry[0].size < 2)
+        rows = tuple((tuple(col[j] for _, col in reusable), rhs) for j, rhs in enumerate(residual))
+        extra = feasible(ILPSystem(len(reusable), rows[:width], rows[width:]))
         if extra is None:
             continue
-        times = list(marking)
-        for v, k in enumerate(twos):
-            times[k] += extra[v]
-        blocks = [ctype.pair_counts for (ctype, _), m in zip(support, times) for _ in range(m)]
+        times = {ctype: 1 + extra[v] for v, (ctype, _) in enumerate(reusable)}
+        blocks = [ctype.pair_counts for ctype in support for _ in range(times.get(ctype, 1))]
         outcome = deal_outcome(instance, blocks)
         verdict = check_outcome(instance, outcome, notion)
         if not verdict.stable:

@@ -136,17 +136,18 @@ def outcome_to_data(instance: Instance, outcome: Outcome) -> dict:
 
 def outcome_from_data(instance: Instance, data: Mapping) -> Outcome:
     index = {name: a for a, name in enumerate(instance.agent_ids)}
-    try:
-        blocks = []
-        for block in data["coalitions"]:
-            members = []
-            for name in block:
-                if str(name) not in index:
-                    raise InvalidInput(f"unknown agent id {name!r}")
-                members.append(index[str(name)])
-            blocks.append(members)
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"malformed outcome data: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("coalitions"), list):
+        raise InvalidInput("outcome data must be a JSON object with a 'coalitions' list")
+    blocks = []
+    for block in data["coalitions"]:
+        if not isinstance(block, list):
+            raise InvalidInput(f"a coalition must be a list, not {type(block).__name__}")
+        members = []
+        for name in block:
+            if str(name) not in index:
+                raise InvalidInput(f"unknown agent id {name!r}")
+            members.append(index[str(name)])
+        blocks.append(members)
     return Outcome.from_sets(blocks)
 
 

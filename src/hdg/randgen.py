@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .core import Instance, NamedFamily, Palette, TierList, make_instance, realizable_palettes
+from .errors import InvalidInput
 
 
 @dataclass(frozen=True)
@@ -17,6 +18,12 @@ class GenCaps:
     sigma: int = 5
     rho1: int = 5
     rho2: int = 2
+
+    def __post_init__(self):
+        for field in fields(self):
+            value, least = getattr(self, field.name), 0 if field.name == "rho2" else 1
+            if value < least:
+                raise InvalidInput(f"cap {field.name} must be at least {least}, not {value}")
 
 
 def random_instance(rng: random.Random, caps: GenCaps = GenCaps(), own_color: bool = False) -> Instance:

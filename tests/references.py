@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from hdg.colors_ntcoal import Guess, _class_valid
-from hdg.colors_size import TWO_PLUS, CoalitionType, _deviation_free, enumerate_coalition_types
+from hdg.colors_size import CoalitionType, _deviation_free, enumerate_coalition_types
 from hdg.colors_types import _Setup
 from hdg.core import Instance, Palette, reduce_counts
 from hdg.errors import SearchSpaceTooLarge
@@ -201,6 +201,8 @@ def solve_colors_types_branchwise(instance: Instance, notion: str) -> bool:
 # --------------------------------------------------------------------------
 # colors-size: explicit multiplicity branches.
 # --------------------------------------------------------------------------
+
+TWO_PLUS = 2  # multiplicity class "at least two"
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,13 @@ def test_check_rejects_non_partition(example1_path, tmp_path):
     assert main(["check", example1_path, str(out)]) == 2
 
 
+def test_check_rejects_a_coalition_that_is_not_a_list(example1_path, tmp_path, capsys):
+    out = tmp_path / "outcome.json"
+    out.write_text(json.dumps({"coalitions": ["abcd"]}))
+    assert main(["check", example1_path, str(out)]) == 2
+    assert "coalition must be a list" in capsys.readouterr().err
+
+
 def test_malformed_instance_file_is_error(example1_path, tmp_path, capsys):
     with open(example1_path) as fh:
         good = json.load(fh)
@@ -203,6 +210,18 @@ def test_gen_malformed_source_is_error(tmp_path, capsys, problem, text, flags):
 def test_bench_smoke(capsys):
     assert main(["bench", "--seed", "1", "--count", "25"]) == 0
     assert "all solvers agree" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--cap-n", "0"], ["--cap-gamma", "0"], ["--cap-tau", "0"], ["--cap-n", "-2"], ["--count", "-5"]],
+)
+def test_bench_rejects_out_of_range_caps(capsys, flags):
+    # The zero and negative caps ended in a traceback from `randrange`, and
+    # a negative count ran no instance and reported that all solvers agree.
+    assert main(["bench", "--seed", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and "agree" not in captured.out
 
 
 def test_solver_exit_codes_consistent(example1_path):

@@ -5,20 +5,15 @@ import pytest
 
 from hdg.brute import solve_brute
 from hdg import colors_size
-from hdg.colors_size import (
-    TWO_PLUS,
-    CoalitionType,
-    enumerate_coalition_types,
-    solve_colors_size,
-)
+from hdg.colors_size import CoalitionType, enumerate_coalition_types, solve_colors_size
 from hdg.core import TierList, make_instance
 from hdg.errors import SearchSpaceTooLarge
 from hdg.ilp import feasible
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
-from fixtures import example1
-from references import Branch, branch_is_stable, some_branch_is_feasible
+from fixtures import example1, sweep_game
+from references import TWO_PLUS, Branch, branch_is_stable, some_branch_is_feasible
 
 
 def multiset_oracle(pairs, caps, sigma):
@@ -159,8 +154,9 @@ def test_tight_budgets_agree_with_brute_force():
 
 
 def test_pruned_walk_answers_like_every_branch():
-    # The support walk, the marking expansion and the first-feasible stop
-    # drop only branches that cannot be feasible.
+    # The support walk, its one system per support (reusing only
+    # self-compatible types) and the first-feasible stop drop only branches
+    # that cannot be feasible.
     answers = set()
     draws = [(-1, example1())] + list(tight_draws(78, 150))
     draws += [(t, random_instance(random.Random(t), GenCaps(n=6, sigma=4))) for t in range(60)]
@@ -172,7 +168,8 @@ def test_pruned_walk_answers_like_every_branch():
     assert answers == {True, False}
 
 
-def test_no_over_committed_or_unplaceable_branch_reaches_the_ilp(monkeypatch):
+def recorded_systems(monkeypatch, instances, notions=(NS, IS)):
+    """Every system the solves of `instances` pass to `feasible`."""
     systems = []
 
     def recording(system):
@@ -180,14 +177,52 @@ def test_no_over_committed_or_unplaceable_branch_reaches_the_ilp(monkeypatch):
         return feasible(system)
 
     monkeypatch.setattr(colors_size, "feasible", recording)
-    for _, inst in tight_draws(79, 100):
-        for notion in (NS, IS):
+    for inst in instances:
+        for notion in notions:
             solve_colors_size(inst, notion)
+    return systems
+
+
+def test_no_over_committed_or_unplaceable_branch_reaches_the_ilp(monkeypatch):
+    # The random draws hold the rare supports whose leftover agents only a
+    # type that may not occur twice could take.
+    draws = [inst for _, inst in tight_draws(79, 100)]
+    draws += [random_instance(random.Random(t), GenCaps(n=6, sigma=4)) for t in range(60)]
+    systems = recorded_systems(monkeypatch, draws)
     assert systems
     for system in systems:
         rows = system.equalities + system.inequalities_le
         assert all(rhs >= 0 for _, rhs in rows)
         assert not any(rhs > 0 and not any(coeffs) for coeffs, rhs in system.equalities)
+
+
+def test_each_support_is_yielded_once():
+    for trial, inst in tight_draws(80, 150):
+        for notion in (NS, IS):
+            supports = [
+                tuple(ctype.pair_counts for ctype in support)
+                for support, _, _ in colors_size._branches(inst, notion)
+            ]
+            assert len(supports) == len(set(supports)), (trial, notion)
+
+
+def test_non_trivial_types_come_first_in_every_system(monkeypatch):
+    # The rho2 row holds 1 for a non-trivial type and 0 for a singleton.
+    draws = [inst for _, inst in tight_draws(81, 100)]
+    draws += [random_instance(random.Random(t), GenCaps(n=6, sigma=4)) for t in range(40)]
+    mixed = 0
+    for system in recorded_systems(monkeypatch, draws):
+        nontrivial = system.inequalities_le[1][0]
+        assert list(nontrivial) == sorted(nontrivial, reverse=True)
+        mixed += len(set(nontrivial)) == 2
+    assert mixed
+
+
+def test_ilp_calls_stop_growing_with_n(monkeypatch):
+    # With one system per support, the number of systems on this game
+    # stops growing with n: it is the same at n=48 and at n=64.
+    calls = [len(recorded_systems(monkeypatch, [sweep_game(0, n, 8)], (NS,))) for n in (48, 64)]
+    assert calls[0] == calls[1], calls
 
 
 def test_support_cap(monkeypatch):

@@ -3,11 +3,11 @@ from itertools import permutations
 
 from hdg.brute import solve_brute
 from hdg.colors_types import _apply_candidate, _initial_entries, _Setup, solve_colors_types
-from hdg.core import TierList, make_instance, palette_of, realizable_palettes, reduce_counts
+from hdg.core import TierList, make_instance, palette_of, reduce_counts
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
-from fixtures import A, B, C, D, example1
+from fixtures import A, B, C, D, example1, sweep_game
 from references import (
     Pattern,
     WorstPair,
@@ -185,25 +185,32 @@ def test_packing_order_never_changes_the_entries():
     assert cases > 1000 and changed > 100
 
 
-def sweep_game(profile, n, rho2):
-    """A game of the benchmark's n-sweep: gamma=2, tau=2, sigma=4, four
-    equal (color, type) classes, each type a random weak order over six
-    palettes of at most five agents."""
-    base = make_instance([0] * 5 + [1] * 5, {0: TierList([])}, types=[0] * 10, gamma=2)
-    palettes = realizable_palettes(base, 5)
-    rng = random.Random(7919 + profile)
-    prefs = {}
-    for t in (0, 1):
-        tiers = []
-        for p in rng.sample(palettes, k=6):
-            if tiers and rng.random() < 0.4:
-                tiers[-1].append(p)
-            else:
-                tiers.append([p])
-        prefs[t] = TierList(tiers)
-    colors = [(k % 4) // 2 for k in range(n)]
-    types = [k % 2 for k in range(n)]
-    return make_instance(colors, prefs, types=types, gamma=2, sigma=4, rho2=rho2)
+def test_packing_a_candidate_more_than_twice_changes_no_entries():
+    # `_apply_candidate` keeps w <= 1, takes the max of lo and the min of
+    # hi, so packing one candidate k >= 2 times leaves the same entries as
+    # packing it twice.  The second copy still matters: it can set w to 1
+    # again, which the first copy's entries do not allow.
+    rng = random.Random(2718)
+    cases = changed = 0
+    for _ in range(60):
+        inst = random_instance(rng, GenCaps(n=7))
+        for notion in (NS, IS):
+            setup = _Setup(inst, notion)
+            for _ in range(24):
+                prefix = rng.choices(range(len(setup.candidates)), k=rng.randint(0, 2))
+                cand_idx = rng.randrange(len(setup.candidates))
+                for i in range(len(setup.pairs)):
+                    entries = _initial_entries(setup, i)
+                    for packed in prefix:
+                        entries = _apply_candidate(setup, i, entries, packed)
+                    once = _apply_candidate(setup, i, entries, cand_idx)
+                    twice = more = _apply_candidate(setup, i, once, cand_idx)
+                    for k in range(3, 6):
+                        more = _apply_candidate(setup, i, more, cand_idx)
+                        assert more == twice, (inst, notion, prefix, cand_idx, i, k)
+                    cases += 1
+                    changed += twice != once
+    assert cases > 5000 and changed > 200, (cases, changed)
 
 
 def test_sweep_games_at_24_agents_agree_with_brute():

@@ -68,3 +68,22 @@ def test_parse_rejects_garbage():
     inst = example1()
     with pytest.raises(InvalidInput):
         parse_outcome(inst, '{"coalitions": [["nobody"]]}')
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"coalitions": ["abcd"]}',
+        '{"coalitions": {"abcd": 1}}',
+        '{"coalitions": [{"a": 1, "b": 2}, ["c", "d"]]}',
+        '{"coalitions": "abcd"}',
+        '{"coalitions": [["a", "b"], "cd"]}',
+        '{"blocks": [["a", "b", "c", "d"]]}',
+        '[["a", "b", "c", "d"]]',
+    ],
+)
+def test_parse_outcome_needs_lists_of_lists(text):
+    # A coalition given as a string or an object used to be read as its
+    # characters or keys: "abcd" checked as the coalition {a, b, c, d}.
+    with pytest.raises(InvalidInput):
+        parse_outcome(example1(), text)
