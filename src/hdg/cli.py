@@ -223,6 +223,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except InvalidInput as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

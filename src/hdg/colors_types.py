@@ -15,19 +15,14 @@ exactly the disjunction of the per-branch searches.  A literal per-branch
 reference implementation, for cross-checking on tiny inputs, lives with
 the tests in `tests/references.py`.
 
-A packing is a multiset of coalitions, and the order in which they are
-packed does not matter: `_apply_candidate` adds to `w`, takes the max of
-`lo` and the min of `hi`, and its filters only drop entries that no later
-candidate could revive, so any order of the same candidates gives the same
-entries.  A search state is therefore (residual counts per (color, type),
-r, viability): r counts the non-trivial coalitions, which rho2 bounds, and
-the viability is the tuple of every pair's entries.  Any fitting candidate
-may follow any state.  The search is breadth-first, one level per
-coalition, so rho1 is a bound on the level and each state is met first
-with the fewest coalitions.  A state is dropped when its residual and
-viability were already reached with no more non-trivial coalitions: that
-earlier state can finish every packing this one can.  `STATES_CAP` bounds
-the number of distinct states kept.
+Packing candidates commutes (`_apply_candidate` adds to `w`, takes the
+max of `lo` and the min of `hi`, and drops only entries no later candidate
+could revive), and packing one candidate more than twice leaves the
+entries of packing it twice.  So singletons are never searched: the
+search is breadth-first over the non-trivial candidates, at most rho2
+levels deep, on states (residual counts per (color, type), viability),
+and closes every state by sending each leftover agent alone, which rho1
+must allow.  `STATES_CAP` bounds the number of distinct states kept.
 
 Branched C1 palettes are additionally required to sit weakly above the
 agent's own singleton palette: any packing certified with a C1 below the
@@ -39,6 +34,7 @@ singletons, so completeness is unaffected.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 
 from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
@@ -66,37 +62,13 @@ class _Setup:
         self.pairs: list[tuple[int, int]] = list(instance.present_pairs)
         self.n_vec = tuple(instance.n_ct[p] for p in self.pairs)
         self.sigma = min(instance.budgets.sigma, instance.n)
-        self.candidates = self._enumerate_candidates()
-        self._build_rank_tables()
-
-    def _enumerate_candidates(self) -> list[tuple[int, ...]]:
         limit = search_cap(STATES_CAP)
-        out: list[tuple[int, ...]] = []
-
-        def rec(i: int, total: int, acc: list[int]):
-            if i == len(self.pairs):
-                if total >= 1:
-                    out.append(tuple(acc))
-                    if len(out) > limit:
-                        raise SearchSpaceTooLarge(
-                            f"more than {limit} candidate coalitions "
-                            f"(cap via HDG_SEARCH_CAP)"
-                        )
-                return
-            for k in range(0, min(self.n_vec[i], self.sigma - total) + 1):
-                acc.append(k)
-                rec(i + 1, total + k, acc)
-                acc.pop()
-
-        rec(0, 0, [])
-        out.sort()
-        return out
-
-    def palette_of_candidate(self, vec: tuple[int, ...]) -> Palette:
-        counts = [0] * self.instance.gamma
-        for (c, _), k in zip(self.pairs, vec):
-            counts[c] += k
-        return reduce_counts(counts)
+        self.candidates = list(islice(compositions_upto(self.n_vec, self.sigma), limit + 1))
+        if len(self.candidates) > limit:
+            raise SearchSpaceTooLarge(
+                f"more than {limit} candidate coalitions (cap via HDG_SEARCH_CAP)"
+            )
+        self._build_rank_tables()
 
     def _build_rank_tables(self):
         inst = self.instance
@@ -115,12 +87,13 @@ class _Setup:
                     theta_by_color[c].add(p)
 
         plus_by_pair: dict[int, set[Palette]] = {i: set() for i in range(len(self.pairs))}
-        self.cand_palette = [self.palette_of_candidate(v) for v in self.candidates]
+        self.cand_palette: list[Palette] = []
         self.cand_plus: list[list[Palette]] = []
         for vec in self.candidates:
             counts = [0] * inst.gamma
             for (c, _), k in zip(self.pairs, vec):
                 counts[c] += k
+            self.cand_palette.append(reduce_counts(counts))
             row = []
             for i, (c, _) in enumerate(self.pairs):
                 counts[c] += 1
@@ -208,7 +181,7 @@ def _apply_candidate(
 
 
 class _Residuals:
-    """Count vectors packed into ints, and the candidates that fit each.
+    """Count vectors packed into ints, and the non-trivial candidates that fit.
 
     A residual (agents per (color, type) still to pack) is one int with a
     field per pair.  Each field carries a guard bit above its count, so
@@ -217,31 +190,36 @@ class _Residuals:
     """
 
     def __init__(self, setup: _Setup):
-        width = max(setup.n_vec).bit_length() + 1
-        self.bits = width * len(setup.n_vec)
-        self.empty = self._pack([1 << (width - 1)] * len(setup.n_vec), width)
+        self.width = width = max(setup.n_vec).bit_length() + 1
+        self.n_pairs = len(setup.n_vec)
+        self.bits = width * self.n_pairs
+        self.empty = self._pack([1 << (width - 1)] * self.n_pairs, width)
         self.full = self.empty + self._pack(setup.n_vec, width)
         self._packed = [
-            (k, self._pack(vec, width), sum(vec) >= 2)
+            (k, self._pack(vec, width))
             for k, vec in enumerate(setup.candidates)
+            if sum(vec) >= 2
         ]
-        self._fits: dict[int, tuple[list, list]] = {}
+        self._fits: dict[int, list[tuple[int, int]]] = {}
 
     @staticmethod
     def _pack(vec, width: int) -> int:
         return sum(x << (i * width) for i, x in enumerate(vec))
 
-    def fits(self, residual: int) -> tuple[list, list]:
-        """(singletons, non-singletons) that fit, as (candidate, next residual)."""
-        lists = self._fits.get(residual)
-        if lists is None:
-            lists = self._fits[residual] = ([], [])
+    def left(self, residual: int) -> list[int]:
+        """Agents still to pack, per pair."""
+        count = (1 << (self.width - 1)) - 1
+        return [residual >> (i * self.width) & count for i in range(self.n_pairs)]
+
+    def fits(self, residual: int) -> list[tuple[int, int]]:
+        """Non-trivial candidates that fit, as (candidate, next residual)."""
+        out = self._fits.get(residual)
+        if out is None:
             empty = self.empty
-            for k, vec, multi in self._packed:
-                rest = residual - vec
-                if rest & empty == empty:
-                    lists[multi].append((k, rest))
-        return lists
+            out = self._fits[residual] = [
+                (k, rest) for k, vec in self._packed if (rest := residual - vec) & empty == empty
+            ]
+        return out
 
 
 class _Viabilities:
@@ -262,8 +240,13 @@ class _Viabilities:
         self.ids = {(0,) * len(init_viab): 0}
         self.viabs = list(self.ids)
         self.moves: dict[int, int] = {}
+        pairs = range(len(init_viab))
+        self.singles = [setup.candidates.index(tuple(int(j == i) for j in pairs)) for i in pairs]
 
     def move(self, vid: int, cand_idx: int) -> int:
+        nxt = self.moves.get(vid * self.n_cand + cand_idx)
+        if nxt is not None:
+            return nxt
         out = []
         for i, eid in enumerate(self.viabs[vid]):
             key = eid * self.n_cand + cand_idx
@@ -287,69 +270,70 @@ class _Viabilities:
         self.moves[vid * self.n_cand + cand_idx] = nxt
         return nxt
 
-
-State = tuple[int, int, int]  # residual, r, viability id
+    def send_alone(self, vid: int, left: list[int]) -> int:
+        """The id after each pair's `left` agents go alone, or -1; a
+        candidate packed a third time changes no entries."""
+        for single, count in zip(self.singles, left):
+            for _ in range(min(count, 2)):
+                vid = self.move(vid, single)
+                if vid < 0:
+                    return -1
+        return vid
 
 
 def _search(setup: _Setup, init_viab: tuple[Entries, ...]) -> list[int] | None:
     """Candidate indices of some full packing, or None if there is none.
 
-    Breadth-first over states, one level per coalition packed; any fitting
-    candidate may follow any state.  best_r, keyed on (viability id,
-    residual) packed into one int, holds the fewest non-trivial coalitions
-    the key was reached with, all at this level or an earlier one; a state
-    that does not beat it is dominated and dropped.
+    Level r holds the states first met with r non-trivial candidates, each
+    one int (its viability id above its residual), closed as it is met:
+    its r coalitions plus one per leftover agent must stay within rho1.
     """
     budgets = setup.instance.budgets
-    rho1, rho2 = budgets.rho1, budgets.rho2
     limit = search_cap(STATES_CAP)
     residuals = _Residuals(setup)
-    empty, bits = residuals.empty, residuals.bits
+    bits = residuals.bits
+    mask = (1 << bits) - 1
     viabilities = _Viabilities(setup, init_viab)
-    moves, n_cand = viabilities.moves, viabilities.n_cand
+    move, moves, n_cand = viabilities.move, viabilities.moves, viabilities.n_cand
+    parent: dict[int, tuple[int, int] | None] = {residuals.full: None}
 
-    start: State = (residuals.full, 0, 0)
-    best_r = {residuals.full: 0}
-    parent: dict[State, tuple[State, int]] = {}
-    frontier = [start]
-    for _ in range(rho1):
+    def close(state: int, r: int) -> list[int] | None:
+        left = residuals.left(state & mask)
+        if r + sum(left) > budgets.rho1 or viabilities.send_alone(state >> bits, left) < 0:
+            return None
+        chosen = [single for single, count in zip(viabilities.singles, left) for _ in range(count)]
+        while (step := parent[state]) is not None:
+            state, cand_idx = step
+            chosen.insert(0, cand_idx)
+        return chosen
+
+    frontier = [residuals.full]
+    if (chosen := close(residuals.full, 0)) is not None:
+        return chosen
+    for r in range(1, min(budgets.rho1, budgets.rho2) + 1):
         next_frontier = []
         for state in frontier:
-            residual, r, vid = state
+            vid = state >> bits
             base = vid * n_cand
-            for group, new_r in zip(residuals.fits(residual), (r, r + 1)):
-                if new_r > rho2:
-                    break
-                for cand_idx, rest in group:
-                    nid = moves.get(base + cand_idx)
-                    if nid is None:
-                        nid = viabilities.move(vid, cand_idx)
-                    if nid < 0:
-                        continue
-                    key = nid << bits | rest
-                    old_r = best_r.get(key)
-                    if old_r is not None and old_r <= new_r:
-                        continue
-                    if len(parent) >= limit:
-                        raise SearchSpaceTooLarge(
-                            f"more than {limit} packing states (cap via HDG_SEARCH_CAP)"
-                        )
-                    best_r[key] = new_r
-                    new_state = (rest, new_r, nid)
-                    parent[new_state] = (state, cand_idx)
-                    if rest == empty:
-                        return _unwind(parent, new_state)
-                    next_frontier.append(new_state)
+            for cand_idx, rest in residuals.fits(state & mask):
+                nid = moves.get(base + cand_idx)
+                if nid is None:
+                    nid = move(vid, cand_idx)
+                if nid < 0:
+                    continue
+                new_state = nid << bits | rest
+                if new_state in parent:
+                    continue
+                if len(parent) > limit:
+                    raise SearchSpaceTooLarge(
+                        f"more than {limit} packing states (cap via HDG_SEARCH_CAP)"
+                    )
+                parent[new_state] = (state, cand_idx)
+                if (chosen := close(new_state, r)) is not None:
+                    return chosen
+                next_frontier.append(new_state)
         frontier = next_frontier
     return None
-
-
-def _unwind(parent: dict[State, tuple[State, int]], state: State) -> list[int]:
-    chosen = []
-    while state in parent:
-        state, cand_idx = parent[state]
-        chosen.append(cand_idx)
-    return chosen
 
 
 def solve_colors_types(instance: Instance, notion: str) -> Outcome | None:

@@ -36,8 +36,10 @@ def feasible(system: ILPSystem) -> dict[int, int] | None:
 
     Assigns one variable at a time, smallest value first, on the residual
     right-hand sides of all rows; no value may drive a residual negative,
-    and the equality residuals must end at zero.  A (variable, residuals)
-    state shown infeasible is remembered and never searched again.
+    and the equality residuals must end at zero, so the last variable with
+    a nonzero coefficient in an equality row may only take the value that
+    zeroes it.  A (variable, residuals) state shown infeasible is
+    remembered and never searched again.
     """
     rows = system.equalities + system.inequalities_le
     n_eq = len(system.equalities)
@@ -45,6 +47,10 @@ def feasible(system: ILPSystem) -> dict[int, int] | None:
     if min(start, default=0) < 0:
         return None
     columns = [tuple(coeffs[var] for coeffs, _ in rows) for var in range(system.num_vars)]
+    fixing: list[list[int]] = [[] for _ in columns]
+    for j, (coeffs, _) in enumerate(system.equalities):
+        if any(coeffs):
+            fixing[max(var for var, a in enumerate(coeffs) if a)].append(j)
     dead: set[tuple[int, tuple[int, ...]]] = set()
     values: list[int] = []
 
@@ -55,7 +61,11 @@ def feasible(system: ILPSystem) -> dict[int, int] | None:
             return False
         column = columns[var]
         bound = min((r // a for a, r in zip(column, residual) if a), default=0)
-        for k in range(bound + 1):
+        choices = range(bound + 1)
+        for j in fixing[var]:
+            k, rest = divmod(residual[j], column[j])
+            choices = range(k, k + 1) if not rest and k in choices else range(0)
+        for k in choices:
             values.append(k)
             if extend(var + 1, tuple(r - k * a for a, r in zip(column, residual))):
                 return True

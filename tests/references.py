@@ -165,11 +165,11 @@ def branch_reaches_target(
     while frontier:
         a, w, r, l = frontier.popleft()
         pattern = Pattern(dict(zip(pairs, a)), dict(zip(pairs, w)), r, l)
-        for vec in setup.candidates:
+        for idx, vec in enumerate(setup.candidates):
             candidate = {pair: k for pair, k in zip(pairs, vec) if k >= 1}
             if not coalition_compatible(candidate, pattern, worst_pairs, instance, notion):
                 continue
-            pal = setup.palette_of_candidate(vec)
+            pal = setup.cand_palette[idx]
             new_w = list(w)
             for i, (c, t) in enumerate(pairs):
                 tier_of = instance.prefs[t].tier_of

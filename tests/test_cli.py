@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hdg import cli
 from hdg.cli import main
 from hdg.fileio import load_instance, save_instance, serialize_outcome
 from hdg.stability import Outcome
@@ -159,6 +160,29 @@ def test_solve_rejects_a_witness_that_fails_its_check(example1_path, monkeypatch
 
 def test_missing_file_is_error():
     assert main(["solve", "/nonexistent/instance.json"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{instance}", "--out", "{dir}"],
+        ["solve", "{dir}"],
+        ["gen", "x3c", "--source", "{dir}", "--out", "{dir}/x.json"],
+    ],
+)
+def test_a_directory_in_place_of_a_file_is_error(example1_path, tmp_path, capsys, argv):
+    assert main([arg.format(instance=example1_path, dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot use {tmp_path}:") and "Traceback" not in err
+
+
+def test_an_unreadable_file_is_error(example1_path, monkeypatch, capsys):
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "load_instance", refuse)
+    assert main(["solve", example1_path]) == 2
+    assert capsys.readouterr().err == f"cannot use {example1_path}: Permission denied\n"
 
 
 def test_gen_and_solve_roundtrip(tmp_path):

@@ -2,7 +2,14 @@ import random
 from itertools import permutations
 
 from hdg.brute import solve_brute
-from hdg.colors_types import _apply_candidate, _initial_entries, _Setup, solve_colors_types
+from hdg import colors_types
+from hdg.colors_types import (
+    _apply_candidate,
+    _initial_entries,
+    _Setup,
+    _Viabilities,
+    solve_colors_types,
+)
 from hdg.core import TierList, make_instance, palette_of, reduce_counts
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
@@ -213,6 +220,39 @@ def test_packing_a_candidate_more_than_twice_changes_no_entries():
     assert cases > 5000 and changed > 200, (cases, changed)
 
 
+def test_sending_leftover_agents_alone_matches_packing_every_singleton():
+    # The closing step packs each pair's singleton at most twice; packing
+    # it once per leftover agent must give the same viability.  Packing it
+    # only once would not.
+    rng = random.Random(1618)
+    cases = once_differs = 0
+    for _ in range(60):
+        inst = random_instance(rng, GenCaps(n=7))
+        for notion in (NS, IS):
+            setup = _Setup(inst, notion)
+            init = tuple(_initial_entries(setup, i) for i in range(len(setup.pairs)))
+            if not all(init):
+                continue
+            viabilities = _Viabilities(setup, init)
+
+            def packed(vid, cands):
+                for cand_idx in cands:
+                    vid = viabilities.move(vid, cand_idx) if vid >= 0 else vid
+                return vid
+
+            for _ in range(8):
+                vid = packed(0, rng.choices(range(len(setup.candidates)), k=rng.randint(0, 2)))
+                if vid < 0:
+                    continue
+                left = [rng.randint(0, 4) for _ in setup.pairs]
+                singles = list(zip(viabilities.singles, left))
+                want = packed(vid, [single for single, count in singles for _ in range(count)])
+                assert viabilities.send_alone(vid, left) == want, (inst, notion, vid, left)
+                cases += 1
+                once_differs += packed(vid, [single for single, count in singles if count]) != want
+    assert cases > 500 and once_differs > 10, (cases, once_differs)
+
+
 def test_sweep_games_at_24_agents_agree_with_brute():
     for rho2, notions in ((2, (NS, IS)), (4, (IS,))):
         for profile in (0, 1):
@@ -227,8 +267,50 @@ def test_sweep_games_at_24_agents_agree_with_brute():
 
 def test_sweep_game_that_tripped_the_state_cap_now_answers():
     # Keyed on the packing order, this search passed STATES_CAP (400,000)
-    # packing states; keyed on the multiset it needs about 110,000.
+    # packing states; over the non-trivial coalitions alone it expands 618.
     inst = sweep_game(1, 24, 8)
     out = solve_colors_types(inst, IS)
     assert out is not None
     assert check_outcome(inst, out, IS).stable
+
+
+def expanded_states(monkeypatch, inst, notion):
+    """How many packing states one solve expands."""
+    calls = 0
+    fits = colors_types._Residuals.fits
+
+    def counting(self, residual):
+        nonlocal calls
+        calls += 1
+        return fits(self, residual)
+
+    monkeypatch.setattr(colors_types._Residuals, "fits", counting)
+    solve_colors_types(inst, notion)
+    return calls
+
+
+def test_packing_states_stop_growing_with_n(monkeypatch):
+    # States are keyed on the agents left per (color, type), so they stop
+    # growing once no class can run out: n/4 >= rho2 * sigma here.
+    for profile, rho2, notion, sizes in (
+        (0, 2, NS, (64, 128)), (0, 2, IS, (64, 128)), (1, 2, NS, (64, 128)),
+        (1, 2, IS, (64, 128)), (0, 8, NS, (128, 160)),
+    ):
+        counts = [expanded_states(monkeypatch, sweep_game(profile, n, rho2), notion) for n in sizes]
+        assert counts[0] == counts[1], (profile, rho2, notion, counts)
+
+
+def test_binding_rho1_agrees_with_brute_force():
+    # Closing a state sends every leftover agent alone, so rho1 bounds the
+    # non-trivial coalitions plus the leftover agents.
+    rng = random.Random(31)
+    answers = set()
+    for trial in range(300):
+        caps = GenCaps(n=rng.randint(2, 6), sigma=rng.randint(2, 4), rho1=rng.randint(1, 3), rho2=2)
+        inst = random_instance(rng, caps, own_color=trial % 3 == 2)
+        for notion in (NS, IS):
+            want = solve_brute(inst, notion) is not None
+            got = solve_colors_types(inst, notion)
+            assert (got is not None) == want, (trial, inst.budgets, notion)
+            answers.add((notion, want))
+    assert answers == {(nt, yes) for nt in (NS, IS) for yes in (True, False)}

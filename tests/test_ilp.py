@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -72,3 +73,29 @@ def test_agreement_with_box_exhaustion():
         if got is not None:
             assert evaluate(s, got)
             assert got == dict(enumerate(brute))  # the lexicographically smallest
+
+
+def extend_calls(s):
+    """`feasible(s)` and how many times it entered its inner `extend`."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name == "extend"
+
+    sys.setprofile(profile)
+    try:
+        return feasible(s), calls
+    finally:
+        sys.setprofile(None)
+
+
+def test_the_last_variable_of_an_equality_row_is_fixed_by_it():
+    # x1 is fixed by the first row and x2 by the second, which no x2 can
+    # meet (odd right-hand side).  Trying every x1 and x2 below the bound
+    # takes a number of calls quadratic in the right-hand side.
+    for rhs in (10, 20):
+        got, calls = extend_calls(system(3, eqs=[((1, 1, 0), rhs), ((1, 1, 2), rhs + 1)]))
+        assert got is None and calls <= 2 * rhs + 3, (rhs, calls)
+    got, calls = extend_calls(system(3, eqs=[((1, 1, 1), 20)], les=[((0, 0, 1), 0)]))
+    assert got == {0: 0, 1: 20, 2: 0} and calls <= 24
