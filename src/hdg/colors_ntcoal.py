@@ -16,6 +16,20 @@ coalition would accept the second color.  Agents of one (color, type)
 class are interchangeable, so a blocker is a demand for one agent of its
 class in its coalition, and accept/blocked guesses that can never affect
 any agent's validity are fixed to their permissive value.
+
+Most guesses are decided before a network is built, each in the guess
+order of the plain walk, so the first saturating guess is the same:
+
+* Tier memo: one solve reads each (type, palette) tier once, on first use;
+  a tier depends on nothing the guess changes.
+* Seat screen: a row with supply but no valid seat, or a seat with room
+  but no valid row, fails the guess; edges stay within a color and per
+  color the supplies equal the seats, so a saturating flow uses both.
+* IS refusal dominance: a refinement that refuses color-c joiners at j
+  when accepting them would drop no edge is passed over; the refinement
+  accepting them, with fewer blockers, comes earlier on the same edges
+  and saturates whenever this one does.  Passed-over guesses still count
+  towards GUESS_CAP.
 """
 
 from __future__ import annotations
@@ -24,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
+from .core import Instance, compositions_upto, reduce_counts, singleton_palette
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
 from .stability import IS, NS, Outcome, check_outcome, deal_outcome
@@ -52,70 +66,97 @@ class Guess:
     blockers: tuple[tuple[tuple[int, int], int], ...] = ()  # ((color, type), coalition index)
 
 
-def _joined(comp: tuple[int, ...], color: int) -> Palette:
-    grown = list(comp)
-    grown[color] += 1
-    return reduce_counts(grown)
+class _Tiers:
+    """The tiers one solve reads, per type, each looked up once on first use.
 
+    own(t, comp) is the tier of a guessed coalition's palette, joined(t,
+    comp, c) that of the coalition grown by one color-c agent, pair(t, c1,
+    c2) that of a two-agent coalition and single(t, c) that of going alone.
+    """
 
-def _pair_palette(c1: int, c2: int, gamma: int) -> Palette:
-    counts = [0] * gamma
-    counts[c1] += 1
-    counts[c2] += 1
-    return reduce_counts(counts)
+    def __init__(self, instance: Instance):
+        self._prefs = instance.prefs
+        self._gamma = instance.gamma
+        self._own: dict = {}
+        self._joined: dict = {}
+        self._pair: dict = {}
+        self._single: dict = {}
+
+    def own(self, t: int, comp: tuple[int, ...]) -> int:
+        key = (t, comp)
+        tier = self._own.get(key)
+        if tier is None:
+            tier = self._own[key] = self._prefs[t].tier_of(reduce_counts(comp))
+        return tier
+
+    def joined(self, t: int, comp: tuple[int, ...], color: int) -> int:
+        key = (t, comp, color)
+        tier = self._joined.get(key)
+        if tier is None:
+            grown = list(comp)
+            grown[color] += 1
+            tier = self._joined[key] = self._prefs[t].tier_of(reduce_counts(grown))
+        return tier
+
+    def pair(self, t: int, c1: int, c2: int) -> int:
+        key = (t, c1, c2) if c1 < c2 else (t, c2, c1)
+        tier = self._pair.get(key)
+        if tier is None:
+            counts = [0] * self._gamma
+            counts[c1] += 1
+            counts[c2] += 1
+            tier = self._pair[key] = self._prefs[t].tier_of(reduce_counts(counts))
+        return tier
+
+    def single(self, t: int, color: int) -> int:
+        key = (t, color)
+        tier = self._single.get(key)
+        if tier is None:
+            palette = singleton_palette(color, self._gamma)
+            tier = self._single[key] = self._prefs[t].tier_of(palette)
+        return tier
+
+    def seat(self, t: int, color: int, target, comps) -> int:
+        """Tier of a color-c seat: at guessed coalition target, or alone."""
+        return self.single(t, color) if target == TRIVIAL else self.own(t, comps[target])
 
 
 def _class_valid(
-    instance: Instance,
+    tiers: _Tiers,
     color: int,
     type_id: int,
     target,  # coalition index or TRIVIAL
     guess: Guess,
     notion: str,
 ) -> bool:
-    gamma = instance.gamma
-    tier_of = instance.prefs[type_id].tier_of
+    """May agents of class (color, type_id) sit at target under this guess?"""
     comps = guess.compositions
     if target == TRIVIAL:
         if guess.trivial_counts[color] == 0:
             return False
-        own = singleton_palette(color, gamma)
-        own_index = None
-    else:
-        if comps[target][color] == 0:
-            return False
-        own = reduce_counts(comps[target])
-        own_index = target
-    own_tier = tier_of(own)
-
-    def accepts(j: int) -> bool:
-        return guess.accepted is None or guess.accepted[j][color]
+    elif comps[target][color] == 0:
+        return False
+    own_tier = tiers.seat(type_id, color, target, comps)
+    accepted = guess.accepted if notion == IS else None
+    blocked = guess.blocked if notion == IS else None
 
     for j, comp in enumerate(comps):
-        if j == own_index:
+        if j == target or (accepted is not None and not accepted[j][color]):
             continue
-        if notion == IS and not accepts(j):
-            continue
-        if tier_of(_joined(comp, color)) < own_tier:
+        if tiers.joined(type_id, comp, color) < own_tier:
             return False
-    for c2 in range(gamma):
-        if guess.trivial_counts[c2] == 0 or c2 == color:
+    for c2, count in enumerate(guess.trivial_counts):
+        if count == 0 or c2 == color or (blocked and (c2, color) in blocked):
             continue
-        if (
-            notion == IS
-            and guess.blocked is not None
-            and (c2, color) in guess.blocked
-        ):
-            continue
-        if tier_of(_pair_palette(c2, color, gamma)) < own_tier:
+        if tiers.pair(type_id, c2, color) < own_tier:
             return False
     # Joining a same-color singleton or going alone both yield the
     # singleton palette, covered by one check.
-    if tier_of(singleton_palette(color, gamma)) < own_tier:
+    if tiers.single(type_id, color) < own_tier:
         return False
-    if target == TRIVIAL and notion == IS and guess.blocked is not None:
-        for c_from, c_to in guess.blocked:
-            if c_from == color and own_tier >= tier_of(_pair_palette(color, c_to, gamma)):
+    if target == TRIVIAL and blocked:
+        for c_from, c_to in blocked:
+            if c_from == color and own_tier >= tiers.pair(type_id, color, c_to):
                 return False
     return True
 
@@ -133,14 +174,16 @@ def _compositions(instance: Instance) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _try_flow(instance: Instance, guess: Guess, notion: str) -> Outcome | None:
+def _try_flow(instance: Instance, guess: Guess, notion: str, tiers: _Tiers) -> Outcome | None:
     """Transportation network of classes onto slots; an outcome on saturation.
 
     Rows are the instance's (color, type) classes with supply n_ct, slots
     the (coalition, color) and (trivial, color) seats with their counts.
     Blocker demands are seated first: each takes one agent of its class
     and one seat of its coalition, and fails the guess when the class or
-    the seat runs short or the class may not sit there.
+    the seat runs short or the class may not sit there.  The seat screen
+    then fails the guess, before any network is built, when a row with
+    supply has no valid seat left or a seat left has no valid row.
     """
     gamma = instance.gamma
     slots: list[tuple] = []
@@ -162,7 +205,7 @@ def _try_flow(instance: Instance, guess: Guess, notion: str) -> Outcome | None:
         key = (color, type_id, target)
         hit = class_ok.get(key)
         if hit is None:
-            hit = _class_valid(instance, color, type_id, target, guess, notion)
+            hit = _class_valid(tiers, color, type_id, target, guess, notion)
             class_ok[key] = hit
         return hit
 
@@ -179,10 +222,18 @@ def _try_flow(instance: Instance, guess: Guess, notion: str) -> Outcome | None:
             return None
 
     edges = set()
+    filled = [cap == 0 for cap in caps]
     for r, (color, type_id) in enumerate(rows):
+        seated = supplies[r] == 0
         for s, (target, c) in enumerate(slots):
             if c == color and valid(color, type_id, target):
                 edges.add((r, s))
+                if supplies[r] and caps[s]:
+                    seated = filled[s] = True
+        if not seated:
+            return None
+    if not all(filled):
+        return None
     net = FlowNetwork(tuple(supplies), tuple(caps), frozenset(edges))
     value, flow = max_flow(net)
     if value != sum(supplies):
@@ -200,28 +251,55 @@ def _try_flow(instance: Instance, guess: Guess, notion: str) -> Outcome | None:
     return deal_outcome(instance, [sorted(m.items()) for m in members] + singles)
 
 
+def _dominated(tiers: _Tiers, guess: Guess, types_of_color: dict[int, list[int]]) -> bool:
+    """Does the guess refuse color-c joiners at j when no edge needs it?
+
+    Accepting them drops exactly the valid seats, other than j, of the
+    color-c classes that would rather join j.  With none, the guess that
+    accepts them, with the same blocked set and a subset of the blockers,
+    comes at a smaller refused-set size: it has the same edges and fewer
+    demands, so it saturates whenever this one does.
+    """
+    comps = guess.compositions
+    targets = [*range(len(comps)), TRIVIAL]
+    for j, flags in enumerate(guess.accepted):
+        for c, ok in enumerate(flags):
+            if not ok and not any(
+                tiers.joined(t, comps[j], c) < tiers.seat(t, c, target, comps)
+                and _class_valid(tiers, c, t, target, guess, IS)
+                for t in types_of_color[c]
+                for target in targets
+                if target != j
+            ):
+                return True
+    return False
+
+
 def _is_guesses(
     instance: Instance,
+    tiers: _Tiers,
     comps: tuple[tuple[int, ...], ...],
     trivial_counts: tuple[int, ...],
-) -> Iterator[Guess]:
+) -> Iterator[Guess | None]:
     """Accept/blocked/blocker refinements of one composition guess.
 
     Flags whose restrictive choice cannot change any agent's validity are
     fixed to the permissive one; restrictive accept flags need a member
     class that objects to the join, and each chosen objecting class
-    becomes a demand for one of its agents in the coalition.
+    becomes a demand for one of its agents in the coalition.  A dominated
+    refinement (see `_dominated`) cannot be the first to saturate and is
+    yielded as None, so that it still counts as a guess.
     """
-    gamma, prefs = instance.gamma, instance.prefs
+    gamma = instance.gamma
     types_of_color: dict[int, list[int]] = {}
     for (c, t) in instance.present_pairs:
         types_of_color.setdefault(c, []).append(t)
 
-    def seats(color: int) -> list[Palette]:
-        out = [singleton_palette(color, gamma)]
+    def seat_tiers(t: int, color: int) -> list[int]:
+        out = [tiers.single(t, color)]
         for comp in comps:
             if comp[color] > 0:
-                out.append(reduce_counts(comp))
+                out.append(tiers.own(t, comp))
         return out
 
     # Acceptance flags that could matter: some joiner class strictly
@@ -229,15 +307,13 @@ def _is_guesses(
     relevant_accept: list[tuple[int, int]] = []
     objectors: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j, comp in enumerate(comps):
-        own = reduce_counts(comp)
         for c in range(gamma):
             if not types_of_color.get(c):
                 continue
-            lure = _joined(comp, c)
             if not any(
-                prefs[t].tier_of(lure) < prefs[t].tier_of(seat)
+                tiers.joined(t, comp, c) < seat
                 for t in types_of_color[c]
-                for seat in seats(c)
+                for seat in seat_tiers(t, c)
             ):
                 continue
             classes = [
@@ -245,7 +321,7 @@ def _is_guesses(
                 for c2 in range(gamma)
                 if comp[c2] > 0
                 for t2 in types_of_color.get(c2, [])
-                if prefs[t2].tier_of(own) < prefs[t2].tier_of(lure)
+                if tiers.own(t2, comp) < tiers.joined(t2, comp, c)
             ]
             relevant_accept.append((j, c))
             objectors[(j, c)] = classes
@@ -257,21 +333,18 @@ def _is_guesses(
         for c_to in range(gamma):
             if c_to == c_from or not types_of_color.get(c_to):
                 continue
-            lure = _pair_palette(c_from, c_to, gamma)
             if any(
-                prefs[t].tier_of(lure) < prefs[t].tier_of(seat)
+                tiers.pair(t, c_from, c_to) < seat
                 for t in types_of_color[c_to]
-                for seat in seats(c_to)
+                for seat in seat_tiers(t, c_to)
             ):
                 relevant_blocked.append((c_from, c_to))
-
-    base_accept = [[True] * gamma for _ in comps]
 
     for refused in _subsets(relevant_accept):
         if any(not objectors[key] for key in refused):
             continue  # refusal needs at least one objecting member class
         accepted = tuple(
-            tuple(base_accept[j][c] and (j, c) not in refused for c in range(gamma))
+            tuple((j, c) not in refused for c in range(gamma))
             for j in range(len(comps))
         )
         cover_choices: list[list[frozenset[tuple[int, int]]]] = []
@@ -287,6 +360,7 @@ def _is_guesses(
                 )
             }
             cover_choices.append(sorted(covers, key=sorted))
+        dominated: dict[tuple, bool] = {}  # by blocked set: blockers do not matter
         for cover_pick in itertools.product(*cover_choices):
             blockers = tuple(
                 (klass, j)
@@ -294,13 +368,16 @@ def _is_guesses(
                 for klass in sorted(classes)
             )
             for blocked in _subsets(relevant_blocked):
-                yield Guess(
+                guess = Guess(
                     compositions=comps,
                     trivial_counts=trivial_counts,
                     accepted=accepted,
                     blocked=frozenset(blocked),
                     blockers=blockers,
                 )
+                if blocked not in dominated:
+                    dominated[blocked] = _dominated(tiers, guess, types_of_color)
+                yield None if dominated[blocked] else guess
 
 
 def _subsets(items: list) -> Iterator[tuple]:
@@ -316,6 +393,7 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
     limit = search_cap(GUESS_CAP)
     d_max = min(budgets.rho2, budgets.rho1, n // 2)
     comps_all = _compositions(instance)
+    tiers = _Tiers(instance)
     examined = 0
 
     for d in range(0, d_max + 1):
@@ -327,18 +405,20 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
             if d + sum(trivial_counts) > budgets.rho1:
                 continue
             if notion == NS:
-                guesses: Iterator[Guess] = iter(
+                guesses: Iterator[Guess | None] = iter(
                     [Guess(compositions=comps, trivial_counts=trivial_counts)]
                 )
             else:
-                guesses = _is_guesses(instance, comps, trivial_counts)
+                guesses = _is_guesses(instance, tiers, comps, trivial_counts)
             for guess in guesses:
                 examined += 1
                 if examined > limit:
                     raise SearchSpaceTooLarge(
                         f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
                     )
-                outcome = _try_flow(instance, guess, notion)
+                if guess is None:
+                    continue
+                outcome = _try_flow(instance, guess, notion, tiers)
                 if outcome is not None:
                     verdict = check_outcome(instance, outcome, notion)
                     if not verdict.stable:

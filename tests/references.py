@@ -3,9 +3,11 @@
 * Literal, per-branch forms of the parameterized solvers.  Each solver
   decides its branches implicitly (colors-types defers the branch choice
   into one DP, colors-size prunes supports during its walk, colors-ntcoal
-  decides validity per agent class).  The functions here spell one branch
-  out at a time on top of the solver's own building blocks, so tests can
-  check those blocks against the definitions on tiny inputs.
+  memoizes tiers, screens seats and passes over dominated refinements).
+  The functions here spell one branch out at a time on top of the solver's
+  own building blocks, so tests can check those blocks against the
+  definitions on tiny inputs; colors-ntcoal's guess walk is spelled out
+  whole, every guess straight to `max_flow`.
 * The agent-level enumeration of budget-respecting partitions, the
   small-n reference for the class-level brute force.
 * Source-side deciders and witness decoders of the reductions, the
@@ -22,14 +24,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from hdg.colors_ntcoal import Guess, _class_valid
+from hdg.colors_ntcoal import TRIVIAL, Guess, _compositions
 from hdg.colors_size import CoalitionType, _deviation_free, enumerate_coalition_types
 from hdg.colors_types import _Setup
-from hdg.core import Instance, Palette, reduce_counts
+from hdg.core import Instance, Palette, reduce_counts, singleton_palette
 from hdg.errors import SearchSpaceTooLarge
 from hdg.ilp import ILPSystem, feasible
+from hdg.maxflow import FlowNetwork, max_flow
 from hdg.reductions import SGaspInstance
-from hdg.stability import IS, NS, Outcome
+from hdg.stability import IS, NS, Outcome, deal_outcome
 
 # --------------------------------------------------------------------------
 # colors-types: explicit worst/second-worst branch product.
@@ -286,22 +289,221 @@ def some_branch_is_feasible(instance: Instance, notion: str) -> bool:
 
 
 # --------------------------------------------------------------------------
-# colors-ntcoal: validity of one agent's seat under one guess.
+# colors-ntcoal: seat validity and the unpruned guess walk.
 # --------------------------------------------------------------------------
+
+
+def _joined(comp: tuple[int, ...], color: int) -> Palette:
+    grown = list(comp)
+    grown[color] += 1
+    return reduce_counts(grown)
+
+
+def _pair_palette(c1: int, c2: int, gamma: int) -> Palette:
+    counts = [0] * gamma
+    counts[c1] += 1
+    counts[c2] += 1
+    return reduce_counts(counts)
+
+
+def class_valid(
+    instance: Instance, color: int, type_id: int, target, guess: Guess, notion: str
+) -> bool:
+    """May agents of class (color, type_id) sit at target, read straight
+    off each deviation's palette with `tier_of`?"""
+    gamma = instance.gamma
+    tier_of = instance.prefs[type_id].tier_of
+    comps = guess.compositions
+    if target == TRIVIAL:
+        if guess.trivial_counts[color] == 0:
+            return False
+        own = singleton_palette(color, gamma)
+        own_index = None
+    else:
+        if comps[target][color] == 0:
+            return False
+        own = reduce_counts(comps[target])
+        own_index = target
+    own_tier = tier_of(own)
+
+    def accepts(j: int) -> bool:
+        return guess.accepted is None or guess.accepted[j][color]
+
+    for j, comp in enumerate(comps):
+        if j == own_index:
+            continue
+        if notion == IS and not accepts(j):
+            continue
+        if tier_of(_joined(comp, color)) < own_tier:
+            return False
+    for c2 in range(gamma):
+        if guess.trivial_counts[c2] == 0 or c2 == color:
+            continue
+        if notion == IS and guess.blocked is not None and (c2, color) in guess.blocked:
+            continue
+        if tier_of(_pair_palette(c2, color, gamma)) < own_tier:
+            return False
+    if tier_of(singleton_palette(color, gamma)) < own_tier:
+        return False
+    if target == TRIVIAL and notion == IS and guess.blocked is not None:
+        for c_from, c_to in guess.blocked:
+            if c_from == color and own_tier >= tier_of(_pair_palette(color, c_to, gamma)):
+                return False
+    return True
 
 
 def is_valid_for(
     agent: int, target, guess: Guess, instance: Instance, notion: str
 ) -> bool:
     """May this agent occupy the given coalition (or a trivial one)?"""
-    return _class_valid(
-        instance,
-        instance.colors[agent],
-        instance.types[agent],
-        target,
-        guess,
-        notion,
+    return class_valid(
+        instance, instance.colors[agent], instance.types[agent], target, guess, notion
     )
+
+
+def ntcoal_is_refinements(
+    instance: Instance, comps: tuple[tuple[int, ...], ...], trivial_counts: tuple[int, ...]
+) -> Iterator[Guess]:
+    """Every accept/blocked/blocker refinement of one composition guess, in
+    the solver's order: refused accept flags by subset size (each with a
+    member class objecting to the join), then blocker covers, then blocked
+    subsets."""
+    gamma, prefs = instance.gamma, instance.prefs
+    types_of_color: dict[int, list[int]] = {}
+    for (c, t) in instance.present_pairs:
+        types_of_color.setdefault(c, []).append(t)
+
+    def seats(color: int) -> list[Palette]:
+        return [singleton_palette(color, gamma)] + [
+            reduce_counts(comp) for comp in comps if comp[color] > 0
+        ]
+
+    def lures_someone(lure: Palette, color: int) -> bool:
+        return any(
+            prefs[t].tier_of(lure) < prefs[t].tier_of(seat)
+            for t in types_of_color[color]
+            for seat in seats(color)
+        )
+
+    relevant_accept = []
+    objectors = {}
+    for j, comp in enumerate(comps):
+        for c in range(gamma):
+            if types_of_color.get(c) and lures_someone(_joined(comp, c), c):
+                relevant_accept.append((j, c))
+                objectors[(j, c)] = [
+                    (c2, t2)
+                    for c2 in range(gamma)
+                    if comp[c2] > 0
+                    for t2 in types_of_color.get(c2, [])
+                    if prefs[t2].tier_of(reduce_counts(comp))
+                    < prefs[t2].tier_of(_joined(comp, c))
+                ]
+    relevant_blocked = [
+        (c_from, c_to)
+        for c_from in range(gamma)
+        if trivial_counts[c_from] > 0
+        for c_to in range(gamma)
+        if c_to != c_from
+        and types_of_color.get(c_to)
+        and lures_someone(_pair_palette(c_from, c_to, gamma), c_to)
+    ]
+
+    def subsets(items):
+        for r in range(len(items) + 1):
+            yield from itertools.combinations(items, r)
+
+    for refused in subsets(relevant_accept):
+        if any(not objectors[key] for key in refused):
+            continue
+        accepted = tuple(
+            tuple((j, c) not in refused for c in range(gamma)) for j in range(len(comps))
+        )
+        cover_choices = []
+        for j in range(len(comps)):
+            colors_here = [c for (jj, c) in refused if jj == j]
+            covers = {
+                frozenset(pick)
+                for pick in itertools.product(*(objectors[(j, c)] for c in colors_here))
+            }
+            cover_choices.append(sorted(covers, key=sorted))
+        for cover_pick in itertools.product(*cover_choices):
+            blockers = tuple(
+                (klass, j) for j, classes in enumerate(cover_pick) for klass in sorted(classes)
+            )
+            for blocked in subsets(relevant_blocked):
+                yield Guess(comps, trivial_counts, accepted, frozenset(blocked), blockers)
+
+
+def ntcoal_flow(instance: Instance, guess: Guess, notion: str) -> Outcome | None:
+    """The guess's class-to-seat network, straight to `max_flow`."""
+    slots, caps = [], []
+    for j, comp in enumerate(guess.compositions):
+        for c, k in enumerate(comp):
+            if k > 0:
+                slots.append((j, c))
+                caps.append(k)
+    for c, k in enumerate(guess.trivial_counts):
+        if k > 0:
+            slots.append((TRIVIAL, c))
+            caps.append(k)
+    rows = instance.present_pairs
+    supplies = [instance.n_ct[pair] for pair in rows]
+    for pair, j in guess.blockers:
+        if not class_valid(instance, *pair, j, guess, notion):
+            return None
+        r, s = rows.index(pair), slots.index((j, pair[0]))
+        supplies[r] -= 1
+        caps[s] -= 1
+        if supplies[r] < 0 or caps[s] < 0:
+            return None
+    edges = frozenset(
+        (r, s)
+        for r, (color, t) in enumerate(rows)
+        for s, (target, c) in enumerate(slots)
+        if c == color and class_valid(instance, color, t, target, guess, notion)
+    )
+    value, flow = max_flow(FlowNetwork(tuple(supplies), tuple(caps), edges))
+    if value != sum(supplies):
+        return None
+    members: list[dict] = [{} for _ in guess.compositions]
+    singles = []
+    for pair, j in guess.blockers:
+        members[j][pair] = members[j].get(pair, 0) + 1
+    for (r, s), amount in flow.items():
+        target = slots[s][0]
+        if target == TRIVIAL:
+            singles.extend([(rows[r], 1)] for _ in range(amount))
+        else:
+            members[target][rows[r]] = members[target].get(rows[r], 0) + amount
+    return deal_outcome(instance, [sorted(m.items()) for m in members] + singles)
+
+
+def ntcoal_walk(instance: Instance, notion: str) -> tuple[Outcome | None, int]:
+    """colors-ntcoal without screens or dominance: every guess in the
+    solver's order goes to `max_flow`.  Returns the first saturating
+    guess's outcome and the number of guesses generated up to it."""
+    budgets, sizes = instance.budgets, instance.class_sizes
+    comps_all = _compositions(instance)
+    examined = 0
+    for d in range(min(budgets.rho2, budgets.rho1, instance.n // 2) + 1):
+        for comps in itertools.combinations_with_replacement(comps_all, d):
+            used = [sum(comp[c] for comp in comps) for c in range(instance.gamma)]
+            if any(u > s for u, s in zip(used, sizes)):
+                continue
+            trivial_counts = tuple(s - u for s, u in zip(sizes, used))
+            if d + sum(trivial_counts) > budgets.rho1:
+                continue
+            if notion == NS:
+                guesses: Iterable[Guess] = [Guess(comps, trivial_counts)]
+            else:
+                guesses = ntcoal_is_refinements(instance, comps, trivial_counts)
+            for guess in guesses:
+                examined += 1
+                outcome = ntcoal_flow(instance, guess, notion)
+                if outcome is not None:
+                    return outcome, examined
+    return None, examined
 
 
 # --------------------------------------------------------------------------

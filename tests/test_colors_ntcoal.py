@@ -1,13 +1,24 @@
 import random
 
+import pytest
+
+from hdg import colors_ntcoal
 from hdg.brute import solve_brute
-from hdg.colors_ntcoal import TRIVIAL, Guess, solve_colors_ntcoal
+from hdg.colors_ntcoal import (
+    TRIVIAL,
+    Guess,
+    _class_valid,
+    _compositions,
+    _Tiers,
+    solve_colors_ntcoal,
+)
 from hdg.core import TierList, make_instance
+from hdg.errors import SearchSpaceTooLarge
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
-from fixtures import A, B, C, D, example1
-from references import is_valid_for
+from fixtures import A, B, C, D, example1, sweep_game
+from references import class_valid, is_valid_for, ntcoal_walk
 
 
 def example1_guess():
@@ -96,3 +107,95 @@ def test_oracle_equivalence_random():
             assert (got is not None) == want, f"trial {trial} {notion}"
             if got is not None:
                 assert check_outcome(inst, got, notion).stable
+
+
+def random_guess(rng, inst):
+    """Any guess shape the seat test may meet, IS fields drawn freely."""
+    comps_all = _compositions(inst)
+    comps = tuple(rng.choice(comps_all) for _ in range(rng.randint(0, 3) if comps_all else 0))
+    gamma = inst.gamma
+    trivial_counts = tuple(rng.randint(0, 2) for _ in range(gamma))
+    accepted = None
+    if rng.random() < 0.8:
+        accepted = tuple(tuple(rng.random() < 0.5 for _ in range(gamma)) for _ in comps)
+    blocked = None
+    if rng.random() < 0.8:
+        pairs = [(a, b) for a in range(gamma) for b in range(gamma) if a != b]
+        blocked = frozenset(p for p in pairs if rng.random() < 0.4)
+    return Guess(comps, trivial_counts, accepted, blocked)
+
+
+def test_seat_test_matches_reference():
+    rng = random.Random(4242)
+    verdicts = []
+    for _ in range(150):
+        inst = random_instance(rng, GenCaps(n=7), own_color=rng.random() < 0.3)
+        tiers = _Tiers(inst)  # one memo across guesses, as within a solve
+        for _ in range(5):
+            guess = random_guess(rng, inst)
+            for notion in (NS, IS):
+                for color, type_id in inst.present_pairs:
+                    for target in [*range(len(guess.compositions)), TRIVIAL]:
+                        got = _class_valid(tiers, color, type_id, target, guess, notion)
+                        want = class_valid(inst, color, type_id, target, guess, notion)
+                        assert got == want, (guess, notion, color, type_id, target)
+                        verdicts.append(got)
+    assert len(verdicts) > 2000 and 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def test_same_outcome_as_unpruned_walk_random():
+    rng = random.Random(2024)
+    for trial in range(220):
+        inst = random_instance(rng, GenCaps(n=7, rho2=2), own_color=trial % 4 == 0)
+        for notion in (NS, IS):
+            want, _ = ntcoal_walk(inst, notion)
+            assert solve_colors_ntcoal(inst, notion) == want, f"trial {trial} {notion}"
+
+
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("notion", [NS, IS])
+def test_same_outcome_as_unpruned_walk_sweep(profile, n, notion):
+    inst = sweep_game(profile, n, 2)
+    assert solve_colors_ntcoal(inst, notion) == ntcoal_walk(inst, notion)[0]
+
+
+def no_is_game():
+    """No individually stable outcome; most of its 1,608 IS guesses are
+    dominated refinements."""
+    prefs = {
+        0: TierList([[(3, 2)], [(2, 3)], [(1, 1)]]),
+        1: TierList([[(1, 1), (2, 1)], [(1, 2)], [(3, 2)]]),
+        2: TierList([[(1, 3)], [(3, 2)], [(0, 1), (1, 1), (1, 2)]]),
+    }
+    return make_instance([0, 0, 1, 1, 0, 1], prefs, types=[2, 0, 1, 0, 1, 1], sigma=2, rho1=5, rho2=2)
+
+
+@pytest.mark.parametrize(
+    "game, notion",
+    [(no_is_game, IS), (lambda: sweep_game(0, 16, 2), NS)],
+    ids=["no-is-game", "sweep-p0-n16-ns"],
+)
+def test_guess_cap_counts_every_generated_guess(monkeypatch, game, notion):
+    # Screened and dominated guesses still count, so the cap trips at the
+    # same guess as in the walk that sends every guess to max_flow.
+    inst = game()
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    outcome, examined = ntcoal_walk(inst, notion)
+    assert outcome is None and len(_compositions(inst)) < examined
+    passed_over = []
+    real_guesses = colors_ntcoal._is_guesses
+
+    def counting(*args):
+        for guess in real_guesses(*args):
+            passed_over.append(guess is None)
+            yield guess
+
+    monkeypatch.setattr(colors_ntcoal, "_is_guesses", counting)
+    monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", examined)
+    assert solve_colors_ntcoal(inst, notion) is None
+    if notion == IS:
+        assert len(passed_over) == examined and sum(passed_over) > examined // 2
+    monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", examined - 1)
+    with pytest.raises(SearchSpaceTooLarge):
+        solve_colors_ntcoal(inst, notion)

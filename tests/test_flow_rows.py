@@ -10,6 +10,8 @@ from hdg import colors_ntcoal, ownhdg
 from hdg.core import NamedFamily, TierList, make_instance
 from hdg.stability import IS, NS, check_outcome
 
+from fixtures import sweep_game
+
 
 def record_networks(monkeypatch, module):
     nets = []
@@ -60,8 +62,8 @@ def test_ntcoal_blocker_demands(monkeypatch):
     seated = []
     real_try = colors_ntcoal._try_flow
 
-    def trying(instance, guess, notion):
-        out = real_try(instance, guess, notion)
+    def trying(instance, guess, notion, tiers):
+        out = real_try(instance, guess, notion, tiers)
         if out is not None:
             seated.append(guess)
         return out
@@ -80,6 +82,23 @@ def test_ntcoal_blocker_demands(monkeypatch):
         assert all(len(net.supplies) == len(inst.present_pairs) == 2 for net in nets)
         rows[n] = [(len(net.supplies), len(net.slot_caps)) for net in nets]
     assert rows[60] == rows[600]
+
+
+def test_ntcoal_flow_counts_on_the_sweep_games(monkeypatch):
+    # Screened and dominated guesses never reach max_flow: sending every
+    # guess there took 943 (p0) and 953 (p1) flows on n=10 IS, and the
+    # NS flow count does not move with n.
+    nets = record_networks(monkeypatch, colors_ntcoal)
+    for profile in (0, 1):
+        nets.clear()
+        assert colors_ntcoal.solve_colors_ntcoal(sweep_game(profile, 10, 2), IS) is not None
+        assert 0 < len(nets) < 100
+        counts = []
+        for n in (16, 32, 64):
+            nets.clear()
+            colors_ntcoal.solve_colors_ntcoal(sweep_game(profile, n, 2), NS)
+            counts.append(len(nets))
+        assert counts == [counts[0]] * 3
 
 
 def own_alone_first(color):
