@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, compositions_upto, reduce_counts, singleton_palette
+from .core import Instance, TierTable, compositions_upto
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
 from .stability import IS, NS, Outcome, check_outcome, deal_outcome
@@ -66,63 +66,13 @@ class Guess:
     blockers: tuple[tuple[tuple[int, int], int], ...] = ()  # ((color, type), coalition index)
 
 
-class _Tiers:
-    """The tiers one solve reads, per type, each looked up once on first use.
-
-    own(t, comp) is the tier of a guessed coalition's palette, joined(t,
-    comp, c) that of the coalition grown by one color-c agent, pair(t, c1,
-    c2) that of a two-agent coalition and single(t, c) that of going alone.
-    """
-
-    def __init__(self, instance: Instance):
-        self._prefs = instance.prefs
-        self._gamma = instance.gamma
-        self._own: dict = {}
-        self._joined: dict = {}
-        self._pair: dict = {}
-        self._single: dict = {}
-
-    def own(self, t: int, comp: tuple[int, ...]) -> int:
-        key = (t, comp)
-        tier = self._own.get(key)
-        if tier is None:
-            tier = self._own[key] = self._prefs[t].tier_of(reduce_counts(comp))
-        return tier
-
-    def joined(self, t: int, comp: tuple[int, ...], color: int) -> int:
-        key = (t, comp, color)
-        tier = self._joined.get(key)
-        if tier is None:
-            grown = list(comp)
-            grown[color] += 1
-            tier = self._joined[key] = self._prefs[t].tier_of(reduce_counts(grown))
-        return tier
-
-    def pair(self, t: int, c1: int, c2: int) -> int:
-        key = (t, c1, c2) if c1 < c2 else (t, c2, c1)
-        tier = self._pair.get(key)
-        if tier is None:
-            counts = [0] * self._gamma
-            counts[c1] += 1
-            counts[c2] += 1
-            tier = self._pair[key] = self._prefs[t].tier_of(reduce_counts(counts))
-        return tier
-
-    def single(self, t: int, color: int) -> int:
-        key = (t, color)
-        tier = self._single.get(key)
-        if tier is None:
-            palette = singleton_palette(color, self._gamma)
-            tier = self._single[key] = self._prefs[t].tier_of(palette)
-        return tier
-
-    def seat(self, t: int, color: int, target, comps) -> int:
-        """Tier of a color-c seat: at guessed coalition target, or alone."""
-        return self.single(t, color) if target == TRIVIAL else self.own(t, comps[target])
+def _seat(tiers: TierTable, t: int, color: int, target, comps) -> int:
+    """Tier of a color-c seat: at guessed coalition target, or alone."""
+    return tiers.single(t, color) if target == TRIVIAL else tiers.own(t, comps[target])
 
 
 def _class_valid(
-    tiers: _Tiers,
+    tiers: TierTable,
     color: int,
     type_id: int,
     target,  # coalition index or TRIVIAL
@@ -136,7 +86,7 @@ def _class_valid(
             return False
     elif comps[target][color] == 0:
         return False
-    own_tier = tiers.seat(type_id, color, target, comps)
+    own_tier = _seat(tiers, type_id, color, target, comps)
     accepted = guess.accepted if notion == IS else None
     blocked = guess.blocked if notion == IS else None
 
@@ -174,7 +124,13 @@ def _compositions(instance: Instance) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def _try_flow(instance: Instance, guess: Guess, notion: str, tiers: _Tiers) -> Outcome | None:
+def _try_flow(
+    instance: Instance,
+    guess: Guess,
+    notion: str,
+    tiers: TierTable,
+    class_ok: dict[tuple[int, int, object], bool],
+) -> Outcome | None:
     """Transportation network of classes onto slots; an outcome on saturation.
 
     Rows are the instance's (color, type) classes with supply n_ct, slots
@@ -184,6 +140,10 @@ def _try_flow(instance: Instance, guess: Guess, notion: str, tiers: _Tiers) -> O
     the seat runs short or the class may not sit there.  The seat screen
     then fails the guess, before any network is built, when a row with
     supply has no valid seat left or a seat left has no valid row.
+
+    `class_ok` memoizes seat validity by (color, type, target).  Blockers
+    do not enter validity, so guesses that differ only in their blockers
+    may share one memo.
     """
     gamma = instance.gamma
     slots: list[tuple] = []
@@ -198,8 +158,6 @@ def _try_flow(instance: Instance, guess: Guess, notion: str, tiers: _Tiers) -> O
             slots.append((TRIVIAL, c))
             caps.append(guess.trivial_counts[c])
     slot_index = {s: i for i, s in enumerate(slots)}
-
-    class_ok: dict[tuple[int, int, object], bool] = {}
 
     def valid(color, type_id, target) -> bool:
         key = (color, type_id, target)
@@ -251,7 +209,7 @@ def _try_flow(instance: Instance, guess: Guess, notion: str, tiers: _Tiers) -> O
     return deal_outcome(instance, [sorted(m.items()) for m in members] + singles)
 
 
-def _dominated(tiers: _Tiers, guess: Guess, types_of_color: dict[int, list[int]]) -> bool:
+def _dominated(tiers: TierTable, guess: Guess, types_of_color: dict[int, list[int]]) -> bool:
     """Does the guess refuse color-c joiners at j when no edge needs it?
 
     Accepting them drops exactly the valid seats, other than j, of the
@@ -265,7 +223,7 @@ def _dominated(tiers: _Tiers, guess: Guess, types_of_color: dict[int, list[int]]
     for j, flags in enumerate(guess.accepted):
         for c, ok in enumerate(flags):
             if not ok and not any(
-                tiers.joined(t, comps[j], c) < tiers.seat(t, c, target, comps)
+                tiers.joined(t, comps[j], c) < _seat(tiers, t, c, target, comps)
                 and _class_valid(tiers, c, t, target, guess, IS)
                 for t in types_of_color[c]
                 for target in targets
@@ -277,7 +235,7 @@ def _dominated(tiers: _Tiers, guess: Guess, types_of_color: dict[int, list[int]]
 
 def _is_guesses(
     instance: Instance,
-    tiers: _Tiers,
+    tiers: TierTable,
     comps: tuple[tuple[int, ...], ...],
     trivial_counts: tuple[int, ...],
 ) -> Iterator[Guess | None]:
@@ -393,7 +351,7 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
     limit = search_cap(GUESS_CAP)
     d_max = min(budgets.rho2, budgets.rho1, n // 2)
     comps_all = _compositions(instance)
-    tiers = _Tiers(instance)
+    tiers = TierTable(instance)
     examined = 0
 
     for d in range(0, d_max + 1):
@@ -410,6 +368,8 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
                 )
             else:
                 guesses = _is_guesses(instance, tiers, comps, trivial_counts)
+            # Seat validity per (accepted, blocked): blocker covers share it.
+            validity: dict[tuple, dict] = {}
             for guess in guesses:
                 examined += 1
                 if examined > limit:
@@ -418,7 +378,8 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
                     )
                 if guess is None:
                     continue
-                outcome = _try_flow(instance, guess, notion, tiers)
+                class_ok = validity.setdefault((guess.accepted, guess.blocked), {})
+                outcome = _try_flow(instance, guess, notion, tiers, class_ok)
                 if outcome is not None:
                     verdict = check_outcome(instance, outcome, notion)
                     if not verdict.stable:

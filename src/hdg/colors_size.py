@@ -19,9 +19,9 @@ first feasible support is the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
-from .core import Instance, Palette, PreferenceOrder, reduce_counts, singleton_palette
+from .core import Instance, TierTable
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
 from .stability import IS, Outcome, check_outcome, deal_outcome
@@ -51,9 +51,6 @@ class CoalitionType:
         for (c, _), k in self.pair_counts:
             counts[c] += k
         return tuple(counts)
-
-    def palette(self, gamma: int) -> Palette:
-        return reduce_counts(self.color_counts(gamma))
 
 
 def enumerate_coalition_types(instance: Instance) -> list[CoalitionType]:
@@ -87,34 +84,35 @@ def enumerate_coalition_types(instance: Instance) -> list[CoalitionType]:
     return out
 
 
-def _deviation_free(
-    prefs: Mapping[int, PreferenceOrder],
-    gamma: int,
-    source: CoalitionType,
-    target: CoalitionType | None,
-    target_counts: tuple[int, ...] | None,
-    notion: str,
-) -> bool:
-    """No member of `source` wants to move to `target` (None = go alone)."""
-    src_palette = source.palette(gamma)
-    for (c, t), _ in source.pair_counts:
-        if target is None:
-            lure = singleton_palette(c, gamma)
-        else:
-            grown = list(target_counts)
-            grown[c] += 1
-            lure = reduce_counts(grown)
-        if prefs[t].tier_of(lure) >= prefs[t].tier_of(src_palette):
-            continue
-        if notion == IS and target is not None:
-            base = reduce_counts(target_counts)
-            if any(
-                prefs[t2].tier_of(base) < prefs[t2].tier_of(lure)
-                for (_, t2), _ in target.pair_counts
+class _Deviations:
+    """Deviation tests between the coalition types of one solve, read from
+    one `TierTable`.
+
+    free(i, j) says no member of type i wants to join a coalition of type
+    j (under IS: or some member of type j refuses it), and alone(i) that
+    none would rather go alone.
+    """
+
+    def __init__(self, instance: Instance, types: list[CoalitionType], notion: str):
+        self.tiers = TierTable(instance)
+        self.counts = [t.color_counts(instance.gamma) for t in types]
+        self.members = [[pair for pair, _ in t.pair_counts] for t in types]
+        self.member_types = [frozenset(t for _, t in pairs) for pairs in self.members]
+        self.notion = notion
+
+    def alone(self, i: int) -> bool:
+        own, single, counts = self.tiers.own, self.tiers.single, self.counts[i]
+        return all(single(t, c) >= own(t, counts) for c, t in self.members[i])
+
+    def free(self, i: int, j: int) -> bool:
+        tiers = self.tiers
+        src, dst = self.counts[i], self.counts[j]
+        for c, t in self.members[i]:
+            if tiers.joined(t, dst, c) < tiers.own(t, src) and not (
+                self.notion == IS and tiers.refused(dst, c, self.member_types[j])
             ):
-                continue  # some member of the target vetoes the join
-        return False
-    return True
+                return False
+        return True
 
 
 def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tuple]]:
@@ -134,19 +132,13 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
     has no over-committed row and no empty row with a positive right-hand
     side.
     """
-    prefs, gamma, b = instance.prefs, instance.gamma, instance.budgets
-    pairs = instance.present_pairs
+    b, pairs = instance.budgets, instance.present_pairs
+    all_types = enumerate_coalition_types(instance)
+    deviations = _Deviations(instance, all_types, notion)
     # Types whose members would rather go alone can never be realized.
-    types = [
-        t
-        for t in enumerate_coalition_types(instance)
-        if _deviation_free(prefs, gamma, t, None, None, notion)
-    ]
-    counts = [t.color_counts(gamma) for t in types]
-    self_ok = [
-        _deviation_free(prefs, gamma, t, t, counts[i], notion)
-        for i, t in enumerate(types)
-    ]
+    kept = [i for i in range(len(all_types)) if deviations.alone(i)]
+    types = [all_types[i] for i in kept]
+    self_ok = [deviations.free(i, i) for i in kept]
     columns = [
         tuple(t.count(p) for p in pairs) + (1, int(t.size >= 2)) for t in types
     ]
@@ -161,39 +153,56 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
         key = (i, j)
         val = compat.get(key)
         if val is None:
-            val = _deviation_free(
-                prefs, gamma, types[i], types[j], counts[j], notion
-            ) and _deviation_free(prefs, gamma, types[j], types[i], counts[i], notion)
-            compat[key] = val
+            src, dst = kept[i], kept[j]
+            val = compat[key] = deviations.free(src, dst) and deviations.free(dst, src)
         return val
 
+    # A residual is one int with a field per column coordinate, each with a
+    # guard bit above its count: subtracting a column leaves every guard
+    # bit set exactly when the column fits, and the difference is the next
+    # residual.  `placing` holds a bit per pair with agents left.
+    start = tuple(instance.n_ct[p] for p in pairs) + (b.rho1, b.rho2)
+    width = max(start).bit_length() + 1
+    count = (1 << (width - 1)) - 1
+    shifts = [f * width for f in range(len(start))]
+
+    def pack(vec) -> int:
+        return sum(u << shift for u, shift in zip(vec, shifts))
+
+    guard = pack([count + 1] * len(start))
+    packed = [pack(column) for column in columns]
+    # The pairs each type takes agents of, as (pair bit, field shift).
+    takes = [
+        [(1 << j, shifts[j]) for j in range(len(pairs)) if column[j]] for column in columns
+    ]
     budget = search_cap(SUPPORT_CAP)
     examined = 0
     chosen: list[int] = []
 
-    def walk(start: int, residual: tuple[int, ...], covered: int) -> Iterator[tuple]:
+    def walk(start: int, residual: int, placing: int, covered: int) -> Iterator[tuple]:
         nonlocal examined
         examined += 1
         if examined > budget:
             raise SearchSpaceTooLarge(
                 f"more than {budget} supports (cap via HDG_SEARCH_CAP)"
             )
-        if chosen and all(covered >> j & 1 for j in range(len(pairs)) if residual[j]):
+        if chosen and not placing & ~covered:
             reusable = [(types[i], columns[i]) for i in chosen if self_ok[i]]
-            yield [types[i] for i in chosen], reusable, residual
+            left = tuple((residual >> shift) & count for shift in shifts)
+            yield [types[i] for i in chosen], reusable, left
         for i in range(start, len(types)):
-            column = columns[i]
-            if any(u > r for u, r in zip(column, residual)):
+            rest = residual - packed[i]
+            if rest & guard != guard or not all(compatible(j, i) for j in chosen):
                 continue
-            if not all(compatible(j, i) for j in chosen):
-                continue
+            still = placing
+            for bit, shift in takes[i]:
+                if not (rest >> shift) & count:
+                    still &= ~bit
             chosen.append(i)
-            left = tuple(r - u for r, u in zip(residual, column))
-            yield from walk(i + 1, left, covered | covers[i])
+            yield from walk(i + 1, rest, still, covered | covers[i])
             chosen.pop()
 
-    start = tuple(instance.n_ct[p] for p in pairs) + (b.rho1, b.rho2)
-    yield from walk(0, start, 0)
+    yield from walk(0, guard + pack(start), (1 << len(pairs)) - 1, 0)
 
 
 def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:

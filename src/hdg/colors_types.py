@@ -22,7 +22,15 @@ entries of packing it twice.  So singletons are never searched: the
 search is breadth-first over the non-trivial candidates, at most rho2
 levels deep, on states (residual counts per (color, type), viability),
 and closes every state by sending each leftover agent alone, which rho1
-must allow.  `STATES_CAP` bounds the number of distinct states kept.
+must allow.  `STATES_CAP` bounds the number of candidates and of distinct
+states kept.
+
+A rank is a negated tier, so higher is better.  Every comparison the
+search makes depends only on the order of ranks, so any order-preserving
+values would give the same entries, states and witness.  The static data
+of one (pair, candidate) is filled on first use: the search's first level
+tries every candidate from the start state, and most of them die on their
+first pairs, so it reads well under half of that table.
 
 Branched C1 palettes are additionally required to sit weakly above the
 agent's own singleton palette: any packing certified with a C1 below the
@@ -36,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import islice
 
-from .core import Instance, Palette, compositions_upto, reduce_counts, singleton_palette
+from .core import Instance, TierTable, compositions_upto
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .stability import IS, Outcome, check_outcome, deal_outcome
 
@@ -44,94 +52,66 @@ STATES_CAP = 400_000
 
 
 # --------------------------------------------------------------------------
-# Shared candidate/rank precomputation.
+# Candidates, theta ranks and static per-candidate data.
 # --------------------------------------------------------------------------
 
 
-def _order_values(tier_of, universe) -> dict[Palette, int]:
-    """Dense order values over a palette universe; higher = better."""
-    tiers = {p: tier_of(p) for p in universe}
-    dense = {t: i for i, t in enumerate(sorted(set(tiers.values()), reverse=True))}
-    return {p: dense[t] for p, t in tiers.items()}
-
-
 class _Setup:
+    """What the search reads of one instance: the candidates, each pair's
+    theta ranks and singleton rank, and per pair and candidate a static
+    cell filled on first use.  All tiers come from one `TierTable`.
+    """
+
     def __init__(self, instance: Instance, notion: str):
         self.instance = instance
         self.notion = notion
         self.pairs: list[tuple[int, int]] = list(instance.present_pairs)
         self.n_vec = tuple(instance.n_ct[p] for p in self.pairs)
-        self.sigma = min(instance.budgets.sigma, instance.n)
+        sigma = min(instance.budgets.sigma, instance.n)
         limit = search_cap(STATES_CAP)
-        self.candidates = list(islice(compositions_upto(self.n_vec, self.sigma), limit + 1))
+        self.candidates = list(islice(compositions_upto(self.n_vec, sigma), limit + 1))
         if len(self.candidates) > limit:
             raise SearchSpaceTooLarge(
                 f"more than {limit} candidate coalitions (cap via HDG_SEARCH_CAP)"
             )
-        self._build_rank_tables()
-
-    def _build_rank_tables(self):
-        inst = self.instance
-        # Palettes a branched worst/second-worst may take: everything some
-        # coalition within the size budget can realize with that color.
-        theta_by_color: dict[int, set[Palette]] = {c: set() for c in range(inst.gamma)}
-        limit = search_cap(STATES_CAP)
-        for scanned, counts in enumerate(compositions_upto(inst.class_sizes, self.sigma)):
-            if scanned > limit:
-                raise SearchSpaceTooLarge(
-                    f"more than {limit} realizable compositions (cap via HDG_SEARCH_CAP)"
-                )
-            p = reduce_counts(counts)
-            for c in range(inst.gamma):
-                if counts[c] > 0:
-                    theta_by_color[c].add(p)
-
-        plus_by_pair: dict[int, set[Palette]] = {i: set() for i in range(len(self.pairs))}
-        self.cand_palette: list[Palette] = []
-        self.cand_plus: list[list[Palette]] = []
-        for vec in self.candidates:
-            counts = [0] * inst.gamma
-            for (c, _), k in zip(self.pairs, vec):
-                counts[c] += k
-            self.cand_palette.append(reduce_counts(counts))
-            row = []
-            for i, (c, _) in enumerate(self.pairs):
-                counts[c] += 1
-                row.append(reduce_counts(counts))
-                counts[c] -= 1
-                plus_by_pair[i].add(row[-1])
-            self.cand_plus.append(row)
-
-        # Joint dense ranks per pair over branch palettes and plus-palettes.
-        self.rank: list[dict[Palette, int]] = []
+        self.tiers = TierTable(instance)
+        # Pairs are sorted by color, so each color's pairs are one slice.
+        edges = [bisect_left(self.pairs, (c,)) for c in range(instance.gamma + 1)]
+        spans = list(zip(edges, edges[1:]))
+        self.cand_counts = [
+            tuple([sum(vec[a:b]) for a, b in spans]) for vec in self.candidates
+        ]
+        # Palettes a branched worst/second-worst may take: those of every
+        # coalition within the size budget that holds the color.  A
+        # color's count splits freely over its pairs, so these are the
+        # candidates' color-count vectors.
+        vectors = list(dict.fromkeys(self.cand_counts))
+        own = self.tiers.own
         self.theta_ranks: list[list[int]] = []
         self.singleton_rank: list[int] = []
-        for i, (c, t) in enumerate(self.pairs):
-            universe = theta_by_color[c] | plus_by_pair[i]
-            values = _order_values(inst.prefs[t].tier_of, sorted(universe))
-            self.rank.append(values)
-            self.theta_ranks.append(sorted({values[p] for p in theta_by_color[c]}))
-            self.singleton_rank.append(values[singleton_palette(c, inst.gamma)])
+        for c, t in self.pairs:
+            self.theta_ranks.append(sorted({-own(t, v) for v in vectors if v[c]}))
+            self.singleton_rank.append(-self.tiers.single(t, c))
+        # Per pair and candidate: (in it, rank of its palette, rank once one
+        # more agent of the pair joins, whether that agent may not join).
+        self.cand_static: list[list[tuple[bool, int | None, int, bool] | None]] = [
+            [None] * len(self.candidates) for _ in self.pairs
+        ]
 
-        # Static per-candidate, per-pair condition data.
-        self.cand_static: list[list[tuple[bool, int, int, bool]]] = []
-        for idx, vec in enumerate(self.candidates):
-            pal = self.cand_palette[idx]
-            present_types = {t for (c, t), k in zip(self.pairs, vec) if k >= 1}
-            row = []
-            for i, (c, t) in enumerate(self.pairs):
-                in_s = vec[i] >= 1
-                r_c = self.rank[i][pal] if in_s else -1
-                r_plus = self.rank[i][self.cand_plus[idx][i]]
-                escape = vec[i] == self.n_vec[i]
-                if not escape and self.notion == IS:
-                    plus = self.cand_plus[idx][i]
-                    escape = any(
-                        inst.prefs[t2].tier_of(pal) < inst.prefs[t2].tier_of(plus)
-                        for t2 in present_types
-                    )
-                row.append((in_s, r_c, r_plus, escape))
-            self.cand_static.append(row)
+    def cell(self, i: int, idx: int) -> tuple[bool, int | None, int, bool]:
+        """The static data of pair i and candidate idx, filled and kept."""
+        vec, counts = self.candidates[idx], self.cand_counts[idx]
+        c, t = self.pairs[i]
+        k = vec[i]
+        escape = k == self.n_vec[i]
+        tiers = self.tiers
+        if not escape and self.notion == IS:
+            members = frozenset(t2 for (_, t2), k2 in zip(self.pairs, vec) if k2)
+            escape = tiers.refused(counts, c, members)
+        cell = self.cand_static[i][idx] = (
+            k > 0, -tiers.own(t, counts) if k else None, -tiers.joined(t, counts, c), escape
+        )
+        return cell
 
     def theta_in(self, i: int, lo: int, hi: int) -> bool:
         ranks = self.theta_ranks[i]
@@ -159,7 +139,7 @@ def _initial_entries(setup: _Setup, i: int) -> Entries:
 def _apply_candidate(
     setup: _Setup, i: int, entries: Entries, cand_idx: int
 ) -> Entries:
-    in_s, r_c, r_plus, escape = setup.cand_static[cand_idx][i]
+    in_s, r_c, r_plus, escape = setup.cand_static[i][cand_idx] or setup.cell(i, cand_idx)
     out = []
     for t2, w, lo, hi in entries:
         w_c = 1 if in_s and r_c < t2 else 0

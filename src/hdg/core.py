@@ -645,6 +645,80 @@ def palette_of(coalition: Iterable[int], instance: Instance) -> Palette:
 
 
 # --------------------------------------------------------------------------
+# Per-solve tier table.
+# --------------------------------------------------------------------------
+
+
+class TierTable:
+    """The tiers one solve reads, each looked up with `tier_of` once, on
+    first use.
+
+    Keys are raw color-count tuples, so a repeated lookup is one dict hit
+    with no `reduce_counts`.  own(t, counts) is the tier of a coalition
+    with these color counts, joined(t, counts, c) that of the coalition
+    grown by one color-c agent, pair(t, c1, c2) that of a two-agent
+    coalition and single(t, c) that of going alone.  Every miss goes
+    through `own`, so each (type, count vector) costs one `tier_of` call.
+    refused(counts, c, members) is the individual-stability veto: some
+    member type would rather the coalition stayed as it is than took in a
+    color-c agent.
+    """
+
+    __slots__ = ("_prefs", "_gamma", "_own", "_joined", "_pair", "_single", "_refused")
+
+    def __init__(self, instance: Instance):
+        self._prefs = instance.prefs
+        self._gamma = instance.gamma
+        self._own: dict[tuple[int, tuple[int, ...]], int] = {}
+        self._joined: dict[tuple[int, tuple[int, ...], int], int] = {}
+        self._pair: dict[tuple[int, int, int], int] = {}
+        self._single: dict[tuple[int, int], int] = {}
+        self._refused: dict[tuple[tuple[int, ...], int, frozenset[int]], bool] = {}
+
+    def own(self, t: int, counts: tuple[int, ...]) -> int:
+        key = (t, counts)
+        tier = self._own.get(key)
+        if tier is None:
+            tier = self._own[key] = self._prefs[t].tier_of(reduce_counts(counts))
+        return tier
+
+    def joined(self, t: int, counts: tuple[int, ...], color: int) -> int:
+        key = (t, counts, color)
+        tier = self._joined.get(key)
+        if tier is None:
+            grown = list(counts)
+            grown[color] += 1
+            tier = self._joined[key] = self.own(t, tuple(grown))
+        return tier
+
+    def pair(self, t: int, c1: int, c2: int) -> int:
+        key = (t, c1, c2) if c1 < c2 else (t, c2, c1)
+        tier = self._pair.get(key)
+        if tier is None:
+            counts = [0] * self._gamma
+            counts[c1] += 1
+            counts[c2] += 1
+            tier = self._pair[key] = self.own(t, tuple(counts))
+        return tier
+
+    def single(self, t: int, color: int) -> int:
+        key = (t, color)
+        tier = self._single.get(key)
+        if tier is None:
+            tier = self._single[key] = self.own(t, singleton_palette(color, self._gamma))
+        return tier
+
+    def refused(self, counts: tuple[int, ...], color: int, members: frozenset[int]) -> bool:
+        key = (counts, color, members)
+        hit = self._refused.get(key)
+        if hit is None:
+            hit = self._refused[key] = any(
+                self.own(t, counts) < self.joined(t, counts, color) for t in members
+            )
+        return hit
+
+
+# --------------------------------------------------------------------------
 # Palette universes.
 # --------------------------------------------------------------------------
 

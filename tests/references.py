@@ -3,9 +3,10 @@
 * Literal, per-branch forms of the parameterized solvers.  Each solver
   decides its branches implicitly (colors-types defers the branch choice
   into one DP, colors-size prunes supports during its walk, colors-ntcoal
-  memoizes tiers, screens seats and passes over dominated refinements).
-  The functions here spell one branch out at a time on top of the solver's
-  own building blocks, so tests can check those blocks against the
+  screens seats and passes over dominated refinements), and all three
+  read tiers from one per-solve `TierTable`.  The functions here spell one
+  branch out at a time and read every tier straight off its palette with
+  `tier_of`, so tests can check the solvers' building blocks against the
   definitions on tiny inputs; colors-ntcoal's guess walk is spelled out
   whole, every guess straight to `max_flow`.
 * The agent-level enumeration of budget-respecting partitions, the
@@ -25,9 +26,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from hdg.colors_ntcoal import TRIVIAL, Guess, _compositions
-from hdg.colors_size import CoalitionType, _deviation_free, enumerate_coalition_types
-from hdg.colors_types import _Setup
-from hdg.core import Instance, Palette, reduce_counts, singleton_palette
+from hdg.colors_size import CoalitionType, enumerate_coalition_types
+from hdg.core import (
+    Instance,
+    Palette,
+    PreferenceOrder,
+    compositions_upto,
+    reduce_counts,
+    singleton_palette,
+)
 from hdg.errors import SearchSpaceTooLarge
 from hdg.ilp import ILPSystem, feasible
 from hdg.maxflow import FlowNetwork, max_flow
@@ -120,23 +127,42 @@ def coalition_compatible(
     return True
 
 
+def theta_palettes(instance: Instance) -> dict[int, set[Palette]]:
+    """Per color, the palettes of every coalition within the size budget
+    that holds the color: the worst and second-worst palettes a branch may
+    choose for that color's agents."""
+    sigma = min(instance.budgets.sigma, instance.n)
+    theta: dict[int, set[Palette]] = {c: set() for c in range(instance.gamma)}
+    for counts in compositions_upto(instance.class_sizes, sigma):
+        p = reduce_counts(counts)
+        for c, k in enumerate(counts):
+            if k:
+                theta[c].add(p)
+    return theta
+
+
 def worst_pair_branches(instance: Instance) -> Iterator[WorstPair]:
-    """All branched worst/second-worst palette choices, one class rep each."""
-    setup = _Setup(instance, NS)
+    """All branched worst/second-worst palette choices, one palette per
+    tier, worst tiers first; the worst never below going alone."""
+    theta = theta_palettes(instance)
+    pairs = instance.present_pairs
     per_pair: list[list[tuple[Palette, Palette]]] = []
-    for i, (c, t) in enumerate(setup.pairs):
+    for c, t in pairs:
+        tier_of = instance.prefs[t].tier_of
         reps: dict[int, Palette] = {}
-        for p in sorted(setup.rank[i]):
-            reps.setdefault(setup.rank[i][p], p)
-        s0 = setup.singleton_rank[i]
-        options = []
-        for t1 in setup.theta_ranks[i]:
-            if t1 < s0:
-                continue
-            for t2 in setup.theta_ranks[i]:
-                if t2 >= t1:
-                    options.append((reps[t1], reps[t2]))
-        per_pair.append(options)
+        for p in sorted(theta[c]):
+            reps.setdefault(tier_of(p), p)
+        alone = tier_of(singleton_palette(c, instance.gamma))
+        worst_first = sorted(reps, reverse=True)
+        per_pair.append(
+            [
+                (reps[t1], reps[t2])
+                for t1 in worst_first
+                if t1 <= alone
+                for t2 in worst_first
+                if t2 <= t1
+            ]
+        )
 
     total = 1
     for options in per_pair:
@@ -145,13 +171,13 @@ def worst_pair_branches(instance: Instance) -> Iterator[WorstPair]:
             raise SearchSpaceTooLarge(f"{total}+ worst-pair branches")
 
     def rec(i: int, acc: dict):
-        if i == len(setup.pairs):
+        if i == len(pairs):
             yield WorstPair(dict(acc))
             return
         for c1, c2 in per_pair[i]:
-            acc[setup.pairs[i]] = (c1, c2)
+            acc[pairs[i]] = (c1, c2)
             yield from rec(i + 1, acc)
-        acc.pop(setup.pairs[i], None)
+        acc.pop(pairs[i], None)
 
     yield from rec(0, {})
 
@@ -160,19 +186,22 @@ def branch_reaches_target(
     instance: Instance, worst_pairs: WorstPair, notion: str
 ) -> bool:
     """Pattern DP for one explicit branch: is a full packing realizable?"""
-    setup = _Setup(instance, notion)
-    pairs = setup.pairs
-    n_vec = setup.n_vec
+    pairs = instance.present_pairs
+    n_vec = tuple(instance.n_ct[p] for p in pairs)
+    candidates = list(compositions_upto(n_vec, min(instance.budgets.sigma, instance.n)))
     realized = {((0,) * len(pairs), (0,) * len(pairs), 0, 0)}
     frontier = deque(realized)
     while frontier:
         a, w, r, l = frontier.popleft()
         pattern = Pattern(dict(zip(pairs, a)), dict(zip(pairs, w)), r, l)
-        for idx, vec in enumerate(setup.candidates):
+        for vec in candidates:
             candidate = {pair: k for pair, k in zip(pairs, vec) if k >= 1}
             if not coalition_compatible(candidate, pattern, worst_pairs, instance, notion):
                 continue
-            pal = setup.cand_palette[idx]
+            counts = [0] * instance.gamma
+            for (c, _), k in candidate.items():
+                counts[c] += k
+            pal = reduce_counts(counts)
             new_w = list(w)
             for i, (c, t) in enumerate(pairs):
                 tier_of = instance.prefs[t].tier_of
@@ -191,6 +220,40 @@ def branch_reaches_target(
             realized.add(new)
             frontier.append(new)
     return False
+
+
+def candidate_rows(instance: Instance, notion: str) -> list[list[tuple[bool, int, int, bool]]]:
+    """colors-types' static data, eagerly and straight from `tier_of`.
+
+    One row per candidate (count vectors over the present pairs within the
+    size budget, in `compositions_upto` order), one entry per pair: whether
+    the pair is in the candidate, the tier of its palette and of its
+    palette once one more agent of the pair joins, and whether that agent
+    may not join: the candidate holds every agent of the pair or, under
+    IS, some member type prefers the candidate as it is.
+    """
+    prefs, gamma = instance.prefs, instance.gamma
+    pairs = instance.present_pairs
+    n_vec = tuple(instance.n_ct[p] for p in pairs)
+    rows = []
+    for vec in compositions_upto(n_vec, min(instance.budgets.sigma, instance.n)):
+        counts = [0] * gamma
+        for (c, _), k in zip(pairs, vec):
+            counts[c] += k
+        palette = reduce_counts(counts)
+        members = {t for (_, t), k in zip(pairs, vec) if k}
+        row = []
+        for i, (c, t) in enumerate(pairs):
+            grown = list(counts)
+            grown[c] += 1
+            plus = reduce_counts(grown)
+            refused = vec[i] == n_vec[i] or (
+                notion == IS
+                and any(prefs[t2].tier_of(palette) < prefs[t2].tier_of(plus) for t2 in members)
+            )
+            row.append((vec[i] >= 1, prefs[t].tier_of(palette), prefs[t].tier_of(plus), refused))
+        rows.append(row)
+    return rows
 
 
 def solve_colors_types_branchwise(instance: Instance, notion: str) -> bool:
@@ -218,6 +281,36 @@ class Branch:
         return [t for t, k in self.pi.items() if k >= 1]
 
 
+def deviation_free(
+    prefs: Mapping[int, PreferenceOrder],
+    gamma: int,
+    source: CoalitionType,
+    target: CoalitionType | None,
+    notion: str,
+) -> bool:
+    """No member of `source` wants to move to `target` (None = go alone),
+    read straight off each palette with `tier_of`."""
+    src_palette = reduce_counts(source.color_counts(gamma))
+    for (c, t), _ in source.pair_counts:
+        if target is None:
+            lure = singleton_palette(c, gamma)
+        else:
+            grown = list(target.color_counts(gamma))
+            grown[c] += 1
+            lure = reduce_counts(grown)
+        if prefs[t].tier_of(lure) >= prefs[t].tier_of(src_palette):
+            continue
+        if notion == IS and target is not None:
+            base = reduce_counts(target.color_counts(gamma))
+            if any(
+                prefs[t2].tier_of(base) < prefs[t2].tier_of(lure)
+                for (_, t2), _ in target.pair_counts
+            ):
+                continue  # some member of the target vetoes the join
+        return False
+    return True
+
+
 def branch_is_stable(instance: Instance, branch: Branch, notion: str) -> bool:
     """Whether every outcome respecting the branch is stable.
 
@@ -227,14 +320,13 @@ def branch_is_stable(instance: Instance, branch: Branch, notion: str) -> bool:
     """
     prefs, gamma = instance.prefs, instance.gamma
     realized = branch.realized()
-    counts = {t: t.color_counts(gamma) for t in realized}
     for src in realized:
-        if not _deviation_free(prefs, gamma, src, None, None, notion):
+        if not deviation_free(prefs, gamma, src, None, notion):
             return False
         for dst in realized:
             if dst == src and branch.pi[dst] != TWO_PLUS:
                 continue
-            if not _deviation_free(prefs, gamma, src, dst, counts[dst], notion):
+            if not deviation_free(prefs, gamma, src, dst, notion):
                 return False
     return True
 

@@ -9,10 +9,9 @@ from hdg.colors_ntcoal import (
     Guess,
     _class_valid,
     _compositions,
-    _Tiers,
     solve_colors_ntcoal,
 )
-from hdg.core import TierList, make_instance
+from hdg.core import TierList, TierTable, make_instance
 from hdg.errors import SearchSpaceTooLarge
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
@@ -130,7 +129,7 @@ def test_seat_test_matches_reference():
     verdicts = []
     for _ in range(150):
         inst = random_instance(rng, GenCaps(n=7), own_color=rng.random() < 0.3)
-        tiers = _Tiers(inst)  # one memo across guesses, as within a solve
+        tiers = TierTable(inst)  # one memo across guesses, as within a solve
         for _ in range(5):
             guess = random_guess(rng, inst)
             for notion in (NS, IS):
@@ -199,3 +198,31 @@ def test_guess_cap_counts_every_generated_guess(monkeypatch, game, notion):
     monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", examined - 1)
     with pytest.raises(SearchSpaceTooLarge):
         solve_colors_ntcoal(inst, notion)
+
+
+@pytest.mark.parametrize("profile", [0, 1])
+def test_blocker_covers_share_seat_validity(monkeypatch, profile):
+    # Blockers do not enter seat validity, so across the guesses one
+    # composition guess refines into, the flow tests each seat of each
+    # (accepted, blocked) pair once, whatever the blocker cover.
+    inst = sweep_game(profile, 10, 2)
+    seats = []
+    inside = [False]
+    real_valid, real_try = colors_ntcoal._class_valid, colors_ntcoal._try_flow
+
+    def valid(tiers, color, type_id, target, guess, notion):
+        if inside[0]:
+            seats.append((guess.compositions, guess.accepted, guess.blocked, color, type_id, target))
+        return real_valid(tiers, color, type_id, target, guess, notion)
+
+    def trying(*args):
+        inside[0] = True
+        try:
+            return real_try(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(colors_ntcoal, "_class_valid", valid)
+    monkeypatch.setattr(colors_ntcoal, "_try_flow", trying)
+    assert solve_colors_ntcoal(inst, IS) == ntcoal_walk(inst, IS)[0]
+    assert len(seats) > 500 and len(seats) == len(set(seats))

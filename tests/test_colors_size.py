@@ -13,7 +13,13 @@ from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
 from fixtures import example1, sweep_game
-from references import TWO_PLUS, Branch, branch_is_stable, some_branch_is_feasible
+from references import (
+    TWO_PLUS,
+    Branch,
+    branch_is_stable,
+    deviation_free,
+    some_branch_is_feasible,
+)
 
 
 def multiset_oracle(pairs, caps, sigma):
@@ -230,3 +236,29 @@ def test_support_cap(monkeypatch):
     monkeypatch.setattr(colors_size, "SUPPORT_CAP", 2)
     with pytest.raises(SearchSpaceTooLarge, match="HDG_SEARCH_CAP"):
         solve_colors_size(example1(), NS)
+
+
+def test_deviation_tests_match_the_tier_of_reference():
+    # The table-read tests agree with the reference read straight off each
+    # palette with tier_of, for every (source, target) pair of realizable
+    # types, a type against itself and against going alone included.
+    rng = random.Random(8086)
+    verdicts = {NS: [], IS: []}
+    for trial in range(60):
+        inst = random_instance(rng, GenCaps(n=7), own_color=trial % 3 == 0)
+        types = enumerate_coalition_types(inst)
+        for notion in (NS, IS):
+            deviations = colors_size._Deviations(inst, types, notion)
+            for i, src in enumerate(types):
+                got = deviations.alone(i)
+                assert got == deviation_free(inst.prefs, inst.gamma, src, None, notion)
+                for j, dst in enumerate(types):
+                    got = deviations.free(i, j)
+                    assert got == deviation_free(inst.prefs, inst.gamma, src, dst, notion), (
+                        inst, notion, src, dst,
+                    )
+                    verdicts[notion].append(got)
+    ns, is_ = verdicts[NS], verdicts[IS]
+    assert len(ns) > 5000 and 0.1 < sum(ns) / len(ns) < 0.9
+    # Vetoes turn some NS deviations into IS-free joins, never the reverse.
+    assert all(a <= b for a, b in zip(ns, is_)) and sum(is_) > sum(ns)

@@ -1,6 +1,8 @@
 import random
 from itertools import permutations
 
+import pytest
+
 from hdg.brute import solve_brute
 from hdg import colors_types
 from hdg.colors_types import (
@@ -10,7 +12,8 @@ from hdg.colors_types import (
     _Viabilities,
     solve_colors_types,
 )
-from hdg.core import TierList, make_instance, palette_of, reduce_counts
+from hdg.core import TierList, make_instance, palette_of, reduce_counts, singleton_palette
+from hdg.errors import SearchSpaceTooLarge
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
@@ -19,8 +22,10 @@ from references import (
     Pattern,
     WorstPair,
     branch_reaches_target,
+    candidate_rows,
     coalition_compatible,
     solve_colors_types_branchwise,
+    theta_palettes,
 )
 
 
@@ -314,3 +319,52 @@ def test_binding_rho1_agrees_with_brute_force():
             assert (got is not None) == want, (trial, inst.budgets, notion)
             answers.add((notion, want))
     assert answers == {(nt, yes) for nt in (NS, IS) for yes in (True, False)}
+
+
+def test_lazy_cells_order_values_as_tier_of_does():
+    # Every cell, filled on first use in a random order, holds the same
+    # flags as an eager table read straight off each palette with tier_of,
+    # and its rank values (with the theta and singleton ranks) order every
+    # pair of values as the tiers do, reversed: rank -> tier is one-to-one
+    # and decreasing.
+    rng = random.Random(5150)
+    cells = refused = 0
+    for trial in range(100):
+        inst = random_instance(rng, GenCaps(n=7), own_color=trial % 3 == 0)
+        theta = theta_palettes(inst)
+        for notion in (NS, IS):
+            setup = _Setup(inst, notion)
+            want = candidate_rows(inst, notion)
+            assert len(want) == len(setup.candidates)
+            order = [(i, k) for i in range(len(setup.pairs)) for k in range(len(want))]
+            rng.shuffle(order)
+            for i, k in order:
+                setup.cell(i, k)
+            for i, (c, t) in enumerate(setup.pairs):
+                tier_of = inst.prefs[t].tier_of
+                tiers = {setup.singleton_rank[i]: tier_of(singleton_palette(c, inst.gamma))}
+                for k, row in enumerate(want):
+                    in_s, r_c, r_plus, escape = setup.cand_static[i][k]
+                    want_in, want_own, want_plus, want_escape = row[i]
+                    assert (in_s, escape) == (want_in, want_escape), (inst, notion, i, k)
+                    for value, tier in ((r_c, want_own), (r_plus, want_plus))[not in_s:]:
+                        assert tiers.setdefault(value, tier) == tier, (inst, notion, i, k)
+                    cells += 1
+                    refused += escape
+                ranked = sorted(tiers.items())
+                assert all(a[1] > b[1] for a, b in zip(ranked, ranked[1:])), (inst, notion, i)
+                assert {tiers[v] for v in setup.theta_ranks[i]} == {tier_of(p) for p in theta[c]}
+    assert cells > 5000 and 0.1 < refused / cells < 0.9, (cells, refused)
+
+
+def test_candidate_cap(monkeypatch):
+    # The candidates are the one enumeration the set-up makes; the cap on
+    # them is the only guard before the search.
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    inst = example1()
+    total = len(_Setup(inst, NS).candidates)
+    monkeypatch.setattr(colors_types, "STATES_CAP", total)
+    assert len(_Setup(inst, NS).candidates) == total
+    monkeypatch.setattr(colors_types, "STATES_CAP", total - 1)
+    with pytest.raises(SearchSpaceTooLarge, match="candidate coalitions"):
+        solve_colors_types(inst, NS)

@@ -62,8 +62,8 @@ def test_ntcoal_blocker_demands(monkeypatch):
     seated = []
     real_try = colors_ntcoal._try_flow
 
-    def trying(instance, guess, notion, tiers):
-        out = real_try(instance, guess, notion, tiers)
+    def trying(instance, guess, *rest):
+        out = real_try(instance, guess, *rest)
         if out is not None:
             seated.append(guess)
         return out

@@ -8,7 +8,8 @@ benchmark in `perfbench/` names is an `hdg` export, and every entry point
 its traced mode hooks exists.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
 a set of cached properties on `Instance`.  Every layer reads preferences
-through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
+through `tier_of`, which only `core.TierList` and `core.NamedFamily` define,
+and the table solvers read each tier through one `core.TierTable` a solve.
 """
 
 import argparse
@@ -16,13 +17,18 @@ import ast
 import functools
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import hdg
 import hdg.core
-from hdg import bench, cli
+from hdg import bench, cli, colors_size, colors_types
+from hdg.core import NamedFamily, TierList
 from hdg.errors import search_cap
-from hdg.stability import NS, Outcome
+from hdg.reductions import from_x3c
+from hdg.stability import IS, NS, Outcome
 
 from fixtures import example1
 
@@ -149,7 +155,7 @@ def test_perfbench_trace_hooks_resolve():
     # perfbench/tracing.py hooks these (module, attribute) entries where
     # callers look them up; a rewrite that drops one would silently lose
     # its layer's spans or counts.  `hdg.prefs` is gone; its hook awaits
-    # removal from the benchmark (ROADMAP, open item 5).
+    # removal from the benchmark (ROADMAP, open item 6).
     entries = _perfbench_constant("tracing.py", "SPAN_HOOKS")
     entries += _perfbench_constant("tracing.py", "COUNT_HOOKS")
     missing = set()
@@ -215,3 +221,40 @@ def test_tier_of_is_the_only_preference_oracle():
     assert not [m for m in methods if m[2] in ("tier", "prefers")]
     assert "prefs" not in {info.name for info in pkgutil.iter_modules(hdg.__path__)}
     assert not hasattr(hdg, "compare")
+
+
+@pytest.mark.parametrize("notion", [NS, IS])
+@pytest.mark.parametrize(
+    "module, solve",
+    [(colors_types, colors_types.solve_colors_types), (colors_size, colors_size.solve_colors_size)],
+    ids=["colors-types", "colors-size"],
+)
+def test_a_solve_reads_each_tier_once(monkeypatch, module, solve, notion):
+    # The solver's tier_of calls, not counting its witness re-check: a
+    # palette p is read at most once per count vector k*p a coalition or
+    # a coalition plus one joiner can have.
+    inst = from_x3c([1, 2, 3, 4, 5, 6], [[1, 2, 3], [4, 5, 6], [1, 2, 4]])
+    calls: Counter = Counter()
+    counting = [True]
+    for cls in (TierList, NamedFamily):
+        def tier_of(self, palette, _read=cls.tier_of):
+            if counting[0]:
+                calls[id(self), palette] += 1
+            return _read(self, palette)
+
+        monkeypatch.setattr(cls, "tier_of", tier_of)
+    check = module.check_outcome
+
+    def uncounted_check(*args):
+        counting[0] = False
+        try:
+            return check(*args)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(module, "check_outcome", uncounted_check)
+    assert solve(inst, notion) is not None
+    types_of = Counter(id(order) for order in inst.prefs.values())
+    most = inst.budgets.sigma + 1
+    assert len(calls) > 100
+    assert all(k <= types_of[order] * (most // sum(p)) for (order, p), k in calls.items())
