@@ -25,6 +25,13 @@ order of the plain walk, so the first saturating guess is the same:
 * Seat screen: a row with supply but no valid seat, or a seat with room
   but no valid row, fails the guess; edges stay within a color and per
   color the supplies equal the seats, so a saturating flow uses both.
+* IS family screen: before the refinements of a composition guess are
+  built, one relaxed network tests them all, and then one tests each
+  non-empty refused set.  Its seat rule (`_lures`) keeps only what every
+  refinement of the family that could saturate also demands, and it has
+  no blocker demands, so when it cannot seat everyone (seat screen, then
+  max-flow) no refinement of the family saturates.  Skipped when the
+  composition guess has a single refinement.
 * IS refusal dominance: a refinement that refuses color-c joiners at j
   when accepting them would drop no edge is passed over; the refinement
   accepting them, with fewer blockers, comes earlier on the same edges
@@ -35,8 +42,9 @@ order of the plain walk, so the first saturating guess is the same:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Collection, Iterator
 
 from .core import Instance, TierTable, compositions_upto
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
@@ -124,6 +132,55 @@ def _compositions(instance: Instance) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def _seats(
+    comps: tuple[tuple[int, ...], ...], trivial_counts: tuple[int, ...]
+) -> tuple[list[tuple], list[int]]:
+    """The (coalition, color) and (trivial, color) seats with room."""
+    slots: list[tuple] = []
+    caps: list[int] = []
+    for j, comp in enumerate(comps):
+        for c, room in enumerate(comp):
+            if room > 0:
+                slots.append((j, c))
+                caps.append(room)
+    for c, room in enumerate(trivial_counts):
+        if room > 0:
+            slots.append((TRIVIAL, c))
+            caps.append(room)
+    return slots, caps
+
+
+def _saturating_flow(
+    rows: tuple[tuple[int, int], ...],
+    supplies: list[int],
+    slots: list[tuple],
+    caps: list[int],
+    valid: Callable[[int, int, object], bool],
+) -> dict[tuple[int, int], int] | None:
+    """Seat screen, then `max_flow`: the flow when it seats every row.
+
+    The screen fails a network, before it is built, when a row with supply
+    has no valid seat or a seat with room has no valid row: edges stay
+    within a color and per color the supplies equal the seats, so a
+    saturating flow uses both.
+    """
+    edges = set()
+    filled = [cap == 0 for cap in caps]
+    for r, (color, type_id) in enumerate(rows):
+        seated = supplies[r] == 0
+        for s, (target, c) in enumerate(slots):
+            if c == color and valid(color, type_id, target):
+                edges.add((r, s))
+                if supplies[r] and caps[s]:
+                    seated = filled[s] = True
+        if not seated:
+            return None
+    if not all(filled):
+        return None
+    value, flow = max_flow(FlowNetwork(tuple(supplies), tuple(caps), frozenset(edges)))
+    return flow if value == sum(supplies) else None
+
+
 def _try_flow(
     instance: Instance,
     guess: Guess,
@@ -137,26 +194,14 @@ def _try_flow(
     the (coalition, color) and (trivial, color) seats with their counts.
     Blocker demands are seated first: each takes one agent of its class
     and one seat of its coalition, and fails the guess when the class or
-    the seat runs short or the class may not sit there.  The seat screen
-    then fails the guess, before any network is built, when a row with
-    supply has no valid seat left or a seat left has no valid row.
+    the seat runs short or the class may not sit there.  The rest goes
+    through the seat screen and `max_flow`.
 
     `class_ok` memoizes seat validity by (color, type, target).  Blockers
     do not enter validity, so guesses that differ only in their blockers
     may share one memo.
     """
-    gamma = instance.gamma
-    slots: list[tuple] = []
-    caps: list[int] = []
-    for j, comp in enumerate(guess.compositions):
-        for c in range(gamma):
-            if comp[c] > 0:
-                slots.append((j, c))
-                caps.append(comp[c])
-    for c in range(gamma):
-        if guess.trivial_counts[c] > 0:
-            slots.append((TRIVIAL, c))
-            caps.append(guess.trivial_counts[c])
+    slots, caps = _seats(guess.compositions, guess.trivial_counts)
     slot_index = {s: i for i, s in enumerate(slots)}
 
     def valid(color, type_id, target) -> bool:
@@ -179,22 +224,8 @@ def _try_flow(
         if supplies[r] < 0 or caps[s] < 0:
             return None
 
-    edges = set()
-    filled = [cap == 0 for cap in caps]
-    for r, (color, type_id) in enumerate(rows):
-        seated = supplies[r] == 0
-        for s, (target, c) in enumerate(slots):
-            if c == color and valid(color, type_id, target):
-                edges.add((r, s))
-                if supplies[r] and caps[s]:
-                    seated = filled[s] = True
-        if not seated:
-            return None
-    if not all(filled):
-        return None
-    net = FlowNetwork(tuple(supplies), tuple(caps), frozenset(edges))
-    value, flow = max_flow(net)
-    if value != sum(supplies):
+    flow = _saturating_flow(rows, supplies, slots, caps, valid)
+    if flow is None:
         return None
     members: list[dict[tuple[int, int], int]] = [{} for _ in guess.compositions]
     singles: list[list[tuple[tuple[int, int], int]]] = []
@@ -233,9 +264,69 @@ def _dominated(tiers: TierTable, guess: Guess, types_of_color: dict[int, list[in
     return False
 
 
+def _lures(
+    tiers: TierTable,
+    color: int,
+    type_id: int,
+    target,  # coalition index or TRIVIAL
+    comps: tuple[tuple[int, ...], ...],
+    trivial_counts: tuple[int, ...],
+    blockable: set[tuple[int, int]],
+) -> tuple[int, ...] | None:
+    """The relaxed seat rule for class (color, type_id) at a seat with room.
+
+    None when no refinement of the composition guess can seat the class
+    there: it would rather go alone, or pair with a trivial color-c2 agent
+    where (c2, color) is not blockable.  Otherwise the guessed coalitions
+    it would rather join: a refinement may seat it there only if it
+    refuses color-`color` joiners at each of them.  Blocker demands and
+    the rule that a blocked trivial agent must refuse are dropped, so this
+    seat validity contains that of every refinement that can saturate.
+    """
+    own_tier = _seat(tiers, type_id, color, target, comps)
+    if tiers.single(type_id, color) < own_tier:
+        return None
+    for c2, count in enumerate(trivial_counts):
+        if (
+            count
+            and c2 != color
+            and (c2, color) not in blockable
+            and tiers.pair(type_id, c2, color) < own_tier
+        ):
+            return None
+    return tuple(
+        j
+        for j, comp in enumerate(comps)
+        if j != target and tiers.joined(type_id, comp, color) < own_tier
+    )
+
+
+def _relaxed_saturates(
+    instance: Instance,
+    slots: list[tuple],
+    caps: list[int],
+    lures: dict[tuple[int, int, object], tuple[int, ...] | None],
+    refusable: Collection[tuple[int, int]],
+) -> bool:
+    """Can a refinement refusing only (coalition, color) flags in
+    `refusable` saturate?  No, when the relaxed network, seats valid under
+    `_lures`, fails the seat screen or `max_flow`: each such refinement's
+    valid seats lie within the relaxed ones, and its blockers only take
+    supply and room from valid seats."""
+
+    def valid(color, type_id, target) -> bool:
+        lure = lures[(color, type_id, target)]
+        return lure is not None and all((j, color) in refusable for j in lure)
+
+    rows = instance.present_pairs
+    supplies = [instance.n_ct[pair] for pair in rows]
+    return _saturating_flow(rows, supplies, slots, caps, valid) is not None
+
+
 def _is_guesses(
     instance: Instance,
     tiers: TierTable,
+    types_of_color: dict[int, list[int]],
     comps: tuple[tuple[int, ...], ...],
     trivial_counts: tuple[int, ...],
 ) -> Iterator[Guess | None]:
@@ -244,14 +335,14 @@ def _is_guesses(
     Flags whose restrictive choice cannot change any agent's validity are
     fixed to the permissive one; restrictive accept flags need a member
     class that objects to the join, and each chosen objecting class
-    becomes a demand for one of its agents in the coalition.  A dominated
-    refinement (see `_dominated`) cannot be the first to saturate and is
-    yielded as None, so that it still counts as a guess.
+    becomes a demand for one of its agents in the coalition.  A refinement
+    that cannot be the first to saturate is yielded as None, so that it
+    still counts as a guess: every refinement of a family whose relaxed
+    network (see `_relaxed_saturates`) does not saturate, first for the
+    whole composition guess and then for each non-empty refused set, and
+    each dominated refinement (see `_dominated`).
     """
     gamma = instance.gamma
-    types_of_color: dict[int, list[int]] = {}
-    for (c, t) in instance.present_pairs:
-        types_of_color.setdefault(c, []).append(t)
 
     def seat_tiers(t: int, color: int) -> list[int]:
         out = [tiers.single(t, color)]
@@ -261,8 +352,9 @@ def _is_guesses(
         return out
 
     # Acceptance flags that could matter: some joiner class strictly
-    # gains over one of its potential seats.
-    relevant_accept: list[tuple[int, int]] = []
+    # gains over one of its potential seats.  A refusal needs at least one
+    # objecting member class.
+    refusable: list[tuple[int, int]] = []
     objectors: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for j, comp in enumerate(comps):
         for c in range(gamma):
@@ -281,8 +373,9 @@ def _is_guesses(
                 for t2 in types_of_color.get(c2, [])
                 if tiers.own(t2, comp) < tiers.joined(t2, comp, c)
             ]
-            relevant_accept.append((j, c))
-            objectors[(j, c)] = classes
+            if classes:
+                refusable.append((j, c))
+                objectors[(j, c)] = classes
 
     relevant_blocked: list[tuple[int, int]] = []
     for c_from in range(gamma):
@@ -297,29 +390,56 @@ def _is_guesses(
                 for seat in seat_tiers(t, c_to)
             ):
                 relevant_blocked.append((c_from, c_to))
+    blocked_sets = 1 << len(relevant_blocked)
 
-    for refused in _subsets(relevant_accept):
-        if any(not objectors[key] for key in refused):
-            continue  # refusal needs at least one objecting member class
+    def cover_choices(refused) -> list[list[frozenset[tuple[int, int]]]]:
+        out = []
+        for j in range(len(comps)):
+            picks = itertools.product(*(objectors[key] for key in refused if key[0] == j))
+            out.append(sorted({frozenset(pick) for pick in picks}, key=sorted))
+        return out
+
+    def family_size(refused) -> int:
+        return math.prod(len(covers) for covers in cover_choices(refused)) * blocked_sets
+
+    if not (refusable or relevant_blocked):
+        # The one refinement goes to the flow as it is.
+        accept_all = tuple((True,) * gamma for _ in comps)
+        yield Guess(comps, trivial_counts, accept_all, frozenset())
+        return
+
+    # A blocked pair can be part of a saturating refinement only when
+    # some trivial agent of its first color refuses the second.
+    blockable = {
+        (c_from, c_to)
+        for c_from, c_to in relevant_blocked
+        if any(
+            tiers.single(t, c_from) < tiers.pair(t, c_from, c_to)
+            for t in types_of_color[c_from]
+        )
+    }
+    slots, caps = _seats(comps, trivial_counts)
+    lures = {
+        (color, t, target): _lures(tiers, color, t, target, comps, trivial_counts, blockable)
+        for color, t in instance.present_pairs
+        for target, c in slots
+        if c == color
+    }
+    if not _relaxed_saturates(instance, slots, caps, lures, set(refusable)):
+        for refused in _subsets(refusable):
+            yield from itertools.repeat(None, family_size(refused))
+        return
+
+    for refused in _subsets(refusable):
+        if refused and not _relaxed_saturates(instance, slots, caps, lures, refused):
+            yield from itertools.repeat(None, family_size(refused))
+            continue
         accepted = tuple(
             tuple((j, c) not in refused for c in range(gamma))
             for j in range(len(comps))
         )
-        cover_choices: list[list[frozenset[tuple[int, int]]]] = []
-        for j in range(len(comps)):
-            colors_here = [c for (jj, c) in refused if jj == j]
-            if not colors_here:
-                cover_choices.append([frozenset()])
-                continue
-            covers = {
-                frozenset(pick)
-                for pick in itertools.product(
-                    *(objectors[(j, c)] for c in colors_here)
-                )
-            }
-            cover_choices.append(sorted(covers, key=sorted))
         dominated: dict[tuple, bool] = {}  # by blocked set: blockers do not matter
-        for cover_pick in itertools.product(*cover_choices):
+        for cover_pick in itertools.product(*cover_choices(refused)):
             blockers = tuple(
                 (klass, j)
                 for j, classes in enumerate(cover_pick)
@@ -352,6 +472,9 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
     d_max = min(budgets.rho2, budgets.rho1, n // 2)
     comps_all = _compositions(instance)
     tiers = TierTable(instance)
+    types_of_color: dict[int, list[int]] = {}
+    for c, t in instance.present_pairs:
+        types_of_color.setdefault(c, []).append(t)
     examined = 0
 
     for d in range(0, d_max + 1):
@@ -367,7 +490,7 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
                     [Guess(compositions=comps, trivial_counts=trivial_counts)]
                 )
             else:
-                guesses = _is_guesses(instance, tiers, comps, trivial_counts)
+                guesses = _is_guesses(instance, tiers, types_of_color, comps, trivial_counts)
             # Seat validity per (accepted, blocked): blocker covers share it.
             validity: dict[tuple, dict] = {}
             for guess in guesses:

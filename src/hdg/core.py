@@ -166,6 +166,25 @@ def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den)
 
 
+def _int(family: str, key: str, value, least: int | None = None) -> int:
+    """A family's integer parameter: a JSON integer, not true/false or a string."""
+    if type(value) is not int or (least is not None and value < least):
+        at_least = "" if least is None else f" >= {least}"
+        raise InvalidInput(f"{family} parameter {key!r} must be int{at_least}, not {value!r}")
+    return value
+
+
+def _ints(family: str, params: dict, key: str, least: int | None = None, nulls: bool = False) -> list:
+    """A family's list of integers (entries may be null when `nulls`)."""
+    values = params.get(key)
+    if type(values) is not list:
+        raise InvalidInput(f"{family} parameter {key!r} must be a list, not {values!r}")
+    for value in values:
+        if not (nulls and value is None):
+            _int(family, key, value, least)
+    return values
+
+
 @register_family("own_ratio_tiers")
 def _own_ratio_tiers(params: dict) -> Callable[[Palette], int]:
     # Order depending only on the ratio of one color to the coalition size.
@@ -191,9 +210,10 @@ def _value_sum_trichotomy(params: dict) -> Callable[[Palette], int]:
     # Top tier: palettes of realizable coalitions whose members' color
     # values sum to the target (optionally with exactly one green agent).
     # Middle tier: alone.  Bottom: everything else.
-    values: list[int | None] = list(params["values"])
-    target: int = params["target"]
-    class_sizes: list[int] = list(params["class_sizes"])
+    family = "value_sum_trichotomy"
+    values: list[int | None] = _ints(family, params, "values", nulls=True)
+    target = _int(family, "target", params.get("target"))
+    class_sizes: list[int] = _ints(family, params, "class_sizes", least=0)
     green: int | None = params.get("green_color")
 
     def in_top(p: Palette) -> bool:
@@ -237,9 +257,10 @@ def _partition_guard(params: dict) -> Callable[[Palette], int]:
     # Trap-gadget green for the value-sum construction: desirable
     # coalitions (value sum hits the target with exactly one green),
     # then greens-with-red, greens-with-blue, all-green, bottom.
-    values: list[int | None] = list(params["values"])
-    target: int = params["target"]
-    class_sizes: list[int] = list(params["class_sizes"])
+    family = "partition_guard"
+    values: list[int | None] = _ints(family, params, "values", nulls=True)
+    target = _int(family, "target", params.get("target"))
+    class_sizes: list[int] = _ints(family, params, "class_sizes", least=0)
     green = params["green"]
     red = params["red"]
     blue = params["blue"]
@@ -297,7 +318,7 @@ def _indset_vertex(params: dict) -> Callable[[Palette], int]:
     # vertex agents, then alone, then everything else.
     guard = params["guard"]
     vertices = set(params["vertex_colors"])
-    k = params["k"]
+    k = _int("indset_vertex", "k", params.get("k"))
     edges = {frozenset(e) for e in params["edges"]}
 
     def tier_of(p: Palette) -> int:
@@ -327,7 +348,7 @@ def _indset_guard(params: dict) -> Callable[[Palette], int]:
     # vertex agents" (no independence requirement for the guard itself).
     guard = params["guard"]
     vertices = set(params["vertex_colors"])
-    k = params["k"]
+    k = _int("indset_guard", "k", params.get("k"))
     red = params["red"]
     blue = params["blue"]
 

@@ -119,6 +119,19 @@ def test_non_integer_json_values_are_errors(example1_path, tmp_path, capsys, fie
     assert "must be int" in err and "Traceback" not in err
 
 
+def two_agent_game(family, params):
+    """Agents a (color 0) and b (color 1) of one type with this family."""
+    return {
+        "n": 2,
+        "gamma": 2,
+        "sigma": 2,
+        "rho1": 2,
+        "rho2": 2,
+        "agents": [{"id": "a", "color": 0, "type": 0}, {"id": "b", "color": 1, "type": 0}],
+        "types": {"0": {"family": family, "params": params}},
+    }
+
+
 @pytest.mark.parametrize(
     "family, params, message",
     [
@@ -130,20 +143,47 @@ def test_non_integer_json_values_are_errors(example1_path, tmp_path, capsys, fie
     ],
 )
 def test_family_parameters_out_of_range_are_errors(tmp_path, capsys, family, params, message):
-    data = {
-        "n": 2,
-        "gamma": 2,
-        "sigma": 2,
-        "rho1": 2,
-        "rho2": 2,
-        "agents": [{"id": "a", "color": 0, "type": 0}, {"id": "b", "color": 1, "type": 0}],
-        "types": {"0": {"family": family, "params": params}},
-    }
     path = tmp_path / "family.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(two_agent_game(family, params)))
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and message in err
+
+
+VALUE_SUM = {"values": [1, 1], "target": 2, "class_sizes": [1, 1]}
+INDSET = {"guard": 0, "vertex_colors": [1], "k": 1}
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        # The first three ended in a TypeError traceback; a string or boolean
+        # target silently turned the witness [["a", "b"]] into [["a"], ["b"]].
+        ("value_sum_trichotomy", {**VALUE_SUM, "values": ["x", 1]}, "'values' must be int, not 'x'"),
+        ("value_sum_trichotomy", {**VALUE_SUM, "class_sizes": ["1", 1]}, "'class_sizes' must be int >= 0"),
+        ("indset_vertex", {**INDSET, "k": "1", "edges": []}, "'k' must be int, not '1'"),
+        ("value_sum_trichotomy", {**VALUE_SUM, "target": "2"}, "'target' must be int, not '2'"),
+        ("value_sum_trichotomy", {**VALUE_SUM, "target": True}, "'target' must be int, not True"),
+        ("value_sum_trichotomy", {**VALUE_SUM, "class_sizes": [-1, 1]}, "'class_sizes' must be int >= 0, not -1"),
+        ("value_sum_trichotomy", {**VALUE_SUM, "values": 1}, "'values' must be a list"),
+        ("partition_guard", {**VALUE_SUM, "target": 2.0, "green": 0, "red": 1, "blue": 1}, "'target' must be int"),
+        ("indset_guard", {**INDSET, "k": True, "red": 0, "blue": 1}, "'k' must be int, not True"),
+    ],
+)
+def test_family_integer_parameters_are_checked(tmp_path, capsys, family, params, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(two_agent_game(family, params)))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and message in err and "Traceback" not in err
+
+
+def test_value_sum_target_reaches_the_witness(tmp_path):
+    # With the integer target the pair's values sum to it: one coalition.
+    path, out = tmp_path / "family.json", tmp_path / "outcome.json"
+    path.write_text(json.dumps(two_agent_game("value_sum_trichotomy", VALUE_SUM)))
+    assert main(["solve", str(path), "--algo", "brute", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["coalitions"] == [["a", "b"]]
 
 
 def test_solve_rejects_a_witness_that_fails_its_check(example1_path, monkeypatch, capsys):

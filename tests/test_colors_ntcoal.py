@@ -17,7 +17,13 @@ from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
 
 from fixtures import A, B, C, D, example1, sweep_game
-from references import class_valid, is_valid_for, ntcoal_walk
+from references import (
+    class_valid,
+    is_valid_for,
+    ntcoal_flow,
+    ntcoal_is_refinements,
+    ntcoal_walk,
+)
 
 
 def example1_guess():
@@ -200,12 +206,14 @@ def test_guess_cap_counts_every_generated_guess(monkeypatch, game, notion):
         solve_colors_ntcoal(inst, notion)
 
 
-@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("profile", [223, 247])
 def test_blocker_covers_share_seat_validity(monkeypatch, profile):
     # Blockers do not enter seat validity, so across the guesses one
     # composition guess refines into, the flow tests each seat of each
-    # (accepted, blocked) pair once, whatever the blocker cover.
-    inst = sweep_game(profile, 10, 2)
+    # (accepted, blocked) pair once, whatever the blocker cover.  These
+    # sweep-style games keep hundreds of seat tests past the relaxed
+    # family screen (the benchmark's profiles 0 and 1 at n=10 keep 64 and 36).
+    inst = sweep_game(profile, 12, 2)
     seats = []
     inside = [False]
     real_valid, real_try = colors_ntcoal._class_valid, colors_ntcoal._try_flow
@@ -226,3 +234,63 @@ def test_blocker_covers_share_seat_validity(monkeypatch, profile):
     monkeypatch.setattr(colors_ntcoal, "_try_flow", trying)
     assert solve_colors_ntcoal(inst, IS) == ntcoal_walk(inst, IS)[0]
     assert len(seats) > 500 and len(seats) == len(set(seats))
+
+
+def unsaturable_families(monkeypatch, inst):
+    """Solve inst under IS and return, for each relaxed network the solver
+    finds unsaturable, (compositions, trivial counts, the refusable flags)."""
+    found = []
+    family = [None]
+    real_guesses, real_relaxed = colors_ntcoal._is_guesses, colors_ntcoal._relaxed_saturates
+
+    def guesses(instance, tiers, types_of_color, comps, trivial_counts):
+        family[0] = (comps, trivial_counts)
+        yield from real_guesses(instance, tiers, types_of_color, comps, trivial_counts)
+
+    def relaxed(*args):
+        verdict = real_relaxed(*args)
+        if not verdict:
+            found.append((*family[0], frozenset(args[-1])))
+        return verdict
+
+    monkeypatch.setattr(colors_ntcoal, "_is_guesses", guesses)
+    monkeypatch.setattr(colors_ntcoal, "_relaxed_saturates", relaxed)
+    solve_colors_ntcoal(inst, IS)
+    return found
+
+
+def refinements_passed_over(inst, found) -> int:
+    """Check that no refinement refusing only flags of an unsaturable
+    relaxed network saturates on the reference flow; return how many."""
+    checked = 0
+    for comps, trivial_counts, refusable in found:
+        for guess in ntcoal_is_refinements(inst, comps, trivial_counts):
+            refused = {
+                (j, c)
+                for j, flags in enumerate(guess.accepted)
+                for c, accepts in enumerate(flags)
+                if not accepts
+            }
+            if refused <= refusable:
+                assert ntcoal_flow(inst, guess, IS) is None, guess
+                checked += 1
+    return checked
+
+
+def test_relaxed_screen_passes_over_no_saturating_refinement_random(monkeypatch):
+    rng = random.Random(1616)
+    families = checked = 0
+    for trial in range(400):
+        inst = random_instance(rng, GenCaps(n=7, rho2=2), own_color=trial % 3 == 0)
+        found = unsaturable_families(monkeypatch, inst)
+        families += len(found)
+        checked += refinements_passed_over(inst, found)
+    assert families > 50 and checked > 200
+
+
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("n", [8, 10, 12, 16])
+def test_relaxed_screen_passes_over_no_saturating_refinement_sweep(monkeypatch, profile, n):
+    inst = sweep_game(profile, n, 2)
+    found = unsaturable_families(monkeypatch, inst)
+    assert found and refinements_passed_over(inst, found) > len(found)
