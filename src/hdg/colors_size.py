@@ -8,7 +8,9 @@ stable however often it occurs, and any other type may occur only once.  So
 a support of pairwise deviation-free types (that also tolerate going alone)
 decides stability by itself, and one integer feasibility system per support,
 over the extra copies of its self-compatible types, decides whether the
-agent counts can be partitioned accordingly.
+agent counts can be partitioned accordingly.  Going alone, self-compatibility
+and pairwise compatibility are all the block form of
+`stability.DeviationRule`, read from one tier table per solve.
 
 The supports are produced lazily, in walk order, and only those that can
 still be feasible reach the integer system: a support that over-commits a
@@ -19,12 +21,13 @@ first feasible support is the witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
-from .core import Instance, TierTable
+from .core import Instance
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
-from .stability import IS, Outcome, check_outcome, deal_outcome
+from .stability import Block, DeviationRule, Outcome, check_outcome, deal_outcome
 
 TYPES_CAP = 50_000
 SUPPORT_CAP = 2_000_000
@@ -45,12 +48,6 @@ class CoalitionType:
             if p == pair:
                 return k
         return 0
-
-    def color_counts(self, gamma: int) -> tuple[int, ...]:
-        counts = [0] * gamma
-        for (c, _), k in self.pair_counts:
-            counts[c] += k
-        return tuple(counts)
 
 
 def enumerate_coalition_types(instance: Instance) -> list[CoalitionType]:
@@ -84,37 +81,6 @@ def enumerate_coalition_types(instance: Instance) -> list[CoalitionType]:
     return out
 
 
-class _Deviations:
-    """Deviation tests between the coalition types of one solve, read from
-    one `TierTable`.
-
-    free(i, j) says no member of type i wants to join a coalition of type
-    j (under IS: or some member of type j refuses it), and alone(i) that
-    none would rather go alone.
-    """
-
-    def __init__(self, instance: Instance, types: list[CoalitionType], notion: str):
-        self.tiers = TierTable(instance)
-        self.counts = [t.color_counts(instance.gamma) for t in types]
-        self.members = [[pair for pair, _ in t.pair_counts] for t in types]
-        self.member_types = [frozenset(t for _, t in pairs) for pairs in self.members]
-        self.notion = notion
-
-    def alone(self, i: int) -> bool:
-        own, single, counts = self.tiers.own, self.tiers.single, self.counts[i]
-        return all(single(t, c) >= own(t, counts) for c, t in self.members[i])
-
-    def free(self, i: int, j: int) -> bool:
-        tiers = self.tiers
-        src, dst = self.counts[i], self.counts[j]
-        for c, t in self.members[i]:
-            if tiers.joined(t, dst, c) < tiers.own(t, src) and not (
-                self.notion == IS and tiers.refused(dst, c, self.member_types[j])
-            ):
-                return False
-        return True
-
-
 def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tuple]]:
     """Every support that may be feasible, once each and in walk order, as
     (support, reusable, residual): the support's types, its self-compatible
@@ -133,12 +99,12 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
     side.
     """
     b, pairs = instance.budgets, instance.present_pairs
+    rule = DeviationRule(instance, notion)
     all_types = enumerate_coalition_types(instance)
-    deviations = _Deviations(instance, all_types, notion)
     # Types whose members would rather go alone can never be realized.
-    kept = [i for i in range(len(all_types)) if deviations.alone(i)]
-    types = [all_types[i] for i in kept]
-    self_ok = [deviations.free(i, i) for i in kept]
+    kept = [(t, blk) for t in all_types if rule.free(blk := Block(t.pair_counts, instance.gamma))]
+    types, blocks = [t for t, _ in kept], [blk for _, blk in kept]
+    self_ok = [rule.free(block, block) for block in blocks]
     columns = [
         tuple(t.count(p) for p in pairs) + (1, int(t.size >= 2)) for t in types
     ]
@@ -147,15 +113,10 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
         sum(1 << j for j, p in enumerate(pairs) if ok and t.count(p))
         for t, ok in zip(types, self_ok)
     ]
-    compat: dict[tuple[int, int], bool] = {}
 
+    @cache
     def compatible(i: int, j: int) -> bool:
-        key = (i, j)
-        val = compat.get(key)
-        if val is None:
-            src, dst = kept[i], kept[j]
-            val = compat[key] = deviations.free(src, dst) and deviations.free(dst, src)
-        return val
+        return rule.free(blocks[i], blocks[j]) and rule.free(blocks[j], blocks[i])
 
     # A residual is one int with a field per column coordinate, each with a
     # guard bit above its count: subtracting a column leaves every guard

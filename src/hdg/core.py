@@ -187,20 +187,24 @@ def _ints(family: str, params: dict, key: str, least: int | None = None, nulls: 
 
 @register_family("own_ratio_tiers")
 def _own_ratio_tiers(params: dict) -> Callable[[Palette], int]:
-    # Order depending only on the ratio of one color to the coalition size.
+    # Order depending only on the ratio of one color to the coalition size,
+    # keyed on the ratio in lowest terms.
     color = params["color"]
-    table: dict[Fraction, int] = {}
+    table: dict[tuple[int, int], int] = {}
     tiers = params["tiers"]
     for i, tier in enumerate(tiers):
         for num, den in tier:
             frac = _ratio(num, den)
-            if frac in table:
+            key = frac.numerator, frac.denominator
+            if key in table:
                 raise InvalidInput(f"ratio {num}/{den} appears in two tiers")
-            table[frac] = i
+            table[key] = i
     bottom = len(tiers)
 
     def tier_of(p: Palette) -> int:
-        return table.get(Fraction(p[color], sum(p)), bottom)
+        own, size = p[color], sum(p)
+        g = math.gcd(own, size)
+        return table.get((own // g, size // g), bottom)
 
     return tier_of
 

@@ -9,13 +9,13 @@ outcomes are acceptable, they do not change the game.
 
 Whether an agent deviates to C depends only on the agent's (color, type),
 its own coalition's color counts, C's color counts and, under IS, the set
-of types present in C.  The search therefore groups coalitions by that
-signature in one O(n) pass and decides each agent class -- own signature,
-color and type -- against each group at most once, reading tiers straight
-from each type's `tier_of`, with no cache.  Groups are tried lazily in
-order of their first coalition index, so the witness is the one an
-agent-by-agent scan would return: lowest agent, then lowest target index,
-the empty coalition last.
+of types present in C.  `DeviationRule` states that once, over one
+`TierTable`, per agent class and per pair of coalition shapes (`Block`).
+The search groups coalitions by that signature in one O(n) pass and
+decides each agent class -- own signature, color and type -- against each
+group at most once.  Groups are tried lazily in order of their first
+coalition index, so the witness is the one an agent-by-agent scan would
+return: lowest agent, then lowest target index, the empty coalition last.
 The cost is O(n + agent classes x groups) oracle work instead of O(n^2).
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Instance, reduce_counts, singleton_palette
+from .core import Instance, TierTable
 from .errors import InvalidOutcome, SolverDivergence
 
 NS = "ns"
@@ -95,10 +95,55 @@ class Deviation:
     kind: str  # NS or IS
 
 
+class Block:
+    """A coalition shape: ((color, type), count) entries as `deal_outcome`
+    takes them, and the color counts and member types the rule reads."""
+
+    __slots__ = ("pair_counts", "counts", "types")
+
+    def __init__(self, pair_counts, gamma: int):
+        self.pair_counts = pair_counts = tuple(pair_counts)
+        counts = [0] * gamma
+        for (c, _), k in pair_counts:
+            counts[c] += k
+        self.counts = tuple(counts)
+        self.types = frozenset([t for (_, t), _ in pair_counts])
+
+
+class DeviationRule:
+    """The NS or IS deviation rule over one `TierTable`: a (color, t) agent
+    whose own coalition is at tier `own_tier` for it joins a coalition with
+    counts `target` when it strictly prefers the grown coalition and, under
+    IS, no member type of the target refuses it.  Going alone is joining
+    the empty coalition, which has no member to refuse."""
+
+    __slots__ = ("tiers", "under_is", "empty")
+
+    def __init__(self, instance: Instance, notion: str):
+        self.tiers, self.under_is = TierTable(instance), notion == IS
+        self.empty = (0,) * instance.gamma
+
+    def lured(self, color: int, t: int, own_tier: int, target, members: frozenset[int]) -> bool:
+        tiers = self.tiers
+        return tiers.joined(t, target, color) < own_tier and not (
+            self.under_is and tiers.refused(target, color, members)
+        )
+
+    def free(self, src: Block, dst: Block | None = None) -> bool:
+        """No member of `src` is lured to `dst`, or with no `dst`, to go alone."""
+        own, lured, counts = self.tiers.own, self.lured, src.counts
+        target, members = (self.empty, frozenset()) if dst is None else (dst.counts, dst.types)
+        for (c, t), _ in src.pair_counts:
+            if lured(c, t, own(t, counts), target, members):
+                return False
+        return True
+
+
 def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], kind: str):
     colors, types, gamma = instance.colors, instance.types, instance.gamma
-    prefs = instance.prefs
-    under_is = kind == IS
+    rule = DeviationRule(instance, kind)
+    lured, tier, empty, under_is = rule.lured, rule.tiers.own, rule.empty, rule.under_is
+    here = frozenset()  # member types, read only under IS
 
     # One pass over the agents: counts and signature per coalition, and
     # per signature group its first two coalition indices.
@@ -115,22 +160,15 @@ def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], ki
         counts = tuple(counts)
         if under_is:
             here = frozenset(types[member] for member in block)
-            sig = (counts, here)
-        else:
-            sig = counts
-        g = index.get(sig)
-        if g is None:
-            g = index[sig] = len(first)
+        g = index.setdefault((counts, here), len(first))
+        if g == len(first):
             first.append(idx)
             second.append(None)
             counts_of.append(counts)
-            if under_is:
-                present.append(here)
+            present.append(here)
         elif second[g] is None:
             second[g] = idx
         group_of.append(g)
-
-    palettes = [reduce_counts(counts) for counts in counts_of]
 
     # Walk the agents in id order.  The groups are tried in order of their
     # first index, which stands for the whole group (its second index when
@@ -144,8 +182,7 @@ def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], ki
         color, t = colors[agent], types[agent]
         if (g_own, color, t) in settled:
             continue
-        tier_of = prefs[t].tier_of
-        own_tier = tier_of(palettes[g_own])
+        own_tier = tier(t, counts_of[g_own])
         best = None
         for g, cand in enumerate(first):
             if best is not None and cand > best:
@@ -154,19 +191,9 @@ def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], ki
                 cand = second[g]
                 if cand is None or (best is not None and cand > best):
                     continue
-            counts = list(counts_of[g])
-            counts[color] += 1
-            joined = reduce_counts(counts)
-            if tier_of(joined) >= own_tier:
-                continue
-            if under_is and not all(
-                prefs[u].tier_of(joined) <= prefs[u].tier_of(palettes[g])
-                for u in present[g]
-            ):
-                continue
-            best = cand
-        if best is None and tier_of(singleton_palette(color, gamma)) < own_tier:
-            # Deviation to the empty coalition: always accepted under IS.
+            if lured(color, t, own_tier, counts_of[g], present[g]):
+                best = cand
+        if best is None and lured(color, t, own_tier, empty, frozenset()):
             best = EMPTY
         if best is not None:
             return Deviation(agent, best, kind)

@@ -290,18 +290,25 @@ def deviation_free(
 ) -> bool:
     """No member of `source` wants to move to `target` (None = go alone),
     read straight off each palette with `tier_of`."""
-    src_palette = reduce_counts(source.color_counts(gamma))
+
+    def color_counts(ctype: CoalitionType) -> list[int]:
+        counts = [0] * gamma
+        for (c, _), k in ctype.pair_counts:
+            counts[c] += k
+        return counts
+
+    src_palette = reduce_counts(color_counts(source))
     for (c, t), _ in source.pair_counts:
         if target is None:
             lure = singleton_palette(c, gamma)
         else:
-            grown = list(target.color_counts(gamma))
+            grown = color_counts(target)
             grown[c] += 1
             lure = reduce_counts(grown)
         if prefs[t].tier_of(lure) >= prefs[t].tier_of(src_palette):
             continue
         if notion == IS and target is not None:
-            base = reduce_counts(target.color_counts(gamma))
+            base = reduce_counts(color_counts(target))
             if any(
                 prefs[t2].tier_of(base) < prefs[t2].tier_of(lure)
                 for (_, t2), _ in target.pair_counts

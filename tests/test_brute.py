@@ -1,15 +1,18 @@
 import random
+from collections import Counter
 
 import pytest
 
 from hdg import brute
 from hdg.brute import enumerate_stable, solve_brute
+from hdg.colors_types import solve_colors_types
 from hdg.core import TierList, make_instance, singleton_palette
 from hdg.errors import SearchSpaceTooLarge, SolverDivergence
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, Outcome, check_outcome, find_is_deviation, find_ns_deviation
 
-from fixtures import example1
+from fixtures import example1, sweep_game
+from oracles import reference_deviation
 from references import partitions_within_budgets
 from test_stability import all_partitions
 
@@ -64,9 +67,15 @@ def test_brute_cap(monkeypatch):
 
 
 def counting_ns(monkeypatch):
+    # Records each candidate brute force decides, as its chosen and alone blocks.
     checked = []
-    real = brute.find_ns_deviation
-    monkeypatch.setattr(brute, "find_ns_deviation", lambda i, o: checked.append(o) or real(i, o))
+    real = brute.settled
+
+    def counting(rule, chosen, alone):
+        checked.append((tuple(chosen), tuple(alone)))
+        return real(rule, chosen, alone)
+
+    monkeypatch.setattr(brute, "settled", counting)
     return checked
 
 
@@ -84,7 +93,7 @@ def test_outcome_cap_counts_every_outcome_tried(monkeypatch):
     assert solve_brute(inst, NS) is None
     total = len(checked)
     assert total > 10
-    assert len(set(checked)) == total  # no outcome is tried twice
+    assert len(set(checked)) == total  # no candidate is decided twice
     monkeypatch.setattr(brute, "BRUTE_CAP", total - 1)
     message = rf"more than {total - 1} outcomes .*HDG_SEARCH_CAP"
     with pytest.raises(SearchSpaceTooLarge, match=message):
@@ -178,9 +187,9 @@ def test_every_enumerated_stable_outcome_verifies():
 
 
 def test_unstable_witness_is_a_divergence(monkeypatch):
-    # A deviation search that misses every deviation hands over an
+    # A candidate decision that misses every deviation hands over an
     # unstable outcome; the re-verification catches it.
-    monkeypatch.setattr(brute, "find_ns_deviation", lambda i, o: None)
+    monkeypatch.setattr(brute, "settled", lambda rule, chosen, alone: True)
     grand_lover = make_instance(
         [0, 1], {0: TierList([[(1, 1)]]), 1: TierList([[(1, 1)]])}, types=[0, 1], rho2=0
     )
@@ -203,3 +212,57 @@ def test_subtree_prune_needs_a_deviator_inside_the_chosen_coalitions():
         assert agent_level_yes(inst, notion)
         out = solve_brute(inst, notion)
         assert out is not None and check_outcome(inst, out, notion).stable
+
+
+def _class_shape(instance, outcome):
+    """An outcome up to swapping agents of one (color, type) class."""
+    classes = list(zip(instance.colors, instance.types))
+    return tuple(sorted(tuple(sorted(classes[a] for a in block)) for block in outcome.coalitions))
+
+
+def test_class_level_decision_matches_the_agent_level_reference():
+    # The candidates brute force finds stable at class level are, up to
+    # class symmetry, exactly the budget-respecting partitions the
+    # agent-by-agent reference finds stable.  The reference's first
+    # deviations cover every kind the class-level closing decides: an agent
+    # alone joining a non-trivial coalition or another agent alone, and a
+    # member of a non-trivial coalition joining an agent alone.  Enough
+    # draws repeat a non-trivial coalition to need its self-compatibility.
+    rng = random.Random(4242)
+    kinds = Counter()
+    vetoed = 0
+    for trial in range(400):
+        inst = random_instance(rng, GenCaps(n=6, rho1=6, rho2=3), own_color=trial % 3 == 0)
+        stable = {}
+        for notion in (NS, IS):
+            got = [_class_shape(inst, out) for out in enumerate_stable(inst, notion)]
+            want = []
+            for out in partitions_within_budgets(inst):
+                dev = reference_deviation(inst, out, notion)
+                if dev is None:
+                    want.append(_class_shape(inst, out))
+                    continue
+                agent, target, _ = dev
+                size = {a: len(block) for block in out.coalitions for a in block}
+                source = "chosen" if size[agent] > 1 else "alone"
+                joined = "empty" if target == -1 else (
+                    "chosen" if len(out.coalitions[target]) > 1 else "alone"
+                )
+                kinds[notion, source, joined] += 1
+            assert len(got) == len(set(got)) and set(got) == set(want), (trial, notion)
+            stable[notion] = set(want)
+        vetoed += len(stable[IS] - stable[NS])
+    for notion in (NS, IS):
+        for source, joined in (("alone", "chosen"), ("alone", "alone"), ("chosen", "alone")):
+            assert kinds[notion, source, joined], (notion, source, joined)
+    assert vetoed  # IS vetoes make some NS-unstable partitions stable
+
+
+@pytest.mark.parametrize("notion", [NS, IS])
+@pytest.mark.parametrize("profile", [0, 1])
+def test_sweep_games_at_24_agents_and_rho2_4(profile, notion):
+    # Answered under the default caps, in agreement with colors-types.
+    inst = sweep_game(profile, 24, 4)
+    out = solve_brute(inst, notion)
+    assert (out is None) == (solve_colors_types(inst, notion) is None)
+    assert out is None or check_outcome(inst, out, notion).stable

@@ -10,7 +10,7 @@ from hdg.core import TierList, make_instance
 from hdg.errors import SearchSpaceTooLarge
 from hdg.ilp import feasible
 from hdg.randgen import GenCaps, random_instance
-from hdg.stability import IS, NS, check_outcome
+from hdg.stability import IS, NS, Block, DeviationRule, check_outcome
 
 from fixtures import example1, sweep_game
 from references import (
@@ -239,21 +239,23 @@ def test_support_cap(monkeypatch):
 
 
 def test_deviation_tests_match_the_tier_of_reference():
-    # The table-read tests agree with the reference read straight off each
-    # palette with tier_of, for every (source, target) pair of realizable
-    # types, a type against itself and against going alone included.
+    # The deviation rule's block form, read from a tier table, agrees with
+    # the reference read straight off each palette with tier_of, for every
+    # (source, target) pair of realizable types, a type against itself and
+    # against going alone included.
     rng = random.Random(8086)
     verdicts = {NS: [], IS: []}
     for trial in range(60):
         inst = random_instance(rng, GenCaps(n=7), own_color=trial % 3 == 0)
         types = enumerate_coalition_types(inst)
         for notion in (NS, IS):
-            deviations = colors_size._Deviations(inst, types, notion)
+            rule = DeviationRule(inst, notion)
+            blocks = [Block(ctype.pair_counts, inst.gamma) for ctype in types]
             for i, src in enumerate(types):
-                got = deviations.alone(i)
+                got = rule.free(blocks[i])
                 assert got == deviation_free(inst.prefs, inst.gamma, src, None, notion)
                 for j, dst in enumerate(types):
-                    got = deviations.free(i, j)
+                    got = rule.free(blocks[i], blocks[j])
                     assert got == deviation_free(inst.prefs, inst.gamma, src, dst, notion), (
                         inst, notion, src, dst,
                     )

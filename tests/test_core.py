@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -142,6 +143,39 @@ def test_weak_order_laws(order, gamma):
 def test_tierlist_rejects_duplicate_palette():
     with pytest.raises(InvalidInput):
         TierList([[(1, 0)], [(1, 0)]])
+
+
+def test_own_ratio_tiers_match_a_fraction_keyed_reference():
+    # Every palette of at most 8 agents over 1-3 colors gets the tier its
+    # own-color ratio has in a table keyed on Fractions, for tiers listing
+    # ratios in lowest terms or not.
+    rng = random.Random(2718)
+    ratios = [(num, den) for den in range(1, 9) for num in range(den + 1)]
+    for gamma in (1, 2, 3):
+        universe = {
+            reduce_counts(c)
+            for c in itertools.product(range(9), repeat=gamma)
+            if 0 < sum(c) <= 8
+        }
+        for _ in range(20):
+            listed = {}
+            for num, den in rng.sample(ratios, 12):
+                listed.setdefault(Fraction(num, den), [num, den])
+            tiers = [[] for _ in range(rng.randint(1, 4))]
+            for ratio in listed.values():
+                rng.choice(tiers).append(ratio)
+            color = rng.randrange(gamma)
+            order = NamedFamily("own_ratio_tiers", {"color": color, "tiers": tiers})
+            reference = {Fraction(*r): i for i, tier in enumerate(tiers) for r in tier}
+            for p in universe:
+                want = reference.get(Fraction(p[color], sum(p)), len(tiers))
+                assert order.tier_of(p) == want, (tiers, color, p)
+
+
+def test_own_ratio_tiers_reject_a_ratio_in_two_tiers():
+    for tiers in ([[[1, 2]], [[2, 4]]], [[[1, 2], [2, 4]]], [[[0, 1]], [[0, 3]]]):
+        with pytest.raises(InvalidInput, match="appears in two tiers"):
+            NamedFamily("own_ratio_tiers", {"color": 0, "tiers": tiers})
 
 
 def test_tierlist_rejects_unreduced_palette():

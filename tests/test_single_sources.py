@@ -8,8 +8,10 @@ benchmark in `perfbench/` names is an `hdg` export, and every entry point
 its traced mode hooks exists.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
 a set of cached properties on `Instance`.  Every layer reads preferences
-through `tier_of`, which only `core.TierList` and `core.NamedFamily` define,
-and the table solvers read each tier through one `core.TierTable` a solve.
+through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
+Only `core` (in `TierTable`) and `ownhdg` (its own-ratio order builder)
+call it; every other layer reads each tier through one `core.TierTable` a
+solve or a deviation search.
 """
 
 import argparse
@@ -92,8 +94,8 @@ def test_search_cap_only_raises_a_guard(monkeypatch):
 
 
 # Solvers that decide on class counts; each builds its witness by dealing
-# agents out of classes, never from hand-built agent lists.  Brute force
-# deals every outcome it tries, the others only their witness.
+# agents out of classes, never from hand-built agent lists, and deals only
+# its witness.
 CLASS_LEVEL = {
     "colors_size": "colors-size",
     "colors_types": "colors-types",
@@ -101,7 +103,6 @@ CLASS_LEVEL = {
     "ownhdg": "own-nash",
     "brute": "brute",
 }
-DEALS_EVERY_CANDIDATE = {"brute"}
 
 
 def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
@@ -125,8 +126,7 @@ def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
         monkeypatch.setattr(mod, "deal_outcome", dealing)
         witness = bench.SOLVERS[algo].solve(example1(), NS)
         assert witness is not None and witness is dealt[-1]
-        if module not in DEALS_EVERY_CANDIDATE:
-            assert len(dealt) == 1
+        assert len(dealt) == 1
         dealers.append(algo)
     assert dealers == list(CLASS_LEVEL.values())
 
@@ -155,7 +155,7 @@ def test_perfbench_trace_hooks_resolve():
     # perfbench/tracing.py hooks these (module, attribute) entries where
     # callers look them up; a rewrite that drops one would silently lose
     # its layer's spans or counts.  `hdg.prefs` is gone; its hook awaits
-    # removal from the benchmark (ROADMAP, open item 6).
+    # removal from the benchmark (ROADMAP, open item 1).
     entries = _perfbench_constant("tracing.py", "SPAN_HOOKS")
     entries += _perfbench_constant("tracing.py", "COUNT_HOOKS")
     missing = set()
@@ -200,6 +200,16 @@ def test_perfbench_class_data_are_cached_properties():
     assert names
     for name in names:
         assert isinstance(vars(hdg.core.Instance).get(name), functools.cached_property), name
+
+
+def test_only_core_and_ownhdg_read_tier_of():
+    # Any `.tier_of` read counts, whether called at once or bound to a name.
+    readers = set()
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "tier_of":
+                readers.add(path.stem)
+    assert readers == {"core", "ownhdg"}
 
 
 def test_tier_of_is_the_only_preference_oracle():
