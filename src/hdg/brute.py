@@ -2,14 +2,15 @@
 
 Agents of one (color, type) class are interchangeable, so an outcome is
 fixed, up to swapping them, by the class counts of its coalitions.  The
-search walks multisets of at most rho2 count vectors of size 2..sigma (the
-non-trivial coalitions; every other agent sits alone, and rho1 is checked
-on each candidate) and decides each at class level with the block form of
-`stability.DeviationRule`.  A vector is used only when none of its classes
-would rather go alone, and joins the chosen ones only when compatible with
-each, itself too when it repeats: a deviation between chosen coalitions
-survives whatever else a candidate holds.  Each candidate is then settled
-by its agents alone, and only the first stable one is dealt out.
+search walks multisets of at most rho2 shapes of size 2..sigma from
+`stability.shapes` (the non-trivial coalitions; every other agent sits
+alone, and rho1 is checked on each candidate) and decides each at class
+level with the block form of `stability.DeviationRule`.  A shape is used
+only when none of its classes would rather go alone, and joins the chosen
+ones only when compatible with each, itself too when it repeats: a
+deviation between chosen coalitions survives whatever else a candidate
+holds.  Each candidate is then settled by its agents alone, and only the
+first stable one is dealt out.
 """
 
 from __future__ import annotations
@@ -17,24 +18,14 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator
 
-from .core import Instance, compositions_upto
+from .core import Instance
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
-from .stability import Block, DeviationRule, Outcome, check_outcome, deal_outcome
+from .stability import Block, DeviationRule, Outcome, check_outcome, deal_outcome, shapes
 
 # perfbench/tracing.py still hooks these names here; brute force no longer calls them.
 from .stability import find_is_deviation, find_ns_deviation  # noqa: F401
 
 BRUTE_CAP = 200_000  # candidate outcomes decided
-
-
-def _usable_vectors(instance: Instance, pairs, rule: DeviationRule) -> Iterator[tuple]:
-    """(vector, block) for the count vectors over the (color, type) `pairs`,
-    of size 2..sigma, that no member class would leave to go alone."""
-    pools = [len(instance.agents_of_ct[pair]) for pair in pairs]
-    for v in compositions_upto(pools, instance.budgets.sigma, 2):
-        block = Block([(p, x) for p, x in zip(pairs, v) if x], instance.gamma)
-        if rule.free(block):
-            yield v, block
 
 
 def settled(rule: DeviationRule, chosen: list[Block], alone: list[Block]) -> bool:
@@ -55,9 +46,11 @@ def enumerate_stable(instance: Instance, notion: str) -> Iterator[Outcome]:
     b = instance.budgets
     limit = search_cap(BRUTE_CAP)
     rule = DeviationRule(instance, notion)
-    pairs = sorted(instance.agents_of_ct)
+    pairs = instance.present_pairs
     singles = [Block([(pair, 1)], instance.gamma) for pair in pairs]
-    source = _usable_vectors(instance, pairs, rule)  # drawn only as far as the walk needs
+    # The shapes of size 2..sigma that no member class would leave to go
+    # alone, drawn only as far as the walk needs.
+    source = (shape for shape in shapes(instance, 2) if rule.free(shape[1]))
     drawn: list[tuple[tuple[int, ...], Block]] = []
     tried = 0
 
@@ -91,7 +84,7 @@ def enumerate_stable(instance: Instance, notion: str) -> Iterator[Outcome]:
                 chosen.pop()
             i += 1
 
-    yield from rec(0, [], [len(instance.agents_of_ct[pair]) for pair in pairs])
+    yield from rec(0, [], [instance.n_ct[pair] for pair in pairs])
 
 
 def solve_brute(instance: Instance, notion: str) -> Outcome | None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -48,19 +49,9 @@ def _apply_overrides(instance: Instance, args) -> Instance:
     b = instance.budgets
     rho1 = args.rho1 if args.rho1 is not None else b.rho1
     rho2 = args.rho2 if args.rho2 is not None else min(b.rho2, rho1)
-    budgets = Budgets(
-        sigma=args.sigma if args.sigma is not None else b.sigma,
-        rho1=rho1,
-        rho2=rho2,
-    )
-    return Instance(
-        gamma=instance.gamma,
-        colors=instance.colors,
-        types=instance.types,
-        prefs=instance.prefs,
-        budgets=budgets,
-        agent_ids=instance.agent_ids,
-    )
+    sigma = args.sigma if args.sigma is not None else b.sigma
+    # `Instance.__post_init__` validates the new budgets.
+    return dataclasses.replace(instance, budgets=Budgets(sigma, rho1, rho2))
 
 
 def cmd_solve(args) -> int:

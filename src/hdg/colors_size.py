@@ -1,10 +1,11 @@
 """Solver for bounded color count plus bounded coalition size.
 
-A coalition type is a multiset of (color, preference type) pairs.  The
-search walks over which coalition types occur in the outcome, its support.
-Stability depends on the multiplicities only through self-compatibility: a
-type whose members do not want to join a copy of their own coalition is
-stable however often it occurs, and any other type may occur only once.  So
+A coalition type is a multiset of (color, preference type) pairs, one
+`stability.Block` from `stability.shapes`.  The search walks over which
+coalition types occur in the outcome, its support.  Stability depends on
+the multiplicities only through self-compatibility: a type whose members
+do not want to join a copy of their own coalition is stable however often
+it occurs, and any other type may occur only once.  So
 a support of pairwise deviation-free types (that also tolerate going alone)
 decides stability by itself, and one integer feasibility system per support,
 over the extra copies of its self-compatible types, decides whether the
@@ -20,64 +21,27 @@ first feasible support is the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 from typing import Iterator
 
-from .core import Instance
+from .core import Instance, PackedCounts
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
-from .stability import Block, DeviationRule, Outcome, check_outcome, deal_outcome
+from .stability import Block, DeviationRule, Outcome, check_outcome, deal_outcome, shapes
 
 TYPES_CAP = 50_000
 SUPPORT_CAP = 2_000_000
 
 
-@dataclass(frozen=True)
-class CoalitionType:
-    """Multiset of (color, type) pairs; the anonymous shape of a coalition."""
-
-    pair_counts: tuple[tuple[tuple[int, int], int], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(k for _, k in self.pair_counts)
-
-    def count(self, pair: tuple[int, int]) -> int:
-        for p, k in self.pair_counts:
-            if p == pair:
-                return k
-        return 0
-
-
-def enumerate_coalition_types(instance: Instance) -> list[CoalitionType]:
-    """All coalition types the instance can realize, sizes 1..sigma.
-
-    Per-pair multiplicities are capped by the number of agents of that
-    pair, since realized coalitions can only use existing agents.
-    """
+def enumerate_coalition_types(instance: Instance) -> list[tuple[tuple[int, ...], Block]]:
+    """Every coalition type the instance can realize, sizes 1..sigma, as
+    `stability.shapes` yields them, ordered by size and then entries."""
     limit = search_cap(TYPES_CAP)
-    pairs = instance.present_pairs
-    sigma = instance.budgets.sigma
-    out: list[CoalitionType] = []
-
-    def rec(idx: int, total: int, acc: list[tuple[tuple[int, int], int]]):
-        if total >= 1:
-            out.append(CoalitionType(tuple(acc)))
-            if len(out) > limit:
-                raise SearchSpaceTooLarge(
-                    f"more than {limit} coalition types (cap via HDG_SEARCH_CAP)"
-                )
-        for i in range(idx, len(pairs)):
-            pair = pairs[i]
-            top = min(instance.n_ct[pair], sigma - total)
-            for k in range(1, top + 1):
-                acc.append((pair, k))
-                rec(i + 1, total + k, acc)
-                acc.pop()
-
-    rec(0, 0, [])
-    out.sort(key=lambda t: (t.size, t.pair_counts))
+    out = list(islice(shapes(instance, 1), limit + 1))
+    if len(out) > limit:
+        raise SearchSpaceTooLarge(f"more than {limit} coalition types (cap via HDG_SEARCH_CAP)")
+    out.sort(key=lambda shape: (sum(shape[0]), shape[1].pair_counts))
     return out
 
 
@@ -100,41 +64,31 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
     """
     b, pairs = instance.budgets, instance.present_pairs
     rule = DeviationRule(instance, notion)
-    all_types = enumerate_coalition_types(instance)
     # Types whose members would rather go alone can never be realized.
-    kept = [(t, blk) for t in all_types if rule.free(blk := Block(t.pair_counts, instance.gamma))]
-    types, blocks = [t for t, _ in kept], [blk for _, blk in kept]
+    kept = [(vec, block) for vec, block in enumerate_coalition_types(instance) if rule.free(block)]
+    blocks = [block for _, block in kept]
     self_ok = [rule.free(block, block) for block in blocks]
-    columns = [
-        tuple(t.count(p) for p in pairs) + (1, int(t.size >= 2)) for t in types
-    ]
+    columns = [vec + (1, int(sum(vec) >= 2)) for vec, _ in kept]
     # The pairs a type can take more agents of, by occurring again.
     covers = [
-        sum(1 << j for j, p in enumerate(pairs) if ok and t.count(p))
-        for t, ok in zip(types, self_ok)
+        sum(1 << j for j, k in enumerate(vec) if k) if ok else 0
+        for (vec, _), ok in zip(kept, self_ok)
     ]
 
     @cache
     def compatible(i: int, j: int) -> bool:
         return rule.free(blocks[i], blocks[j]) and rule.free(blocks[j], blocks[i])
 
-    # A residual is one int with a field per column coordinate, each with a
-    # guard bit above its count: subtracting a column leaves every guard
-    # bit set exactly when the column fits, and the difference is the next
-    # residual.  `placing` holds a bit per pair with agents left.
-    start = tuple(instance.n_ct[p] for p in pairs) + (b.rho1, b.rho2)
-    width = max(start).bit_length() + 1
-    count = (1 << (width - 1)) - 1
-    shifts = [f * width for f in range(len(start))]
-
-    def pack(vec) -> int:
-        return sum(u << shift for u, shift in zip(vec, shifts))
-
-    guard = pack([count + 1] * len(start))
-    packed = [pack(column) for column in columns]
+    # Residuals are `PackedCounts` over the column coordinates, so a column
+    # fits when its difference keeps every guard bit.  `placing` holds a
+    # bit per pair with agents left.
+    packing = PackedCounts(tuple(instance.n_ct[p] for p in pairs) + (b.rho1, b.rho2))
+    guard, mask = packing.guard, packing.mask
+    packed = [packing.pack(column) for column in columns]
     # The pairs each type takes agents of, as (pair bit, field shift).
     takes = [
-        [(1 << j, shifts[j]) for j in range(len(pairs)) if column[j]] for column in columns
+        [(1 << j, packing.shifts[j]) for j in range(len(pairs)) if column[j]]
+        for column in columns
     ]
     budget = search_cap(SUPPORT_CAP)
     examined = 0
@@ -148,22 +102,21 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
                 f"more than {budget} supports (cap via HDG_SEARCH_CAP)"
             )
         if chosen and not placing & ~covered:
-            reusable = [(types[i], columns[i]) for i in chosen if self_ok[i]]
-            left = tuple((residual >> shift) & count for shift in shifts)
-            yield [types[i] for i in chosen], reusable, left
-        for i in range(start, len(types)):
+            reusable = [(blocks[i], columns[i]) for i in chosen if self_ok[i]]
+            yield [blocks[i] for i in chosen], reusable, packing.unpack(residual)
+        for i in range(start, len(blocks)):
             rest = residual - packed[i]
             if rest & guard != guard or not all(compatible(j, i) for j in chosen):
                 continue
             still = placing
             for bit, shift in takes[i]:
-                if not (rest >> shift) & count:
+                if not (rest >> shift) & mask:
                     still &= ~bit
             chosen.append(i)
             yield from walk(i + 1, rest, still, covered | covers[i])
             chosen.pop()
 
-    yield from walk(0, guard + pack(start), (1 << len(pairs)) - 1, 0)
+    yield from walk(0, packing.full, (1 << len(pairs)) - 1, 0)
 
 
 def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
@@ -184,14 +137,15 @@ def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
         # types are bounded by the small rho2 row, while a singleton type
         # ranges over a whole leftover count; in front, every singleton
         # count would be multiplied into the search over the non-trivial
-        # types, behind them the singletons only close it.
-        reusable.sort(key=lambda entry: entry[0].size < 2)
+        # types, behind them the singletons only close it.  A column ends
+        # in 1 for a non-trivial type.
+        reusable.sort(key=lambda entry: not entry[1][-1])
         rows = tuple((tuple(col[j] for _, col in reusable), rhs) for j, rhs in enumerate(residual))
         extra = feasible(ILPSystem(len(reusable), rows[:width], rows[width:]))
         if extra is None:
             continue
-        times = {ctype: 1 + extra[v] for v, (ctype, _) in enumerate(reusable)}
-        blocks = [ctype.pair_counts for ctype in support for _ in range(times.get(ctype, 1))]
+        times = {block: 1 + extra[v] for v, (block, _) in enumerate(reusable)}
+        blocks = [block.pair_counts for block in support for _ in range(times.get(block, 1))]
         outcome = deal_outcome(instance, blocks)
         verdict = check_outcome(instance, outcome, notion)
         if not verdict.stable:

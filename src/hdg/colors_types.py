@@ -44,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import islice
 
-from .core import Instance, TierTable, compositions_upto
+from .core import Instance, PackedCounts, TierTable, compositions_upto
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .stability import IS, Outcome, check_outcome, deal_outcome
 
@@ -161,43 +161,24 @@ def _apply_candidate(
 
 
 class _Residuals:
-    """Count vectors packed into ints, and the non-trivial candidates that fit.
-
-    A residual (agents per (color, type) still to pack) is one int with a
-    field per pair.  Each field carries a guard bit above its count, so
-    subtracting a packed candidate leaves every guard bit set exactly when
-    the candidate fits, and the difference is the next residual.
-    """
+    """Residual count vectors (agents per (color, type) still to pack) as
+    `PackedCounts`, and the non-trivial candidates that fit: a candidate
+    fits when its difference keeps every guard bit."""
 
     def __init__(self, setup: _Setup):
-        self.width = width = max(setup.n_vec).bit_length() + 1
-        self.n_pairs = len(setup.n_vec)
-        self.bits = width * self.n_pairs
-        self.empty = self._pack([1 << (width - 1)] * self.n_pairs, width)
-        self.full = self.empty + self._pack(setup.n_vec, width)
+        self.packing = packing = PackedCounts(setup.n_vec)
         self._packed = [
-            (k, self._pack(vec, width))
-            for k, vec in enumerate(setup.candidates)
-            if sum(vec) >= 2
+            (k, packing.pack(vec)) for k, vec in enumerate(setup.candidates) if sum(vec) >= 2
         ]
         self._fits: dict[int, list[tuple[int, int]]] = {}
-
-    @staticmethod
-    def _pack(vec, width: int) -> int:
-        return sum(x << (i * width) for i, x in enumerate(vec))
-
-    def left(self, residual: int) -> list[int]:
-        """Agents still to pack, per pair."""
-        count = (1 << (self.width - 1)) - 1
-        return [residual >> (i * self.width) & count for i in range(self.n_pairs)]
 
     def fits(self, residual: int) -> list[tuple[int, int]]:
         """Non-trivial candidates that fit, as (candidate, next residual)."""
         out = self._fits.get(residual)
         if out is None:
-            empty = self.empty
+            guard = self.packing.guard
             out = self._fits[residual] = [
-                (k, rest) for k, vec in self._packed if (rest := residual - vec) & empty == empty
+                (k, rest) for k, vec in self._packed if (rest := residual - vec) & guard == guard
             ]
         return out
 
@@ -250,7 +231,7 @@ class _Viabilities:
         self.moves[vid * self.n_cand + cand_idx] = nxt
         return nxt
 
-    def send_alone(self, vid: int, left: list[int]) -> int:
+    def send_alone(self, vid: int, left: tuple[int, ...]) -> int:
         """The id after each pair's `left` agents go alone, or -1; a
         candidate packed a third time changes no entries."""
         for single, count in zip(self.singles, left):
@@ -271,14 +252,15 @@ def _search(setup: _Setup, init_viab: tuple[Entries, ...]) -> list[int] | None:
     budgets = setup.instance.budgets
     limit = search_cap(STATES_CAP)
     residuals = _Residuals(setup)
-    bits = residuals.bits
+    packing = residuals.packing
+    bits, full = packing.bits, packing.full
     mask = (1 << bits) - 1
     viabilities = _Viabilities(setup, init_viab)
     move, moves, n_cand = viabilities.move, viabilities.moves, viabilities.n_cand
-    parent: dict[int, tuple[int, int] | None] = {residuals.full: None}
+    parent: dict[int, tuple[int, int] | None] = {full: None}
 
     def close(state: int, r: int) -> list[int] | None:
-        left = residuals.left(state & mask)
+        left = packing.unpack(state & mask)
         if r + sum(left) > budgets.rho1 or viabilities.send_alone(state >> bits, left) < 0:
             return None
         chosen = [single for single, count in zip(viabilities.singles, left) for _ in range(count)]
@@ -287,8 +269,8 @@ def _search(setup: _Setup, init_viab: tuple[Entries, ...]) -> list[int] | None:
             chosen.insert(0, cand_idx)
         return chosen
 
-    frontier = [residuals.full]
-    if (chosen := close(residuals.full, 0)) is not None:
+    frontier = [full]
+    if (chosen := close(full, 0)) is not None:
         return chosen
     for r in range(1, min(budgets.rho1, budgets.rho2) + 1):
         next_frontier = []

@@ -744,7 +744,7 @@ class TierTable:
 
 
 # --------------------------------------------------------------------------
-# Palette universes.
+# Count vectors and palette universes.
 # --------------------------------------------------------------------------
 
 
@@ -765,6 +765,36 @@ def compositions_upto(
             counts.pop()
 
     yield from rec(0, [], 0)
+
+
+class PackedCounts:
+    """Count vectors packed into one int, a field per coordinate, each
+    wide enough for the largest of `tops` plus a guard bit above it.
+
+    `guard` holds every field's guard bit.  A residual is `guard` plus a
+    packed vector, `full` the residual of `tops` itself; subtracting a
+    packed vector leaves every guard bit set exactly when it fits,
+    coordinate by coordinate, and the difference is the next residual.
+    `mask` is one field's count bits and `bits` the width of all fields.
+    """
+
+    __slots__ = ("shifts", "mask", "guard", "bits", "full")
+
+    def __init__(self, tops: Sequence[int]):
+        width = max(tops, default=0).bit_length() + 1
+        self.shifts = tuple(range(0, width * len(tops), width))
+        self.mask = (1 << (width - 1)) - 1
+        self.bits = width * len(tops)
+        self.guard = self.pack([self.mask + 1] * len(tops))
+        self.full = self.guard + self.pack(tops)
+
+    def pack(self, vec: Iterable[int]) -> int:
+        return sum(x << shift for x, shift in zip(vec, self.shifts))
+
+    def unpack(self, packed: int) -> tuple[int, ...]:
+        """The counts of a packed vector or residual; guard bits are dropped."""
+        mask = self.mask
+        return tuple(packed >> shift & mask for shift in self.shifts)
 
 
 def realizable_palettes(instance: Instance, max_size: int) -> list[Palette]:

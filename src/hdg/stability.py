@@ -10,10 +10,11 @@ outcomes are acceptable, they do not change the game.
 Whether an agent deviates to C depends only on the agent's (color, type),
 its own coalition's color counts, C's color counts and, under IS, the set
 of types present in C.  `DeviationRule` states that once, over one
-`TierTable`, per agent class and per pair of coalition shapes (`Block`).
-The search groups coalitions by that signature in one O(n) pass and
-decides each agent class -- own signature, color and type -- against each
-group at most once.  Groups are tried lazily in order of their first
+`TierTable`, per agent class and per pair of coalition shapes (`Block`,
+the one shape the class-level solvers use; `shapes` yields every shape an
+instance can realize).  The search groups coalitions by that signature in
+one O(n) pass and decides each agent class -- own signature, color and
+type -- against each group at most once.  Groups are tried lazily in order of their first
 coalition index, so the witness is the one an agent-by-agent scan would
 return: lowest agent, then lowest target index, the empty coalition last.
 The cost is O(n + agent classes x groups) oracle work instead of O(n^2).
@@ -22,8 +23,9 @@ The cost is O(n + agent classes x groups) oracle work instead of O(n^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from .core import Instance, TierTable
+from .core import Instance, TierTable, compositions_upto
 from .errors import InvalidOutcome, SolverDivergence
 
 NS = "ns"
@@ -108,6 +110,16 @@ class Block:
             counts[c] += k
         self.counts = tuple(counts)
         self.types = frozenset([t for (_, t), _ in pair_counts])
+
+
+def shapes(instance: Instance, min_size: int) -> Iterator[tuple[tuple[int, ...], Block]]:
+    """(count vector over `present_pairs`, `Block`) for every coalition
+    shape the instance can realize with min_size..sigma members, in
+    `compositions_upto` order."""
+    pairs, gamma = instance.present_pairs, instance.gamma
+    limits = [instance.n_ct[pair] for pair in pairs]
+    for vec in compositions_upto(limits, instance.budgets.sigma, min_size):
+        yield vec, Block([(pair, k) for pair, k in zip(pairs, vec) if k], gamma)
 
 
 class DeviationRule:

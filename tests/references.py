@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from hdg.colors_ntcoal import TRIVIAL, Guess, _compositions
-from hdg.colors_size import CoalitionType, enumerate_coalition_types
 from hdg.core import (
     Instance,
     Palette,
@@ -270,35 +269,48 @@ def solve_colors_types_branchwise(instance: Instance, notion: str) -> bool:
 
 TWO_PLUS = 2  # multiplicity class "at least two"
 
+# A coalition shape: sorted ((color, type), count) entries, counts >= 1.
+Shape = tuple[tuple[tuple[int, int], int], ...]
+
+
+def shape_multisets(pairs: Sequence[tuple[int, int]], caps: Mapping, sigma: int) -> set[Shape]:
+    """Every multiset of 1..sigma of `pairs` holding at most caps[p] of each p."""
+    found = set()
+    for size in range(1, sigma + 1):
+        for combo in itertools.combinations_with_replacement(pairs, size):
+            if all(combo.count(p) <= caps[p] for p in set(combo)):
+                found.add(tuple(sorted((p, combo.count(p)) for p in set(combo))))
+    return found
+
 
 @dataclass(frozen=True)
 class Branch:
-    """Multiplicity class (0, 1 or at-least-2) per coalition type."""
+    """Multiplicity class (0, 1 or at-least-2) per coalition shape."""
 
-    pi: Mapping[CoalitionType, int]
+    pi: Mapping[Shape, int]
 
-    def realized(self) -> list[CoalitionType]:
-        return [t for t, k in self.pi.items() if k >= 1]
+    def realized(self) -> list[Shape]:
+        return [shape for shape, k in self.pi.items() if k >= 1]
 
 
 def deviation_free(
     prefs: Mapping[int, PreferenceOrder],
     gamma: int,
-    source: CoalitionType,
-    target: CoalitionType | None,
+    source: Shape,
+    target: Shape | None,
     notion: str,
 ) -> bool:
     """No member of `source` wants to move to `target` (None = go alone),
     read straight off each palette with `tier_of`."""
 
-    def color_counts(ctype: CoalitionType) -> list[int]:
+    def color_counts(shape: Shape) -> list[int]:
         counts = [0] * gamma
-        for (c, _), k in ctype.pair_counts:
+        for (c, _), k in shape:
             counts[c] += k
         return counts
 
     src_palette = reduce_counts(color_counts(source))
-    for (c, t), _ in source.pair_counts:
+    for (c, t), _ in source:
         if target is None:
             lure = singleton_palette(c, gamma)
         else:
@@ -311,7 +323,7 @@ def deviation_free(
             base = reduce_counts(color_counts(target))
             if any(
                 prefs[t2].tier_of(base) < prefs[t2].tier_of(lure)
-                for (_, t2), _ in target.pair_counts
+                for (_, t2), _ in target
             ):
                 continue  # some member of the target vetoes the join
         return False
@@ -321,9 +333,9 @@ def deviation_free(
 def branch_is_stable(instance: Instance, branch: Branch, notion: str) -> bool:
     """Whether every outcome respecting the branch is stable.
 
-    Checks every (color, type) member of every realized coalition type
-    against every other realized type, against a second copy of its own
-    type when that type occurs at least twice, and against going alone.
+    Checks every (color, type) member of every realized shape against
+    every other realized shape, against a second copy of its own shape
+    when that shape occurs at least twice, and against going alone.
     """
     prefs, gamma = instance.prefs, instance.gamma
     realized = branch.realized()
@@ -341,45 +353,46 @@ def branch_is_stable(instance: Instance, branch: Branch, notion: str) -> bool:
 def some_branch_is_feasible(instance: Instance, notion: str) -> bool:
     """Whether some stable (support, marking) branch has an integer solution.
 
-    colors-size without its pruning: every set of distinct realizable types
-    that fits the instance with one copy each, every {one, at-least-two}
-    marking of it that `branch_is_stable` accepts, and one feasibility
-    system per branch with rows built from `CoalitionType.count`.  An
-    over-committed branch has a negative right-hand side, which
+    colors-size without its pruning: every set of distinct realizable
+    shapes (`shape_multisets`) that fits the instance with one copy each,
+    every {one, at-least-two} marking of it that `branch_is_stable`
+    accepts, and one feasibility system per branch with a row per present
+    pair.  An over-committed branch has a negative right-hand side, which
     `ilp.feasible` rejects.
     """
     pairs = instance.present_pairs
     b = instance.budgets
-    types = enumerate_coalition_types(instance)
+    shapes = sorted(shape_multisets(pairs, instance.n_ct, b.sigma))
+    uses = [[dict(shape).get(p, 0) for p in pairs] for shape in shapes]
+    nontrivial = [int(sum(use) >= 2) for use in uses]
 
-    def supports(start: int, chosen: list[CoalitionType], left: list[int]):
+    def supports(start: int, chosen: list[int], left: list[int]):
         if chosen:
             yield list(chosen)
-        for i in range(start, len(types)):
-            use = [types[i].count(p) for p in pairs]
-            if all(u <= r for u, r in zip(use, left)):
-                chosen.append(types[i])
-                yield from supports(i + 1, chosen, [r - u for r, u in zip(left, use)])
+        for i in range(start, len(shapes)):
+            if all(u <= r for u, r in zip(uses[i], left)):
+                chosen.append(i)
+                yield from supports(i + 1, chosen, [r - u for r, u in zip(left, uses[i])])
                 chosen.pop()
 
     for support in supports(0, [], [instance.n_ct[p] for p in pairs]):
         for marking in itertools.product((1, TWO_PLUS), repeat=len(support)):
-            if not branch_is_stable(instance, Branch(dict(zip(support, marking))), notion):
+            branch = Branch({shapes[i]: m for i, m in zip(support, marking)})
+            if not branch_is_stable(instance, branch, notion):
                 continue
-            twos = [t for t, m in zip(support, marking) if m == TWO_PLUS]
+            twos = [i for i, m in zip(support, marking) if m == TWO_PLUS]
             eqs = tuple(
                 (
-                    tuple(t.count(p) for t in twos),
-                    instance.n_ct[p] - sum(t.count(p) * m for t, m in zip(support, marking)),
+                    tuple(uses[i][j] for i in twos),
+                    instance.n_ct[p] - sum(uses[i][j] * m for i, m in zip(support, marking)),
                 )
-                for p in pairs
+                for j, p in enumerate(pairs)
             )
-            nontrivial = [int(t.size >= 2) for t in support]
             les = (
                 (tuple(1 for _ in twos), b.rho1 - sum(marking)),
                 (
-                    tuple(int(t.size >= 2) for t in twos),
-                    b.rho2 - sum(m * nt for m, nt in zip(marking, nontrivial)),
+                    tuple(nontrivial[i] for i in twos),
+                    b.rho2 - sum(m * nontrivial[i] for i, m in zip(support, marking)),
                 ),
             )
             if feasible(ILPSystem(len(twos), eqs, les)) is not None:

@@ -6,7 +6,9 @@ documented budgets."""
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 from hdg.bench import BenchReport, check_instance
 from hdg.brute import enumerate_stable, solve_brute
@@ -212,22 +214,35 @@ def test_criterion_5_sgasp_structural_audit():
             s = norm.group_size_param
             low, high = 2 * s * num_a + 1, 2 * s * (num_a + 1) - 1
 
+            # One pass over the ids, in runs of one head (first three
+            # characters): agents per head, and the type of each id the
+            # audit looks up, which must occur exactly once.
+            looked = {f"p:{p}" for p in norm.participants}
+            looked |= {f"m{i}.0" for i in range(1, num_a + 1)} | {"s0"}
+            heads: Counter = Counter()
+            type_of = {}
+            offset = 0
+            for head, run in itertools.groupby(inst.agent_ids, itemgetter(slice(3))):
+                run = list(run)
+                heads[head] += len(run)
+                for x in looked.intersection(run):
+                    assert x not in type_of and run.count(x) == 1
+                    type_of[x] = inst.types[offset + run.index(x)]
+                offset += len(run)
+            assert type_of.keys() == looked
+
+            def agents(prefix):
+                return sum(k for head, k in heads.items() if head.startswith(prefix))
+
             # Agent counts: z_i = 100 i + 1 markers, the exact spoiler count.
-            # Every id is read once, into a list; ids are unique, so the
-            # few lookups below can use list.index.
-            ids = list(inst.agent_ids)
             for i in range(1, num_a + 1):
-                prefix = f"m{i}."
-                markers = [x for x in ids if x.startswith(prefix)]
-                assert len(markers) == 100 * i + 1
-            spoilers = [x for x in ids if x.startswith("s")]
-            assert len(spoilers) == (400 * num_a**2) * 200 * num_a**2 + 1
-            blues = [x for x in ids if x.startswith("p:")]
-            assert len(blues) == len(norm.participants)
+                assert agents(f"m{i}.") == 100 * i + 1
+            assert agents("s") == (400 * num_a**2) * 200 * num_a**2 + 1
+            assert agents("p:") == len(norm.participants)
 
             # Tier sets recomputed independently from the approvals.
             for p in norm.participants:
-                order = inst.prefs[inst.types[ids.index(f"p:{p}")]]
+                order = inst.prefs[type_of[f"p:{p}"]]
                 expect = set()
                 for a, t in norm.approvals[p]:
                     z = 100 * (acts.index(a) + 1) + 1
@@ -237,14 +252,14 @@ def test_criterion_5_sgasp_structural_audit():
                     not expect and order.tiers[0] == frozenset({(0, 1)})
                 )
             for i in range(1, num_a + 1):
-                order = inst.prefs[inst.types[ids.index(f"m{i}.0")]]
+                order = inst.prefs[type_of[f"m{i}.0"]]
                 z = 100 * i + 1
                 expect = set()
                 for t in range(low, high + 1):
                     f = Fraction(z, z + t)
                     expect.add((f.numerator, f.denominator - f.numerator))
                 assert set(order.tiers[0]) == expect
-            spoiler_order = inst.prefs[inst.types[ids.index("s0")]]
+            spoiler_order = inst.prefs[type_of["s0"]]
             splits = {
                 Fraction(n_, d_) for n_, d_ in spoiler_order.params["splits"]
             }

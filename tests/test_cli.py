@@ -202,6 +202,16 @@ def test_missing_file_is_error():
     assert main(["solve", "/nonexistent/instance.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("flags", [["--sigma", "0"], ["--sigma", "5"], ["--rho2", "5"]])
+def test_an_out_of_range_budget_override_is_error(example1_path, capsys, command, flags):
+    # example1 has four agents; the outcome file is never read.
+    argv = [command, example1_path] + (["unread.json"] if command == "check" else [])
+    assert main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert "out of range for n=4" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,16 +1,15 @@
-import itertools
 import random
 
 import pytest
 
 from hdg.brute import solve_brute
 from hdg import colors_size
-from hdg.colors_size import CoalitionType, enumerate_coalition_types, solve_colors_size
+from hdg.colors_size import enumerate_coalition_types, solve_colors_size
 from hdg.core import TierList, make_instance
 from hdg.errors import SearchSpaceTooLarge
 from hdg.ilp import feasible
 from hdg.randgen import GenCaps, random_instance
-from hdg.stability import IS, NS, Block, DeviationRule, check_outcome
+from hdg.stability import IS, NS, DeviationRule, check_outcome
 
 from fixtures import example1, sweep_game
 from references import (
@@ -18,24 +17,15 @@ from references import (
     Branch,
     branch_is_stable,
     deviation_free,
+    shape_multisets,
     some_branch_is_feasible,
 )
 
 
-def multiset_oracle(pairs, caps, sigma):
-    # Independent enumeration: all bounded multisets over the present pairs.
-    found = set()
-    for size in range(1, sigma + 1):
-        for combo in itertools.combinations_with_replacement(pairs, size):
-            if all(combo.count(p) <= caps[p] for p in set(combo)):
-                found.add(tuple(sorted((p, combo.count(p)) for p in set(combo))))
-    return found
-
-
 def test_enumerate_types_example1_sigma2():
     inst = example1(sigma=2)
-    got = {t.pair_counts for t in enumerate_coalition_types(inst)}
-    want = multiset_oracle(inst.present_pairs, inst.n_ct, 2)
+    got = {block.pair_counts for _, block in enumerate_coalition_types(inst)}
+    want = shape_multisets(inst.present_pairs, inst.n_ct, 2)
     assert got == want
     # Three singleton shapes plus the four feasible two-agent shapes; the
     # doubled (color0,*) shapes are impossible with one agent each.
@@ -45,7 +35,7 @@ def test_enumerate_types_example1_sigma2():
 def test_enumerate_types_sigma1_gives_present_pairs():
     inst = example1(sigma=1)
     got = enumerate_coalition_types(inst)
-    assert {t.pair_counts for t in got} == {
+    assert {block.pair_counts for _, block in got} == {
         (((c, t), 1),) for (c, t) in inst.present_pairs
     }
 
@@ -62,25 +52,26 @@ def test_enumerate_types_cap(monkeypatch):
         enumerate_coalition_types(inst)
 
 
-def ctype(*pairs):
+def shape(*pairs):
+    # The sorted ((color, type), count) entries of a multiset of pairs.
     merged = {}
     for p in pairs:
         merged[p] = merged.get(p, 0) + 1
-    return CoalitionType(tuple(sorted(merged.items())))
+    return tuple(sorted(merged.items()))
 
 
 def test_branch_where_everyone_sits_on_top():
     top = TierList([[(1, 1)]])
     inst = make_instance([0, 1], {0: top}, types=[0, 0], gamma=2)
-    branch = Branch({ctype((0, 0), (1, 0)): 1})
+    branch = Branch({shape((0, 0), (1, 0)): 1})
     assert branch_is_stable(inst, branch, NS)
     assert branch_is_stable(inst, branch, IS)
 
 
 def test_branch_example1_split_ns_unstable_is_stable():
     inst = example1()
-    singleton_b = ctype((0, 1))
-    triple = ctype((0, 0), (1, 0), (1, 0))
+    singleton_b = shape((0, 1))
+    triple = shape((0, 0), (1, 0), (1, 0))
     branch = Branch({singleton_b: 1, triple: 1})
     assert not branch_is_stable(inst, branch, NS)
     assert branch_is_stable(inst, branch, IS)
@@ -92,7 +83,7 @@ def test_branch_self_copy_matters():
     lonely = TierList([[(1, 1)], [(1, 0)]])
     social = TierList([[(1, 2)], [(1, 1)]])
     inst = make_instance([0, 0, 1, 1], {0: lonely, 1: social}, types=[0, 1, 0, 1])
-    pair_shape = ctype((0, 0), (1, 1))
+    pair_shape = shape((0, 0), (1, 1))
     assert branch_is_stable(inst, Branch({pair_shape: 1}), NS)
     # With a second copy, the type-1 member of one copy wants to join the
     # other copy: (1,2) beats (1,1) for it.
@@ -206,7 +197,7 @@ def test_each_support_is_yielded_once():
     for trial, inst in tight_draws(80, 150):
         for notion in (NS, IS):
             supports = [
-                tuple(ctype.pair_counts for ctype in support)
+                tuple(block.pair_counts for block in support)
                 for support, _, _ in colors_size._branches(inst, notion)
             ]
             assert len(supports) == len(set(supports)), (trial, notion)
@@ -247,18 +238,18 @@ def test_deviation_tests_match_the_tier_of_reference():
     verdicts = {NS: [], IS: []}
     for trial in range(60):
         inst = random_instance(rng, GenCaps(n=7), own_color=trial % 3 == 0)
-        types = enumerate_coalition_types(inst)
+        blocks = [block for _, block in enumerate_coalition_types(inst)]
         for notion in (NS, IS):
             rule = DeviationRule(inst, notion)
-            blocks = [Block(ctype.pair_counts, inst.gamma) for ctype in types]
-            for i, src in enumerate(types):
-                got = rule.free(blocks[i])
-                assert got == deviation_free(inst.prefs, inst.gamma, src, None, notion)
-                for j, dst in enumerate(types):
-                    got = rule.free(blocks[i], blocks[j])
-                    assert got == deviation_free(inst.prefs, inst.gamma, src, dst, notion), (
-                        inst, notion, src, dst,
+            for src in blocks:
+                got = rule.free(src)
+                assert got == deviation_free(inst.prefs, inst.gamma, src.pair_counts, None, notion)
+                for dst in blocks:
+                    got = rule.free(src, dst)
+                    want = deviation_free(
+                        inst.prefs, inst.gamma, src.pair_counts, dst.pair_counts, notion
                     )
+                    assert got == want, (inst, notion, src.pair_counts, dst.pair_counts)
                     verdicts[notion].append(got)
     ns, is_ = verdicts[NS], verdicts[IS]
     assert len(ns) > 5000 and 0.1 < sum(ns) / len(ns) < 0.9

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hdg.core import (
     NamedFamily,
+    PackedCounts,
     TierList,
     make_instance,
     palette_of,
@@ -222,3 +223,37 @@ def test_realizable_palettes_example1():
         (1, 2),
     }
 
+
+
+def test_packed_counts_round_trip_and_guarded_difference():
+    # The difference of a residual and a packed vector keeps every guard
+    # bit exactly when the vector fits under the counts, coordinate by
+    # coordinate; then it is the residual of the difference.  Tops of 0
+    # (as rho2 = 0 gives) and vectors past the tops are drawn too.
+    rng = random.Random(2718)
+    fits = {True: 0, False: 0}
+    zero_tops = 0
+    for _ in range(2000):
+        tops = [rng.choice([0, 1, 2, 3, 7, 8, 100]) for _ in range(rng.randint(1, 6))]
+        packing = PackedCounts(tops)
+        assert packing.full & packing.guard == packing.guard
+        assert packing.unpack(packing.full) == tuple(tops)
+        counts = [rng.randint(0, top) for top in tops]
+        vec = [rng.randint(0, top + 1) for top in tops]
+        assert packing.unpack(packing.pack(counts)) == tuple(counts)
+        residual = packing.guard + packing.pack(counts)
+        assert packing.unpack(residual) == tuple(counts)
+        rest = residual - packing.pack(vec)
+        fit = all(x <= c for x, c in zip(vec, counts))
+        assert (rest & packing.guard == packing.guard) == fit, (tops, counts, vec)
+        if fit:
+            assert rest == packing.guard + packing.pack([c - x for c, x in zip(counts, vec)])
+        assert packing.bits == len(tops) * (max(tops).bit_length() + 1)
+        fits[fit] += 1
+        zero_tops += 0 in tops
+    assert min(fits.values()) > 200 and zero_tops > 200
+    # A field whose top is 0 takes nothing: subtracting 1 from it clears its guard.
+    packing = PackedCounts([3, 0, 2])
+    residual = packing.guard + packing.pack([3, 0, 2])
+    assert (residual - packing.pack([0, 1, 0])) & packing.guard != packing.guard
+    assert (residual - packing.pack([3, 0, 2])) == packing.guard

@@ -7,7 +7,9 @@ only materialiser of the class-level solvers' witnesses.  Every solver the
 benchmark in `perfbench/` names is an `hdg` export, and every entry point
 its traced mode hooks exists.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
-a set of cached properties on `Instance`.  Every layer reads preferences
+a set of cached properties on `Instance`.  `stability.Block` is the one
+coalition shape, which brute force and colors-size draw from
+`stability.shapes`, and `core.PackedCounts` the one packed residual.  Every layer reads preferences
 through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
 Only `core` (in `TierTable`) and `ownhdg` (its own-ratio order builder)
 call it; every other layer reads each tier through one `core.TierTable` a
@@ -25,7 +27,9 @@ from pathlib import Path
 import pytest
 
 import hdg
+import hdg.brute
 import hdg.core
+import hdg.stability
 from hdg import bench, cli, colors_size, colors_types
 from hdg.core import NamedFamily, TierList
 from hdg.errors import search_cap
@@ -200,6 +204,43 @@ def test_perfbench_class_data_are_cached_properties():
     assert names
     for name in names:
         assert isinstance(vars(hdg.core.Instance).get(name), functools.cached_property), name
+
+
+def _classes_defining(attr: str) -> set[tuple[str, str]]:
+    """(module, class) for every class in the package that holds `attr`: a
+    field, a `__slots__` entry or an attribute it assigns."""
+    found = set()
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) and node.attr == attr
+                    or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id == attr
+                    or isinstance(node, ast.Constant) and node.value == attr
+                ):
+                    found.add((path.stem, cls.name))
+    return found
+
+
+def test_block_is_the_one_coalition_shape():
+    # brute force and colors-size draw their shapes from `stability.shapes`
+    # and build no count vectors of their own.
+    assert _classes_defining("pair_counts") == {("stability", "Block")}
+    for module in (hdg.brute, colors_size):
+        assert module.shapes is hdg.stability.shapes
+        assert "compositions_upto" not in Path(module.__file__).read_text()
+
+
+def test_only_core_sizes_packed_fields():
+    # Guard-bit packing (`core.PackedCounts`) is the only field-width arithmetic.
+    sizers = set()
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "bit_length":
+                sizers.add(path.stem)
+    assert sizers == {"core"}
 
 
 def test_only_core_and_ownhdg_read_tier_of():

@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from hdg.core import TierList, make_instance
+from hdg.core import TierList, compositions_upto, make_instance
 from hdg.errors import InvalidOutcome, SolverDivergence
 from hdg.stability import (
     EMPTY,
@@ -11,9 +13,12 @@ from hdg.stability import (
     deal_outcome,
     find_is_deviation,
     find_ns_deviation,
+    shapes,
 )
+from hdg.randgen import GenCaps, random_instance
 
 from fixtures import A, B, C, D, example1
+from references import shape_multisets
 
 
 def outcome(*sets):
@@ -179,3 +184,24 @@ def test_deal_outcome_rejects_counts_that_are_not_a_partition():
     for blocks in (undealt, overdrawn):
         with pytest.raises(SolverDivergence):
             deal_outcome(inst, blocks)
+
+
+def test_shapes_are_the_bounded_multisets_in_composition_order():
+    rng = random.Random(31)
+    for _ in range(40):
+        inst = random_instance(rng, GenCaps(n=7))
+        pairs, sigma = inst.present_pairs, inst.budgets.sigma
+        multisets = shape_multisets(pairs, inst.n_ct, sigma)
+        for min_size in (1, 2):
+            got = list(shapes(inst, min_size))
+            limits = [inst.n_ct[p] for p in pairs]
+            assert [vec for vec, _ in got] == list(compositions_upto(limits, sigma, min_size))
+            assert {block.pair_counts for _, block in got} == {
+                shape for shape in multisets if sum(k for _, k in shape) >= min_size
+            }
+            for vec, block in got:
+                counts = [0] * inst.gamma
+                for (c, _), k in zip(pairs, vec):
+                    counts[c] += k
+                assert block.counts == tuple(counts)
+                assert block.types == {t for (_, t), k in zip(pairs, vec) if k}
