@@ -20,8 +20,9 @@ any agent's validity are fixed to their permissive value.
 Most guesses are decided before a network is built, each in the guess
 order of the plain walk, so the first saturating guess is the same:
 
-* Tier memo: one solve reads each (type, palette) tier once, on first use;
-  a tier depends on nothing the guess changes.
+* Tier memo: each (type, palette) tier is read once, on first use, into
+  the instance's tier table, which back-to-back calls on one instance
+  share; a tier depends on nothing the guess changes.
 * Seat screen: a row with supply but no valid seat, or a seat with room
   but no valid row, fails the guess; edges stay within a color and per
   color the supplies equal the seats, so a saturating flow uses both.
@@ -46,7 +47,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterator
 
-from .core import Instance, TierTable, compositions_upto
+from .core import Instance, TierTable, compositions_upto, tier_table
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
 from .stability import IS, NS, Outcome, check_outcome, deal_outcome
@@ -471,7 +472,7 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
     limit = search_cap(GUESS_CAP)
     d_max = min(budgets.rho2, budgets.rho1, n // 2)
     comps_all = _compositions(instance)
-    tiers = TierTable(instance)
+    tiers = tier_table(instance)
     types_of_color: dict[int, list[int]] = {}
     for c, t in instance.present_pairs:
         types_of_color.setdefault(c, []).append(t)

@@ -11,7 +11,8 @@ decides stability by itself, and one integer feasibility system per support,
 over the extra copies of its self-compatible types, decides whether the
 agent counts can be partitioned accordingly.  Going alone, self-compatibility
 and pairwise compatibility are all the block form of
-`stability.DeviationRule`, read from one tier table per solve.
+`stability.DeviationRule`, read from the instance's tier table, which
+back-to-back calls on one instance share.
 
 The supports are produced lazily, in walk order, and only those that can
 still be feasible reach the integer system: a support that over-commits a

@@ -44,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import islice
 
-from .core import Instance, PackedCounts, TierTable, compositions_upto
+from .core import Instance, PackedCounts, compositions_upto, tier_table
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .stability import IS, Outcome, check_outcome, deal_outcome
 
@@ -59,7 +59,7 @@ STATES_CAP = 400_000
 class _Setup:
     """What the search reads of one instance: the candidates, each pair's
     theta ranks and singleton rank, and per pair and candidate a static
-    cell filled on first use.  All tiers come from one `TierTable`.
+    cell filled on first use.  All tiers come from the instance's `tier_table`.
     """
 
     def __init__(self, instance: Instance, notion: str):
@@ -74,7 +74,7 @@ class _Setup:
             raise SearchSpaceTooLarge(
                 f"more than {limit} candidate coalitions (cap via HDG_SEARCH_CAP)"
             )
-        self.tiers = TierTable(instance)
+        self.tiers = tier_table(instance)
         # Pairs are sorted by color, so each color's pairs are one slice.
         edges = [bisect_left(self.pairs, (c,)) for c in range(instance.gamma + 1)]
         spans = list(zip(edges, edges[1:]))

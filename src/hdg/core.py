@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, groupby, repeat, starmap
+from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import EmptyCoalition, InvalidInput
@@ -552,6 +554,8 @@ class Instance:
     agent_ids: Sequence[str] = ()
 
     def __post_init__(self):
+        # Read-only, so a shared `TierTable` never holds stale tiers.
+        object.__setattr__(self, "prefs", MappingProxyType(dict(self.prefs)))
         n = len(self.colors)
         if n < 1:
             raise InvalidInput("instance needs at least one agent")
@@ -670,13 +674,13 @@ def palette_of(coalition: Iterable[int], instance: Instance) -> Palette:
 
 
 # --------------------------------------------------------------------------
-# Per-solve tier table.
+# Per-instance tier table.
 # --------------------------------------------------------------------------
 
 
 class TierTable:
-    """The tiers one solve reads, each looked up with `tier_of` once, on
-    first use.
+    """The tiers read of one instance, each looked up with `tier_of` once,
+    on first use; `tier_table` hands it out.
 
     Keys are raw color-count tuples, so a repeated lookup is one dict hit
     with no `reduce_counts`.  own(t, counts) is the tier of a coalition
@@ -741,6 +745,27 @@ class TierTable:
                 self.own(t, counts) < self.joined(t, counts, color) for t in members
             )
         return hit
+
+
+# The instance the last `tier_table` call served, held weakly, and its table.
+_slot: tuple[Callable[[], Instance | None], TierTable | None] = (lambda: None, None)
+
+
+def tier_table(instance: Instance) -> TierTable:
+    """The `TierTable` of `instance`.
+
+    One process-wide slot serves back-to-back calls on one instance (a
+    solve and its witness re-check, NS after IS, repeated checks) with the
+    same table; a call on any other instance replaces it.  The slot holds
+    the instance only by weak reference, so it keeps no instance alive and
+    a new instance that reuses a dropped one's id never gets its table.
+    """
+    global _slot
+    ref, table = _slot
+    if ref() is not instance:
+        table = TierTable(instance)
+        _slot = weakref.ref(instance), table
+    return table
 
 
 # --------------------------------------------------------------------------

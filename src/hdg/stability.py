@@ -9,10 +9,10 @@ outcomes are acceptable, they do not change the game.
 
 Whether an agent deviates to C depends only on the agent's (color, type),
 its own coalition's color counts, C's color counts and, under IS, the set
-of types present in C.  `DeviationRule` states that once, over one
-`TierTable`, per agent class and per pair of coalition shapes (`Block`,
-the one shape the class-level solvers use; `shapes` yields every shape an
-instance can realize).  The search groups coalitions by that signature in
+of types present in C.  `DeviationRule` states that once, over the
+instance's `core.tier_table`, per agent class and per pair of coalition
+shapes (`Block`, the one shape the class-level solvers use; `shapes`
+yields every shape an instance can realize).  The search groups coalitions by that signature in
 one O(n) pass and decides each agent class -- own signature, color and
 type -- against each group at most once.  Groups are tried lazily in order of their first
 coalition index, so the witness is the one an agent-by-agent scan would
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Instance, TierTable, compositions_upto
+from .core import Instance, compositions_upto, tier_table
 from .errors import InvalidOutcome, SolverDivergence
 
 NS = "ns"
@@ -123,16 +123,17 @@ def shapes(instance: Instance, min_size: int) -> Iterator[tuple[tuple[int, ...],
 
 
 class DeviationRule:
-    """The NS or IS deviation rule over one `TierTable`: a (color, t) agent
-    whose own coalition is at tier `own_tier` for it joins a coalition with
-    counts `target` when it strictly prefers the grown coalition and, under
-    IS, no member type of the target refuses it.  Going alone is joining
-    the empty coalition, which has no member to refuse."""
+    """The NS or IS deviation rule over the instance's `tier_table`: a
+    (color, t) agent whose own coalition is at tier `own_tier` for it joins
+    a coalition with counts `target` when it strictly prefers the grown
+    coalition and, under IS, no member type of the target refuses it.
+    Going alone is joining the empty coalition, which has no member to
+    refuse."""
 
     __slots__ = ("tiers", "under_is", "empty")
 
     def __init__(self, instance: Instance, notion: str):
-        self.tiers, self.under_is = TierTable(instance), notion == IS
+        self.tiers, self.under_is = tier_table(instance), notion == IS
         self.empty = (0,) * instance.gamma
 
     def lured(self, color: int, t: int, own_tier: int, target, members: frozenset[int]) -> bool:

@@ -4,11 +4,12 @@
   decides its branches implicitly (colors-types defers the branch choice
   into one DP, colors-size prunes supports during its walk, colors-ntcoal
   screens seats and passes over dominated refinements), and all three
-  read tiers from one per-solve `TierTable`.  The functions here spell one
-  branch out at a time and read every tier straight off its palette with
-  `tier_of`, so tests can check the solvers' building blocks against the
-  definitions on tiny inputs; colors-ntcoal's guess walk is spelled out
-  whole, every guess straight to `max_flow`.
+  read tiers from the instance's shared `TierTable`.  The functions here
+  spell one branch out at a time and read every tier straight off its
+  palette with `tier_of`, never through that table, so tests can check
+  the solvers' building blocks against the definitions on tiny inputs;
+  colors-ntcoal's guess walk is spelled out whole, every guess straight
+  to `max_flow`.
 * The agent-level enumeration of budget-respecting partitions, the
   small-n reference for the class-level brute force.
 * Source-side deciders and witness decoders of the reductions, the

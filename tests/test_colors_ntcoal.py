@@ -11,7 +11,7 @@ from hdg.colors_ntcoal import (
     _compositions,
     solve_colors_ntcoal,
 )
-from hdg.core import TierList, TierTable, make_instance
+from hdg.core import TierList, make_instance, tier_table
 from hdg.errors import SearchSpaceTooLarge
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
@@ -135,7 +135,7 @@ def test_seat_test_matches_reference():
     verdicts = []
     for _ in range(150):
         inst = random_instance(rng, GenCaps(n=7), own_color=rng.random() < 0.3)
-        tiers = TierTable(inst)  # one memo across guesses, as within a solve
+        tiers = tier_table(inst)  # one memo across guesses, as within a solve
         for _ in range(5):
             guess = random_guess(rng, inst)
             for notion in (NS, IS):

@@ -12,8 +12,9 @@ coalition shape, which brute force and colors-size draw from
 `stability.shapes`, and `core.PackedCounts` the one packed residual.  Every layer reads preferences
 through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
 Only `core` (in `TierTable`) and `ownhdg` (its own-ratio order builder)
-call it; every other layer reads each tier through one `core.TierTable` a
-solve or a deviation search.
+call it; every other layer reads each tier through the instance's
+`core.TierTable`, which only `core.tier_table` builds, so back-to-back
+solves and deviation searches on one instance share it.
 """
 
 import argparse
@@ -251,6 +252,18 @@ def test_only_core_and_ownhdg_read_tier_of():
             if isinstance(node, ast.Attribute) and node.attr == "tier_of":
                 readers.add(path.stem)
     assert readers == {"core", "ownhdg"}
+
+
+def test_only_core_builds_a_tier_table():
+    # Everyone else asks `core.tier_table`, so back-to-back calls share one.
+    builders = set()
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                if name == "TierTable":
+                    builders.add(path.stem)
+    assert builders == {"core"}
 
 
 def test_tier_of_is_the_only_preference_oracle():
