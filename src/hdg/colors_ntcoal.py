@@ -15,7 +15,9 @@ class certifying each refusal, and per color pair whether some trivial
 coalition would accept the second color.  Agents of one (color, type)
 class are interchangeable, so a blocker is a demand for one agent of its
 class in its coalition, and accept/blocked guesses that can never affect
-any agent's validity are fixed to their permissive value.
+any agent's validity are fixed to their permissive value.  Every seat is
+decided by one test, `_seat_ok`, under the flags a guess sets for the
+class's color; the screens below rely on its being monotone in them.
 
 Most guesses are decided before a network is built, each in the guess
 order of the plain walk, so the first saturating guess is the same:
@@ -28,16 +30,18 @@ order of the plain walk, so the first saturating guess is the same:
   color the supplies equal the seats, so a saturating flow uses both.
 * IS family screen: before the refinements of a composition guess are
   built, one relaxed network tests them all, and then one tests each
-  non-empty refused set.  Its seat rule (`_lures`) keeps only what every
-  refinement of the family that could saturate also demands, and it has
-  no blocker demands, so when it cannot seat everyone (seat screen, then
-  max-flow) no refinement of the family saturates.  Skipped when the
-  composition guess has a single refinement.
+  non-empty refused set.  Its seats are those `_seat_ok` accepts under
+  every refusable flag of the family, every blockable pair and no blocker
+  demands.  A refinement that could saturate has its flags below these,
+  so by monotonicity its valid seats lie within the relaxed ones: when
+  the relaxed network cannot seat everyone (seat screen, then max-flow),
+  no refinement of the family saturates.  Skipped when the composition
+  guess has a single refinement.
 * IS refusal dominance: a refinement that refuses color-c joiners at j
-  when accepting them would drop no edge is passed over; the refinement
-  accepting them, with fewer blockers, comes earlier on the same edges
-  and saturates whenever this one does.  Passed-over guesses still count
-  towards GUESS_CAP.
+  when dropping that refusal changes no valid seat is passed over; the
+  refinement accepting them, with fewer blockers, comes earlier on the
+  same edges and saturates whenever this one does.  Passed-over guesses
+  still count towards GUESS_CAP.
 """
 
 from __future__ import annotations
@@ -75,37 +79,42 @@ class Guess:
     blockers: tuple[tuple[tuple[int, int], int], ...] = ()  # ((color, type), coalition index)
 
 
-def _seat(tiers: TierTable, t: int, color: int, target, comps) -> int:
-    """Tier of a color-c seat: at guessed coalition target, or alone."""
-    return tiers.single(t, color) if target == TRIVIAL else tiers.own(t, comps[target])
-
-
-def _class_valid(
+def _seat_ok(
     tiers: TierTable,
+    comps: tuple[tuple[int, ...], ...],
+    trivial_counts: tuple[int, ...],
     color: int,
     type_id: int,
     target,  # coalition index or TRIVIAL
-    guess: Guess,
-    notion: str,
+    flags: tuple[int, int, int],
 ) -> bool:
-    """May agents of class (color, type_id) sit at target under this guess?"""
-    comps = guess.compositions
-    if target == TRIVIAL:
-        if guess.trivial_counts[color] == 0:
-            return False
-    elif comps[target][color] == 0:
-        return False
-    own_tier = _seat(tiers, type_id, color, target, comps)
-    accepted = guess.accepted if notion == IS else None
-    blocked = guess.blocked if notion == IS else None
+    """May agents of class (color, type_id) sit at target?
 
+    flags = (refused, into, out) are bit sets: the coalitions that refuse
+    color-`color` joiners, the colors whose trivial agents refuse this
+    color, and the colors this class's trivial agents must refuse; Nash
+    stability sets none.  A refused or into bit only waives a deviation and
+    an out bit only adds one, so the test is monotone: more refused or into
+    bits never remove a valid seat, and more out bits never add one.
+    """
+    refused, into, out = flags
+    if target == TRIVIAL:
+        if trivial_counts[color] == 0:
+            return False
+        own_tier = tiers.single(type_id, color)
+    else:
+        if comps[target][color] == 0:
+            return False
+        own_tier = tiers.own(type_id, comps[target])
+    # Empty flag sets (always, under NS) skip their bit tests: this is
+    # the solver's innermost loop.
     for j, comp in enumerate(comps):
-        if j == target or (accepted is not None and not accepted[j][color]):
+        if j == target or (refused and refused >> j & 1):
             continue
         if tiers.joined(type_id, comp, color) < own_tier:
             return False
-    for c2, count in enumerate(guess.trivial_counts):
-        if count == 0 or c2 == color or (blocked and (c2, color) in blocked):
+    for c2, count in enumerate(trivial_counts):
+        if count == 0 or c2 == color or (into and into >> c2 & 1):
             continue
         if tiers.pair(type_id, c2, color) < own_tier:
             return False
@@ -113,11 +122,26 @@ def _class_valid(
     # singleton palette, covered by one check.
     if tiers.single(type_id, color) < own_tier:
         return False
-    if target == TRIVIAL and blocked:
-        for c_from, c_to in blocked:
-            if c_from == color and own_tier >= tiers.pair(type_id, color, c_to):
+    if out and target == TRIVIAL:
+        for c_to in range(len(trivial_counts)):
+            if out >> c_to & 1 and own_tier >= tiers.pair(type_id, color, c_to):
                 return False
     return True
+
+
+def _flags(guess: Guess) -> list[tuple[int, int, int]]:
+    """The `_seat_ok` flags of each color under the guess's accept flags
+    and blocked pairs."""
+    gamma = len(guess.trivial_counts)
+    refused, into, out = [0] * gamma, [0] * gamma, [0] * gamma
+    for j, accepts in enumerate(guess.accepted or ()):
+        for c, ok in enumerate(accepts):
+            if not ok:
+                refused[c] |= 1 << j
+    for c_from, c_to in guess.blocked or ():
+        into[c_to] |= 1 << c_from
+        out[c_from] |= 1 << c_to
+    return list(zip(refused, into, out))
 
 
 def _compositions(instance: Instance) -> list[tuple[int, ...]]:
@@ -202,14 +226,16 @@ def _try_flow(
     do not enter validity, so guesses that differ only in their blockers
     may share one memo.
     """
-    slots, caps = _seats(guess.compositions, guess.trivial_counts)
+    comps, trivial_counts = guess.compositions, guess.trivial_counts
+    slots, caps = _seats(comps, trivial_counts)
     slot_index = {s: i for i, s in enumerate(slots)}
+    flags = _flags(guess) if notion == IS else [(0, 0, 0)] * instance.gamma
 
     def valid(color, type_id, target) -> bool:
         key = (color, type_id, target)
         hit = class_ok.get(key)
         if hit is None:
-            hit = _class_valid(tiers, color, type_id, target, guess, notion)
+            hit = _seat_ok(tiers, comps, trivial_counts, color, type_id, target, flags[color])
             class_ok[key] = hit
         return hit
 
@@ -228,7 +254,7 @@ def _try_flow(
     flow = _saturating_flow(rows, supplies, slots, caps, valid)
     if flow is None:
         return None
-    members: list[dict[tuple[int, int], int]] = [{} for _ in guess.compositions]
+    members: list[dict[tuple[int, int], int]] = [{} for _ in comps]
     singles: list[list[tuple[tuple[int, int], int]]] = []
     for pair, j in guess.blockers:
         members[j][pair] = members[j].get(pair, 0) + 1
@@ -242,21 +268,26 @@ def _try_flow(
 
 
 def _dominated(tiers: TierTable, guess: Guess, types_of_color: dict[int, list[int]]) -> bool:
-    """Does the guess refuse color-c joiners at j when no edge needs it?
+    """Does the guess refuse color-c joiners at j when no seat needs it?
 
-    Accepting them drops exactly the valid seats, other than j, of the
-    color-c classes that would rather join j.  With none, the guess that
-    accepts them, with the same blocked set and a subset of the blockers,
-    comes at a smaller refused-set size: it has the same edges and fewer
-    demands, so it saturates whenever this one does.
+    Dropping that refusal changes no valid seat when no color-c class is
+    valid at a seat other than j under the guess's flags and invalid once
+    the refusal bit is cleared.  Then the guess that accepts them, with
+    the same blocked set and a subset of the blockers, comes at a smaller
+    refused-set size: it has the same edges and fewer demands, so it
+    saturates whenever this one does.
     """
-    comps = guess.compositions
+    comps, trivial_counts = guess.compositions, guess.trivial_counts
+    flags = _flags(guess)
     targets = [*range(len(comps)), TRIVIAL]
-    for j, flags in enumerate(guess.accepted):
-        for c, ok in enumerate(flags):
-            if not ok and not any(
-                tiers.joined(t, comps[j], c) < _seat(tiers, t, c, target, comps)
-                and _class_valid(tiers, c, t, target, guess, IS)
+    for j in range(len(comps)):
+        bit = 1 << j
+        for c, (refused, into, out) in enumerate(flags):
+            if refused & bit and not any(
+                _seat_ok(tiers, comps, trivial_counts, c, t, target, flags[c])
+                and not _seat_ok(
+                    tiers, comps, trivial_counts, c, t, target, (refused ^ bit, into, out)
+                )
                 for t in types_of_color[c]
                 for target in targets
                 if target != j
@@ -265,60 +296,29 @@ def _dominated(tiers: TierTable, guess: Guess, types_of_color: dict[int, list[in
     return False
 
 
-def _lures(
-    tiers: TierTable,
-    color: int,
-    type_id: int,
-    target,  # coalition index or TRIVIAL
-    comps: tuple[tuple[int, ...], ...],
-    trivial_counts: tuple[int, ...],
-    blockable: set[tuple[int, int]],
-) -> tuple[int, ...] | None:
-    """The relaxed seat rule for class (color, type_id) at a seat with room.
-
-    None when no refinement of the composition guess can seat the class
-    there: it would rather go alone, or pair with a trivial color-c2 agent
-    where (c2, color) is not blockable.  Otherwise the guessed coalitions
-    it would rather join: a refinement may seat it there only if it
-    refuses color-`color` joiners at each of them.  Blocker demands and
-    the rule that a blocked trivial agent must refuse are dropped, so this
-    seat validity contains that of every refinement that can saturate.
-    """
-    own_tier = _seat(tiers, type_id, color, target, comps)
-    if tiers.single(type_id, color) < own_tier:
-        return None
-    for c2, count in enumerate(trivial_counts):
-        if (
-            count
-            and c2 != color
-            and (c2, color) not in blockable
-            and tiers.pair(type_id, c2, color) < own_tier
-        ):
-            return None
-    return tuple(
-        j
-        for j, comp in enumerate(comps)
-        if j != target and tiers.joined(type_id, comp, color) < own_tier
-    )
-
-
 def _relaxed_saturates(
     instance: Instance,
-    slots: list[tuple],
-    caps: list[int],
-    lures: dict[tuple[int, int, object], tuple[int, ...] | None],
+    tiers: TierTable,
+    comps: tuple[tuple[int, ...], ...],
+    trivial_counts: tuple[int, ...],
     refusable: Collection[tuple[int, int]],
+    into: list[int],
 ) -> bool:
     """Can a refinement refusing only (coalition, color) flags in
-    `refusable` saturate?  No, when the relaxed network, seats valid under
-    `_lures`, fails the seat screen or `max_flow`: each such refinement's
-    valid seats lie within the relaxed ones, and its blockers only take
-    supply and room from valid seats."""
+    `refusable` saturate?  No, when the network of the seats `_seat_ok`
+    accepts under those refusals, the `into` bits and no out bits fails
+    the seat screen or `max_flow`: such a refinement that could saturate
+    has its flags below these, so by monotonicity its valid seats lie
+    within them, and its blockers only take supply and room from them."""
+    refused = [0] * instance.gamma
+    for j, c in refusable:
+        refused[c] |= 1 << j
 
     def valid(color, type_id, target) -> bool:
-        lure = lures[(color, type_id, target)]
-        return lure is not None and all((j, color) in refusable for j in lure)
+        flags = (refused[color], into[color], 0)
+        return _seat_ok(tiers, comps, trivial_counts, color, type_id, target, flags)
 
+    slots, caps = _seats(comps, trivial_counts)
     rows = instance.present_pairs
     supplies = [instance.n_ct[pair] for pair in rows]
     return _saturating_flow(rows, supplies, slots, caps, valid) is not None
@@ -409,30 +409,25 @@ def _is_guesses(
         yield Guess(comps, trivial_counts, accept_all, frozenset())
         return
 
-    # A blocked pair can be part of a saturating refinement only when
-    # some trivial agent of its first color refuses the second.
-    blockable = {
-        (c_from, c_to)
-        for c_from, c_to in relevant_blocked
+    # The relaxed into bits: a blocked pair can be part of a saturating
+    # refinement only when some trivial agent of its first color refuses
+    # the second, or its out bit leaves those trivial seats no valid class.
+    into = [0] * gamma
+    for c_from, c_to in relevant_blocked:
         if any(
             tiers.single(t, c_from) < tiers.pair(t, c_from, c_to)
             for t in types_of_color[c_from]
-        )
-    }
-    slots, caps = _seats(comps, trivial_counts)
-    lures = {
-        (color, t, target): _lures(tiers, color, t, target, comps, trivial_counts, blockable)
-        for color, t in instance.present_pairs
-        for target, c in slots
-        if c == color
-    }
-    if not _relaxed_saturates(instance, slots, caps, lures, set(refusable)):
+        ):
+            into[c_to] |= 1 << c_from
+    if not _relaxed_saturates(instance, tiers, comps, trivial_counts, refusable, into):
         for refused in _subsets(refusable):
             yield from itertools.repeat(None, family_size(refused))
         return
 
     for refused in _subsets(refusable):
-        if refused and not _relaxed_saturates(instance, slots, caps, lures, refused):
+        if refused and not _relaxed_saturates(
+            instance, tiers, comps, trivial_counts, refused, into
+        ):
             yield from itertools.repeat(None, family_size(refused))
             continue
         accepted = tuple(

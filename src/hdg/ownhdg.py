@@ -78,7 +78,8 @@ def _orders_from_palettes(instance: Instance, pairs) -> dict[tuple[int, int], Fr
         expected *= l + 1
     if expected > cap:
         raise SearchSpaceTooLarge(
-            f"own-ratio validation universe {expected} exceeds {cap}"
+            f"more than {cap} own-ratio validation count vectors: {expected}"
+            " (cap via HDG_SEARCH_CAP)"
         )
     palettes = {
         reduce_counts(counts)

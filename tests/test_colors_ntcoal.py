@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,11 +8,12 @@ from hdg.brute import solve_brute
 from hdg.colors_ntcoal import (
     TRIVIAL,
     Guess,
-    _class_valid,
     _compositions,
+    _flags,
+    _seat_ok,
     solve_colors_ntcoal,
 )
-from hdg.core import TierList, make_instance, tier_table
+from hdg.core import TierList, make_instance, reduce_counts, singleton_palette, tier_table
 from hdg.errors import SearchSpaceTooLarge
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import IS, NS, check_outcome
@@ -139,13 +141,147 @@ def test_seat_test_matches_reference():
         for _ in range(5):
             guess = random_guess(rng, inst)
             for notion in (NS, IS):
+                flags = _flags(guess) if notion == IS else [(0, 0, 0)] * inst.gamma
                 for color, type_id in inst.present_pairs:
                     for target in [*range(len(guess.compositions)), TRIVIAL]:
-                        got = _class_valid(tiers, color, type_id, target, guess, notion)
+                        got = _seat_ok(
+                            tiers, guess.compositions, guess.trivial_counts,
+                            color, type_id, target, flags[color],
+                        )
                         want = class_valid(inst, color, type_id, target, guess, notion)
                         assert got == want, (guess, notion, color, type_id, target)
                         verdicts.append(got)
     assert len(verdicts) > 2000 and 0.1 < sum(verdicts) / len(verdicts) < 0.9
+
+
+def flag_guess(comps, trivial_counts, color, flags):
+    """A guess whose `_seat_ok` flags for `color` are `flags`."""
+    refused, into, out = flags
+    gamma = len(trivial_counts)
+    accepted = tuple(
+        tuple(c != color or not refused >> j & 1 for c in range(gamma)) for j in range(len(comps))
+    )
+    blocked = {(c2, color) for c2 in range(gamma) if into >> c2 & 1}
+    blocked |= {(color, c_to) for c_to in range(gamma) if out >> c_to & 1}
+    return Guess(comps, trivial_counts, accepted, frozenset(blocked))
+
+
+def test_seat_test_is_monotone_in_its_flags():
+    # For random flags F <= G (G adds refused and into bits and drops out
+    # bits), read against the tier_of reference: a seat valid under F is
+    # valid under G, and clearing refusal bit j of F drops exactly the
+    # seats, other than j, valid under F whose class would rather join j.
+    rng = random.Random(5150)
+    gained = drops = kept = 0
+    for _ in range(400):
+        inst = random_instance(rng, GenCaps(n=7, rho2=2))
+        tiers = tier_table(inst)
+        gamma = inst.gamma
+        for _ in range(4):
+            guess = random_guess(rng, inst)
+            comps, trivial_counts = guess.compositions, guess.trivial_counts
+            d = len(comps)
+            for color, type_id in inst.present_pairs:
+                tier_of = inst.prefs[type_id].tier_of
+                others = ((1 << gamma) - 1) & ~(1 << color)
+                f = (rng.getrandbits(d), rng.getrandbits(gamma) & others,
+                     rng.getrandbits(gamma) & others)
+                g = (f[0] | rng.getrandbits(d), f[1] | rng.getrandbits(gamma) & others,
+                     f[2] & rng.getrandbits(gamma))
+                for target in [*range(d), TRIVIAL]:
+                    ok = []
+                    for flags in (f, g):
+                        args = (tiers, comps, trivial_counts, color, type_id, target, flags)
+                        ok.append(_seat_ok(*args))
+                        want = flag_guess(comps, trivial_counts, color, flags)
+                        assert ok[-1] == class_valid(inst, color, type_id, target, want, IS)
+                    assert ok[1] or not ok[0], (f, g, color, type_id, target)
+                    gained += ok[1] and not ok[0]
+                    if target == TRIVIAL:
+                        own = tier_of(singleton_palette(color, gamma))
+                    else:
+                        own = tier_of(reduce_counts(comps[target]))
+                    for j in range(d):
+                        if j == target or not f[0] >> j & 1:
+                            continue
+                        cleared = (f[0] ^ 1 << j, f[1], f[2])
+                        drop = ok[0] and not _seat_ok(
+                            tiers, comps, trivial_counts, color, type_id, target, cleared
+                        )
+                        grown = list(comps[j])
+                        grown[color] += 1
+                        assert drop == (ok[0] and tier_of(reduce_counts(grown)) < own)
+                        drops += drop
+                        kept += ok[0] and not drop
+    assert gained > 100 and drops > 100 and kept > 100, (gained, drops, kept)
+
+
+def composition_guesses(inst):
+    """The (compositions, trivial counts) guesses of the colors-ntcoal walk."""
+    b, sizes = inst.budgets, inst.class_sizes
+    for d in range(min(b.rho2, b.rho1, inst.n // 2) + 1):
+        for comps in itertools.combinations_with_replacement(_compositions(inst), d):
+            used = [sum(comp[c] for comp in comps) for c in range(inst.gamma)]
+            trivial_counts = tuple(s - u for s, u in zip(sizes, used))
+            if min(trivial_counts) >= 0 and d + sum(trivial_counts) <= b.rho1:
+                yield comps, trivial_counts
+
+
+def test_relaxed_flags_hold_every_refinement_seat():
+    # A family's relaxed flags (its refusals, every blockable pair, no out
+    # bits) lie above the flags of each refinement that could saturate, so
+    # every seat the reference accepts for such a refinement is valid under
+    # them.  A refinement blocking a pair that is not blockable cannot
+    # saturate: no class of the pair's first color may sit alone.
+    rng = random.Random(6262)
+    held = unseatable = 0
+    for trial in range(300):
+        inst = random_instance(rng, GenCaps(n=7, rho2=2), own_color=trial % 3 == 0)
+        tiers = tier_table(inst)
+        gamma = inst.gamma
+
+        def alone_first(t, c_from, c_to):
+            pair = [0] * gamma
+            pair[c_from] += 1
+            pair[c_to] += 1
+            tier_of = inst.prefs[t].tier_of
+            return tier_of(singleton_palette(c_from, gamma)) < tier_of(reduce_counts(pair))
+
+        blockable = {
+            (c_from, c_to)
+            for c_from, c_to in itertools.permutations(range(gamma), 2)
+            if any(alone_first(t, c_from, c_to) for c, t in inst.present_pairs if c == c_from)
+        }
+        into = [0] * gamma
+        for c_from, c_to in blockable:
+            into[c_to] |= 1 << c_from
+        for comps, trivial_counts in composition_guesses(inst):
+            if rng.random() > 0.5:
+                continue
+            refinements = ntcoal_is_refinements(inst, comps, trivial_counts)
+            for guess in itertools.islice(refinements, 64):
+                if not guess.blocked <= blockable:
+                    c_from = min(c for c, _ in guess.blocked - blockable)
+                    assert trivial_counts[c_from] > 0
+                    assert not any(
+                        class_valid(inst, c, t, TRIVIAL, guess, IS)
+                        for c, t in inst.present_pairs
+                        if c == c_from
+                    )
+                    unseatable += 1
+                    continue
+                for color, type_id in inst.present_pairs:
+                    refused = sum(
+                        1 << j for j, flags in enumerate(guess.accepted) if not flags[color]
+                    )
+                    relaxed = (refused, into[color], 0)
+                    for target in [*range(len(comps)), TRIVIAL]:
+                        if class_valid(inst, color, type_id, target, guess, IS):
+                            assert _seat_ok(
+                                tiers, comps, trivial_counts, color, type_id, target, relaxed
+                            ), (guess, color, type_id, target)
+                            held += 1
+    assert held > 2000 and unseatable > 200, (held, unseatable)
 
 
 def test_same_outcome_as_unpruned_walk_random():
@@ -206,6 +342,17 @@ def test_guess_cap_counts_every_generated_guess(monkeypatch, game, notion):
         solve_colors_ntcoal(inst, notion)
 
 
+@pytest.mark.parametrize("guard", ["coalition compositions", "guesses"])
+def test_guess_cap_names_the_setting(monkeypatch, guard):
+    # GUESS_CAP bounds both the compositions and the guesses generated.
+    inst = no_is_game()
+    cap = 0 if guard == "coalition compositions" else len(_compositions(inst))
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", cap)
+    with pytest.raises(SearchSpaceTooLarge, match=rf"more than {cap} {guard} .*HDG_SEARCH_CAP"):
+        solve_colors_ntcoal(inst, IS)
+
+
 @pytest.mark.parametrize("profile", [223, 247])
 def test_blocker_covers_share_seat_validity(monkeypatch, profile):
     # Blockers do not enter seat validity, so across the guesses one
@@ -215,22 +362,23 @@ def test_blocker_covers_share_seat_validity(monkeypatch, profile):
     # family screen (the benchmark's profiles 0 and 1 at n=10 keep 64 and 36).
     inst = sweep_game(profile, 12, 2)
     seats = []
-    inside = [False]
-    real_valid, real_try = colors_ntcoal._class_valid, colors_ntcoal._try_flow
+    inside = [None]  # the guess `_try_flow` is testing
+    real_valid, real_try = colors_ntcoal._seat_ok, colors_ntcoal._try_flow
 
-    def valid(tiers, color, type_id, target, guess, notion):
-        if inside[0]:
+    def valid(tiers, comps, trivial_counts, color, type_id, target, flags):
+        guess = inside[0]
+        if guess is not None:
             seats.append((guess.compositions, guess.accepted, guess.blocked, color, type_id, target))
-        return real_valid(tiers, color, type_id, target, guess, notion)
+        return real_valid(tiers, comps, trivial_counts, color, type_id, target, flags)
 
-    def trying(*args):
-        inside[0] = True
+    def trying(instance, guess, *args):
+        inside[0] = guess
         try:
-            return real_try(*args)
+            return real_try(instance, guess, *args)
         finally:
-            inside[0] = False
+            inside[0] = None
 
-    monkeypatch.setattr(colors_ntcoal, "_class_valid", valid)
+    monkeypatch.setattr(colors_ntcoal, "_seat_ok", valid)
     monkeypatch.setattr(colors_ntcoal, "_try_flow", trying)
     assert solve_colors_ntcoal(inst, IS) == ntcoal_walk(inst, IS)[0]
     assert len(seats) > 500 and len(seats) == len(set(seats))
@@ -240,20 +388,14 @@ def unsaturable_families(monkeypatch, inst):
     """Solve inst under IS and return, for each relaxed network the solver
     finds unsaturable, (compositions, trivial counts, the refusable flags)."""
     found = []
-    family = [None]
-    real_guesses, real_relaxed = colors_ntcoal._is_guesses, colors_ntcoal._relaxed_saturates
+    real_relaxed = colors_ntcoal._relaxed_saturates
 
-    def guesses(instance, tiers, types_of_color, comps, trivial_counts):
-        family[0] = (comps, trivial_counts)
-        yield from real_guesses(instance, tiers, types_of_color, comps, trivial_counts)
-
-    def relaxed(*args):
-        verdict = real_relaxed(*args)
+    def relaxed(instance, tiers, comps, trivial_counts, refusable, into):
+        verdict = real_relaxed(instance, tiers, comps, trivial_counts, refusable, into)
         if not verdict:
-            found.append((*family[0], frozenset(args[-1])))
+            found.append((comps, trivial_counts, frozenset(refusable)))
         return verdict
 
-    monkeypatch.setattr(colors_ntcoal, "_is_guesses", guesses)
     monkeypatch.setattr(colors_ntcoal, "_relaxed_saturates", relaxed)
     solve_colors_ntcoal(inst, IS)
     return found

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from hdg import ownhdg
 from hdg.brute import solve_brute
 from hdg.core import NamedFamily, TierList, make_instance
-from hdg.errors import OwnColorViolation
+from hdg.errors import OwnColorViolation, SearchSpaceTooLarge
 from hdg.ownhdg import Record, arc_exists, own_ratio_orders, solve_ownhdg_nash
 from hdg.randgen import GenCaps, random_instance
 from hdg.stability import NS, check_outcome
@@ -145,6 +146,25 @@ def test_own_color_violation_detected():
         gamma=3,
     )
     with pytest.raises(OwnColorViolation):
+        solve_ownhdg_nash(inst)
+
+
+def test_validation_universe_cap_names_the_setting(monkeypatch):
+    # example1's tier lists are validated over (2+2) x (2+2) = 16 count vectors.
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    monkeypatch.setattr(ownhdg, "UNIVERSE_CAP", 15)
+    with pytest.raises(SearchSpaceTooLarge, match=r"more than 15 .*: 16 .*HDG_SEARCH_CAP"):
+        solve_ownhdg_nash(example1())
+    monkeypatch.setattr(ownhdg, "UNIVERSE_CAP", 16)
+    assert set(own_ratio_orders(example1())) == set(example1().present_pairs)
+
+
+def test_record_graph_cap_names_the_setting(monkeypatch):
+    inst = make_instance([0, 1], {0: own_order(0, [F(1)]), 1: own_order(1, [F(1)])},
+                         types=[0, 1], gamma=2)
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    monkeypatch.setattr(ownhdg, "UNIVERSE_CAP", 1)
+    with pytest.raises(SearchSpaceTooLarge, match=r"more than 1 record-graph .*HDG_SEARCH_CAP"):
         solve_ownhdg_nash(inst)
 
 

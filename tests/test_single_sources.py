@@ -14,7 +14,8 @@ through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
 Only `core` (in `TierTable`) and `ownhdg` (its own-ratio order builder)
 call it; every other layer reads each tier through the instance's
 `core.TierTable`, which only `core.tier_table` builds, so back-to-back
-solves and deviation searches on one instance share it.
+solves and deviation searches on one instance share it.  colors-ntcoal
+decides every seat with one flag-monotone test, `_seat_ok`.
 """
 
 import argparse
@@ -31,7 +32,7 @@ import hdg
 import hdg.brute
 import hdg.core
 import hdg.stability
-from hdg import bench, cli, colors_size, colors_types
+from hdg import bench, cli, colors_ntcoal, colors_size, colors_types
 from hdg.core import NamedFamily, TierList
 from hdg.errors import search_cap
 from hdg.reductions import from_x3c
@@ -264,6 +265,21 @@ def test_only_core_builds_a_tier_table():
                 if name == "TierTable":
                     builders.add(path.stem)
     assert builders == {"core"}
+
+
+def test_colors_ntcoal_has_one_seat_rule():
+    # Flow, relaxed family screen and refusal dominance all decide seats
+    # through `_seat_ok`; only it and the flag screens of `_is_guesses`
+    # read the join and pair tiers.
+    tree = ast.parse(Path(colors_ntcoal.__file__).read_text())
+    readers = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("joined", "pair")
+    }
+    assert readers == {"_seat_ok", "_is_guesses"}
 
 
 def test_tier_of_is_the_only_preference_oracle():
