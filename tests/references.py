@@ -592,30 +592,37 @@ def ntcoal_flow(instance: Instance, guess: Guess, notion: str) -> Outcome | None
     return deal_outcome(instance, [sorted(m.items()) for m in members] + singles)
 
 
-def ntcoal_walk(instance: Instance, notion: str) -> tuple[Outcome | None, int]:
-    """colors-ntcoal without screens or dominance: every guess in the
-    solver's order goes to `max_flow`.  Returns the first saturating
-    guess's outcome and the number of guesses generated up to it."""
+def ntcoal_composition_guesses(
+    instance: Instance,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """colors-ntcoal's (compositions, trivial counts) guesses, in its order."""
     budgets, sizes = instance.budgets, instance.class_sizes
     comps_all = _compositions(instance)
-    examined = 0
     for d in range(min(budgets.rho2, budgets.rho1, instance.n // 2) + 1):
         for comps in itertools.combinations_with_replacement(comps_all, d):
             used = [sum(comp[c] for comp in comps) for c in range(instance.gamma)]
             if any(u > s for u, s in zip(used, sizes)):
                 continue
             trivial_counts = tuple(s - u for s, u in zip(sizes, used))
-            if d + sum(trivial_counts) > budgets.rho1:
-                continue
-            if notion == NS:
-                guesses: Iterable[Guess] = [Guess(comps, trivial_counts)]
-            else:
-                guesses = ntcoal_is_refinements(instance, comps, trivial_counts)
-            for guess in guesses:
-                examined += 1
-                outcome = ntcoal_flow(instance, guess, notion)
-                if outcome is not None:
-                    return outcome, examined
+            if d + sum(trivial_counts) <= budgets.rho1:
+                yield comps, trivial_counts
+
+
+def ntcoal_walk(instance: Instance, notion: str) -> tuple[Outcome | None, int]:
+    """colors-ntcoal without screens or dominance: every guess in the
+    solver's order goes to `max_flow`.  Returns the first saturating
+    guess's outcome and the number of guesses generated up to it."""
+    examined = 0
+    for comps, trivial_counts in ntcoal_composition_guesses(instance):
+        if notion == NS:
+            guesses: Iterable[Guess] = [Guess(comps, trivial_counts)]
+        else:
+            guesses = ntcoal_is_refinements(instance, comps, trivial_counts)
+        for guess in guesses:
+            examined += 1
+            outcome = ntcoal_flow(instance, guess, notion)
+            if outcome is not None:
+                return outcome, examined
     return None, examined
 
 

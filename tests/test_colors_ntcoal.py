@@ -22,6 +22,7 @@ from fixtures import A, B, C, D, example1, sweep_game
 from references import (
     class_valid,
     is_valid_for,
+    ntcoal_composition_guesses,
     ntcoal_flow,
     ntcoal_is_refinements,
     ntcoal_walk,
@@ -216,17 +217,6 @@ def test_seat_test_is_monotone_in_its_flags():
     assert gained > 100 and drops > 100 and kept > 100, (gained, drops, kept)
 
 
-def composition_guesses(inst):
-    """The (compositions, trivial counts) guesses of the colors-ntcoal walk."""
-    b, sizes = inst.budgets, inst.class_sizes
-    for d in range(min(b.rho2, b.rho1, inst.n // 2) + 1):
-        for comps in itertools.combinations_with_replacement(_compositions(inst), d):
-            used = [sum(comp[c] for comp in comps) for c in range(inst.gamma)]
-            trivial_counts = tuple(s - u for s, u in zip(sizes, used))
-            if min(trivial_counts) >= 0 and d + sum(trivial_counts) <= b.rho1:
-                yield comps, trivial_counts
-
-
 def test_relaxed_flags_hold_every_refinement_seat():
     # A family's relaxed flags (its refusals, every blockable pair, no out
     # bits) lie above the flags of each refinement that could saturate, so
@@ -255,7 +245,7 @@ def test_relaxed_flags_hold_every_refinement_seat():
         into = [0] * gamma
         for c_from, c_to in blockable:
             into[c_to] |= 1 << c_from
-        for comps, trivial_counts in composition_guesses(inst):
+        for comps, trivial_counts in ntcoal_composition_guesses(inst):
             if rng.random() > 0.5:
                 continue
             refinements = ntcoal_is_refinements(inst, comps, trivial_counts)
