@@ -74,8 +74,9 @@ def enumerate_stable(instance: Instance, notion: str) -> Iterator[Outcome]:
             alone = [single for single, r in zip(singles, residual) if r]
             blocks = [drawn[i][1] for i in chosen]
             if settled(rule, blocks, alone):
-                blocks += [single for single, r in zip(singles, residual) for _ in range(r)]
-                yield deal_outcome(instance, [block.pair_counts for block in blocks])
+                yield deal_outcome(
+                    instance, [block.pair_counts for block in blocks], zip(pairs, residual)
+                )
         i = start
         while k < b.rho2 and (v := vector(i)) is not None:
             if all(x <= r for x, r in zip(v, residual)) and all(compatible(j, i) for j in chosen):

@@ -255,16 +255,16 @@ def _try_flow(
     if flow is None:
         return None
     members: list[dict[tuple[int, int], int]] = [{} for _ in comps]
-    singles: list[list[tuple[tuple[int, int], int]]] = []
+    singles: list[tuple[tuple[int, int], int]] = []
     for pair, j in guess.blockers:
         members[j][pair] = members[j].get(pair, 0) + 1
     for (r, s), amount in flow.items():
         target = slots[s][0]
         if target == TRIVIAL:
-            singles.extend([(rows[r], 1)] for _ in range(amount))
+            singles.append((rows[r], amount))
         else:
             members[target][rows[r]] = members[target].get(rows[r], 0) + amount
-    return deal_outcome(instance, [sorted(m.items()) for m in members] + singles)
+    return deal_outcome(instance, [sorted(m.items()) for m in members], singles)
 
 
 def _dominated(tiers: TierTable, guess: Guess, types_of_color: dict[int, list[int]]) -> bool:

@@ -242,8 +242,11 @@ class _Viabilities:
         return vid
 
 
-def _search(setup: _Setup, init_viab: tuple[Entries, ...]) -> list[int] | None:
-    """Candidate indices of some full packing, or None if there is none.
+def _search(
+    setup: _Setup, init_viab: tuple[Entries, ...]
+) -> tuple[list[int], tuple[int, ...]] | None:
+    """The non-trivial candidate indices of some full packing and the
+    agents it leaves alone per pair, or None if there is none.
 
     Level r holds the states first met with r non-trivial candidates, each
     one int (its viability id above its residual), closed as it is met:
@@ -259,19 +262,19 @@ def _search(setup: _Setup, init_viab: tuple[Entries, ...]) -> list[int] | None:
     move, moves, n_cand = viabilities.move, viabilities.moves, viabilities.n_cand
     parent: dict[int, tuple[int, int] | None] = {full: None}
 
-    def close(state: int, r: int) -> list[int] | None:
+    def close(state: int, r: int) -> tuple[list[int], tuple[int, ...]] | None:
         left = packing.unpack(state & mask)
         if r + sum(left) > budgets.rho1 or viabilities.send_alone(state >> bits, left) < 0:
             return None
-        chosen = [single for single, count in zip(viabilities.singles, left) for _ in range(count)]
+        chosen: list[int] = []
         while (step := parent[state]) is not None:
             state, cand_idx = step
             chosen.insert(0, cand_idx)
-        return chosen
+        return chosen, left
 
     frontier = [full]
-    if (chosen := close(full, 0)) is not None:
-        return chosen
+    if (found := close(full, 0)) is not None:
+        return found
     for r in range(1, min(budgets.rho1, budgets.rho2) + 1):
         next_frontier = []
         for state in frontier:
@@ -291,8 +294,8 @@ def _search(setup: _Setup, init_viab: tuple[Entries, ...]) -> list[int] | None:
                         f"more than {limit} packing states (cap via HDG_SEARCH_CAP)"
                     )
                 parent[new_state] = (state, cand_idx)
-                if (chosen := close(new_state, r)) is not None:
-                    return chosen
+                if (found := close(new_state, r)) is not None:
+                    return found
                 next_frontier.append(new_state)
         frontier = next_frontier
     return None
@@ -304,11 +307,12 @@ def solve_colors_types(instance: Instance, notion: str) -> Outcome | None:
     init_viab = tuple(_initial_entries(setup, i) for i in range(len(setup.pairs)))
     if any(not e for e in init_viab):
         return None
-    chosen = _search(setup, init_viab)
-    if chosen is None:
+    found = _search(setup, init_viab)
+    if found is None:
         return None
+    chosen, left = found
     outcome = deal_outcome(
-        instance, (zip(setup.pairs, setup.candidates[i]) for i in chosen)
+        instance, (zip(setup.pairs, setup.candidates[i]) for i in chosen), zip(setup.pairs, left)
     )
     verdict = check_outcome(instance, outcome, notion)
     if not verdict.stable:

@@ -621,6 +621,12 @@ class Instance:
     def present_pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple(sorted(self.n_ct))
 
+    @cached_property
+    def class_of(self) -> list[int]:
+        """Each agent's (color, type) class, as an index into `present_pairs`."""
+        index = {pair: k for k, pair in enumerate(self.present_pairs)}
+        return list(map(index.__getitem__, zip(self.colors, self.types)))
+
 
 def _column(values: Sequence) -> Sequence:
     """Compact columns as they are; any other sequence as a tuple."""

@@ -253,14 +253,14 @@ def _search_records(instance, orders, sizes, profile, guard_colors):
         return None
 
     blocks: list[list[tuple[tuple[int, int], int]]] = [[] for _ in sizes]
-    singles: list[list[tuple[tuple[int, int], int]]] = []
+    singles: list[tuple[tuple[int, int], int]] = []
     alloc = sizes
     for i in range(gamma, 0, -1):
         prev, placement = levels[i][alloc]
         for (t, j), amount in placement.items():
             if j == -1:
-                singles.extend([((i - 1, t), 1)] for _ in range(amount))
+                singles.append(((i - 1, t), amount))
             else:
                 blocks[j].append(((i - 1, t), amount))
         alloc = prev
-    return deal_outcome(instance, [b for b in blocks if b] + singles)
+    return deal_outcome(instance, [b for b in blocks if b], singles)

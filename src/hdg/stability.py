@@ -12,17 +12,30 @@ its own coalition's color counts, C's color counts and, under IS, the set
 of types present in C.  `DeviationRule` states that once, over the
 instance's `core.tier_table`, per agent class and per pair of coalition
 shapes (`Block`, the one shape the class-level solvers use; `shapes`
-yields every shape an instance can realize).  The search groups coalitions by that signature in
-one O(n) pass and decides each agent class -- own signature, color and
-type -- against each group at most once.  Groups are tried lazily in order of their first
-coalition index, so the witness is the one an agent-by-agent scan would
-return: lowest agent, then lowest target index, the empty coalition last.
-The cost is O(n + agent classes x groups) oracle work instead of O(n^2).
+yields every shape an instance can realize).
+
+Checking an outcome costs per coalition and class, not per agent.  The
+partition is tested with a few C-level passes over the ids (`member_of`
+only words the error).  One pass over the coalitions groups them by that
+signature and lists the agents to decide: one per class for the
+one-agent coalitions, which share a memo, so a witness dealt as runs of
+lone agents costs a dict hit per coalition; one per class, its lowest
+agent, for a big coalition of few classes, read with C-level scans; and
+every member of any other coalition, which holds a handful of agents.
+Then each (own group, class) key is decided at most once, at its lowest
+agent, in agent order, and the search stops at the first key that
+deviates.  Groups are tried lazily in order of their first coalition
+index, so the witness is the one an agent-by-agent scan would return:
+lowest agent, then lowest target index, the empty coalition last.  The
+oracle work is O(keys x groups) table reads, and nothing past the
+witness's key is decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .core import Instance, compositions_upto, tier_table
@@ -33,6 +46,12 @@ IS = "is"
 
 # Sentinel target: deviate to the empty coalition, i.e. go alone.
 EMPTY = -1
+
+# The search reads a coalition of at least SCAN_FROM agents and at most
+# SCAN_CLASSES classes with `_scan`'s C-level scans, and walks any other
+# member by member, which is cheaper for a handful of members.
+SCAN_FROM = 24
+SCAN_CLASSES = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,6 +75,8 @@ class Outcome:
             if not block:
                 raise InvalidOutcome("outcome contains an empty coalition")
             for agent in block:
+                if type(agent) is not int:
+                    raise InvalidOutcome(f"agent id {agent!r} is not an int")
                 if not 0 <= agent < n:
                     raise InvalidOutcome(f"unknown agent {agent}")
                 if owner[agent] != -1:
@@ -67,13 +88,15 @@ class Outcome:
         return owner
 
 
-def deal_outcome(instance: Instance, blocks) -> Outcome:
-    """Outcome with one coalition per block of class counts.
+def deal_outcome(instance: Instance, blocks, alone=()) -> Outcome:
+    """Outcome with one coalition per block of class counts, then one
+    one-agent coalition per agent of each run in `alone`.
 
-    Each block is a sequence of ((color, type), count) entries.  Agents are
-    dealt out of each (color, type) class in id order; a class left with
-    agents undealt, or asked for more than it has, means the counts are not
-    a partition of the instance and raises SolverDivergence.
+    Each block is a sequence of ((color, type), count) entries, and each
+    run a ((color, type), count) pair.  Agents are dealt out of each
+    (color, type) class in id order, the blocks first; a class left with
+    agents undealt, or asked for more than it has, means the counts are
+    not a partition of the instance and raises SolverDivergence.
     """
     pools = instance.agents_of_ct
     dealt = dict.fromkeys(pools, 0)
@@ -85,6 +108,10 @@ def deal_outcome(instance: Instance, blocks) -> Outcome:
             members.extend(pools[pair][start : start + k])
             dealt[pair] = start + k
         coalitions.append(tuple(sorted(members)))
+    for pair, k in alone:
+        start = dealt[pair]
+        coalitions.extend(zip(pools[pair][start : start + k]))
+        dealt[pair] = start + k
     if any(dealt[pair] != len(agents) for pair, agents in pools.items()):
         raise SolverDivergence("class counts do not deal out every agent exactly once")
     return Outcome(tuple(coalitions))
@@ -152,27 +179,93 @@ class DeviationRule:
         return True
 
 
-def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], kind: str):
+def _sizes(outcome: Outcome, n: int) -> list[int]:
+    """Coalition sizes of an outcome that partitions the n agents.
+
+    C-level passes test it: no coalition empty, n ids in all and n
+    distinct ones, covering 0..n-1, each an int.  Any other outcome goes
+    to `member_of`, which raises InvalidOutcome naming the fault.
+    """
+    coalitions = outcome.coalitions
+    sizes = list(map(len, coalitions))
+    try:
+        agents = set().union(*coalitions)
+    except TypeError:  # an unhashable id
+        agents = set()
+    if (
+        len(agents) == n == sum(sizes)
+        and all(coalitions)
+        and agents.issuperset(range(n))
+        and {int}.issuperset(map(type, agents))
+    ):
+        return sizes
+    outcome.member_of(n)
+    raise AssertionError("member_of accepted an outcome that is not a partition")
+
+
+def _scan(instance: Instance, block) -> tuple[list[int], dict[tuple[int, int], int]] | None:
+    """Color counts of a coalition and the lowest agent of each (color,
+    type) class in it, read with C-level scans over its members' class
+    indices: one `count` and one `index` per class.  None when it holds
+    more than SCAN_CLASSES classes, where a walk stays linear."""
+    members = sorted(block)
+    ids = itemgetter(*members)(instance.class_of)
+    classes = set(ids)
+    if len(classes) > SCAN_CLASSES:
+        return None
+    pairs, counts = instance.present_pairs, [0] * instance.gamma
+    for k in classes:
+        counts[pairs[k][0]] += ids.count(k)
+    return counts, {pairs[k]: members[ids.index(k)] for k in classes}
+
+
+def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
     colors, types, gamma = instance.colors, instance.types, instance.gamma
     rule = DeviationRule(instance, kind)
     lured, tier, empty, under_is = rule.lured, rule.tiers.own, rule.empty, rule.under_is
-    here = frozenset()  # member types, read only under IS
+    none = frozenset()  # member types, read only under IS
 
-    # One pass over the agents: counts and signature per coalition, and
-    # per signature group its first two coalition indices.
-    group_of: list[int] = []
+    # One pass over the coalitions.  Coalitions of one signature (color
+    # counts, and member types under IS) form a group, which keeps its
+    # first two coalition indices.  An entry (agent, coalition index,
+    # group, (color, type)) is an agent to decide: the one-agent
+    # coalitions of a class share one, kept in `lone` with the lowest of
+    # their agents; a scanned coalition gives one per class, its lowest
+    # agent there; a walked one gives one per member, built after the pass.
+    index: dict[tuple, int] = {}
     first: list[int] = []
     second: list[int | None] = []
     counts_of: list[tuple[int, ...]] = []
     present: list[frozenset[int]] = []
-    index: dict[tuple, int] = {}
+    entries: list[tuple] = []
+    lone: dict[tuple[int, int], tuple] = {}
+    walked: list[tuple] = []
     for idx, block in enumerate(outcome.coalitions):
-        counts = [0] * gamma
-        for member in block:
-            counts[colors[member]] += 1
+        if len(block) == 1:
+            agent = block[0]
+            pair = colors[agent], types[agent]
+            entry = lone.get(pair)
+            if entry is not None:
+                g = entry[2]
+                if second[g] is None:
+                    second[g] = idx
+                if agent < entry[0]:
+                    lone[pair] = agent, idx, g, pair
+                continue
+            counts = [0] * gamma
+            counts[pair[0]] = 1
+            here = frozenset(pair[1:]) if under_is else none
+        else:
+            found = _scan(instance, block) if len(block) >= SCAN_FROM else None
+            if found is None:
+                counts = [0] * gamma
+                for agent in block:
+                    counts[colors[agent]] += 1
+                here = frozenset([types[agent] for agent in block]) if under_is else none
+            else:
+                counts, lowest = found
+                here = frozenset(map(itemgetter(1), lowest)) if under_is else none
         counts = tuple(counts)
-        if under_is:
-            here = frozenset(types[member] for member in block)
         g = index.setdefault((counts, here), len(first))
         if g == len(first):
             first.append(idx)
@@ -181,20 +274,34 @@ def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], ki
             present.append(here)
         elif second[g] is None:
             second[g] = idx
-        group_of.append(g)
+        if len(block) == 1:
+            lone[pair] = agent, idx, g, pair
+        elif found is None:
+            walked.append((block, idx, g))
+        else:
+            entries += zip(lowest.values(), repeat(idx), repeat(g), lowest)
 
-    # Walk the agents in id order.  The groups are tried in order of their
+    # Decide the entries in agent order, each (group, class) key once, at
+    # its lowest agent: every agent of a key has the same own group and so
+    # the same decisions (its coalition being the group's first changes
+    # only which index stands for the own group), and the first key that
+    # deviates holds the witness.  The groups are tried in order of their
     # first index, which stands for the whole group (its second index when
     # the first is the agent's own coalition), until that index passes the
-    # best target found.  A class with no deviation is remembered: any
-    # later agent of it has the same own group and the same decisions.
-    settled: set[tuple[int, int, int]] = set()
-    for agent in range(instance.n):
-        own = owner[agent]
-        g_own = group_of[own]
-        color, t = colors[agent], types[agent]
-        if (g_own, color, t) in settled:
+    # best target found.
+    entries += lone.values()
+    if walked:
+        entries += [
+            (agent, idx, g, (colors[agent], types[agent]))
+            for block, idx, g in walked
+            for agent in block
+        ]
+    entries.sort()
+    settled: set[tuple[int, tuple[int, int]]] = set()
+    for agent, own, g_own, pair in entries:
+        if (g_own, pair) in settled:
             continue
+        color, t = pair
         own_tier = tier(t, counts_of[g_own])
         best = None
         for g, cand in enumerate(first):
@@ -206,22 +313,24 @@ def _deviation_search(instance: Instance, outcome: Outcome, owner: list[int], ki
                     continue
             if lured(color, t, own_tier, counts_of[g], present[g]):
                 best = cand
-        if best is None and lured(color, t, own_tier, empty, frozenset()):
+        if best is None and lured(color, t, own_tier, empty, none):
             best = EMPTY
         if best is not None:
             return Deviation(agent, best, kind)
-        settled.add((g_own, color, t))
+        settled.add((g_own, pair))
     return None
 
 
 def find_ns_deviation(instance: Instance, outcome: Outcome) -> Deviation | None:
     """First NS-deviation in (agent id, target index, EMPTY last) order."""
-    return _deviation_search(instance, outcome, outcome.member_of(instance.n), NS)
+    _sizes(outcome, instance.n)
+    return _deviation_search(instance, outcome, NS)
 
 
 def find_is_deviation(instance: Instance, outcome: Outcome) -> Deviation | None:
     """First IS-deviation, same witness order as find_ns_deviation."""
-    return _deviation_search(instance, outcome, outcome.member_of(instance.n), IS)
+    _sizes(outcome, instance.n)
+    return _deviation_search(instance, outcome, IS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,11 +348,11 @@ def check_outcome(instance: Instance, outcome: Outcome, notion: str) -> CheckRes
     """Verify stability and budget compliance of an outcome."""
     if notion not in (NS, IS):
         raise ValueError(f"unknown stability notion {notion!r}")
-    owner = outcome.member_of(instance.n)  # validates the partition
+    sizes = _sizes(outcome, instance.n)
     b = instance.budgets
-    total = len(outcome.coalitions)
-    nontrivial = sum(1 for c in outcome.coalitions if len(c) >= 2)
-    biggest = max(len(c) for c in outcome.coalitions)
+    total = len(sizes)
+    nontrivial = total - sizes.count(1)
+    biggest = max(sizes)
     if total > b.rho1:
         return CheckResult("budget", detail=f"{total} coalitions > rho1={b.rho1}")
     if nontrivial > b.rho2:
@@ -252,7 +361,7 @@ def check_outcome(instance: Instance, outcome: Outcome, notion: str) -> CheckRes
         )
     if biggest > b.sigma:
         return CheckResult("budget", detail=f"coalition of size {biggest} > sigma={b.sigma}")
-    dev = _deviation_search(instance, outcome, owner, notion)
+    dev = _deviation_search(instance, outcome, notion)
     if dev is not None:
         return CheckResult("unstable", deviation=dev)
     return CheckResult("stable")

@@ -50,3 +50,31 @@ def sweep_game(profile, n, rho2):
     colors = [(k % 4) // 2 for k in range(n)]
     types = [k % 2 for k in range(n)]
     return make_instance(colors, prefs, types=types, gamma=2, sigma=4, rho2=rho2)
+
+
+def solver_shaped(rng: random.Random, instance: Instance, blocks: int, size: int):
+    """Class counts shaped like a class-level solver's witness, as
+    `stability.deal_outcome(instance, blocks, alone)` takes them.
+
+    Up to `blocks` blocks of 2..`size` agents are drawn class by class;
+    every agent left goes alone, each class in one to three runs, and the
+    runs of all classes are shuffled, so a class's lone agents are split
+    and interleaved with other classes'.
+    """
+    left = dict(instance.n_ct)
+    drawn = []
+    for _ in range(blocks):
+        pool = [pair for pair, k in left.items() for _ in range(k)]
+        if len(pool) < 2:
+            break
+        block: dict[tuple[int, int], int] = {}
+        for pair in rng.sample(pool, rng.randint(2, min(size, len(pool)))):
+            block[pair] = block.get(pair, 0) + 1
+            left[pair] -= 1
+        drawn.append(sorted(block.items()))
+    runs = []
+    for pair, k in left.items():
+        cuts = sorted(rng.randint(0, k) for _ in range(rng.randint(0, 2)))
+        runs += [(pair, b - a) for a, b in zip([0] + cuts, cuts + [k])]
+    rng.shuffle(runs)
+    return drawn, runs

@@ -7,11 +7,21 @@ return the same witness -- agent, target and kind -- on every input.
 
 import math
 import random
+from collections import Counter
 
 from hdg.core import NamedFamily, TierList, make_instance
 from hdg.randgen import GenCaps, random_instance
-from hdg.stability import IS, NS, Outcome, find_is_deviation, find_ns_deviation
+from hdg.stability import (
+    IS,
+    NS,
+    DeviationRule,
+    Outcome,
+    deal_outcome,
+    find_is_deviation,
+    find_ns_deviation,
+)
 
+from fixtures import solver_shaped
 from oracles import all_partitions, reference_deviation
 from references import partitions_within_budgets
 
@@ -161,6 +171,80 @@ def test_large_outcomes_match_reference():
 
 
 # --------------------------------------------------------------------------
+# Solver-shaped outcomes: blocks first, then lone agents dealt in runs.
+# --------------------------------------------------------------------------
+
+
+def _moved(rng, outcome):
+    """The outcome with one agent moved into another coalition, or out of
+    a coalition of two or more to go alone."""
+    blocks = [list(b) for b in outcome.coalitions]
+    src = rng.randrange(len(blocks))
+    mover = blocks[src].pop(rng.randrange(len(blocks[src])))
+    others = [i for i in range(len(blocks)) if i != src]
+    if blocks[src] and rng.random() < 0.5:
+        blocks.append([mover])
+    else:
+        blocks[rng.choice(others)].append(mover)
+    return Outcome.from_sets([b for b in blocks if b])
+
+
+def _topped_order(rng, gamma, pool, own, own_ratio, t):
+    """A random order over `pool` whose top tier holds the palettes in
+    `own` (own-ratio: their ratios of color t), so that a type-t agent
+    whose coalition has one of them never deviates."""
+    if own_ratio:
+        top = {_reduced((p[t], sum(p))) for p in own if p[t]}
+        rest = sorted({_reduced((p[t], sum(p))) for p in pool if p[t]} - top)
+        listed = [sorted(top)] + [[f] for f in rng.sample(rest, k=min(len(rest), 6))]
+        return NamedFamily(
+            "own_ratio_tiers", {"color": t, "tiers": [[list(f) for f in tier] for tier in listed]}
+        )
+    tiers = [sorted(own)]
+    for p in rng.sample(sorted(set(pool) - own), k=min(len(pool) - len(own), 10)):
+        if len(tiers) > 1 and rng.random() < 0.4:
+            tiers[-1].append(p)
+        else:
+            tiers.append([p])
+    return TierList(tiers)
+
+
+def test_solver_shaped_outcomes_match_reference():
+    # Each dealt outcome puts every agent in its top tier and is stable;
+    # moving one agent makes most of them unstable, at a later agent.
+    rng = random.Random(29)
+    seen = set()
+    split_classes = 0
+    for n in (60, 90, 120, 160, 200):
+        for own_ratio in (False, True):
+            gamma = rng.randint(2, 3)
+            tau = gamma if own_ratio else rng.randint(1, 3)
+            colors = [rng.randrange(gamma) for _ in range(n)]
+            types = list(colors) if own_ratio else [rng.randrange(tau) for _ in range(n)]
+            base = make_instance(colors, {t: TierList([]) for t in range(tau)}, types=types)
+            blocks, runs = solver_shaped(rng, base, rng.randint(1, 4), 5)
+            dealt = deal_outcome(base, blocks, runs)
+            outcomes = {"dealt": dealt.coalitions, "moved": _moved(rng, dealt).coalitions}
+            pool = _pool(gamma, colors, outcomes)
+            own = {
+                _reduced([sum(colors[a] == c for a in b) for c in range(gamma)])
+                for b in dealt.coalitions
+            }
+            prefs = {t: _topped_order(rng, gamma, pool, own, own_ratio, t) for t in range(tau)}
+            instance = make_instance(colors, prefs, types=types, gamma=gamma)
+            for coalitions in outcomes.values():
+                _agree(instance, Outcome(coalitions), seen)
+            # One-agent coalitions of one class dealt apart: the first of
+            # them and the later ones share a key.
+            lone = Counter((colors[b[0]], types[b[0]]) for b in dealt.coalitions if len(b) == 1)
+            split_classes += sum(1 for k in lone.values() if k >= 2)
+    # A lone agent would as soon join a lone agent of its color as go
+    # alone (one reduced palette), and that join comes first.
+    assert split_classes >= 20
+    assert {"stable", ("later-agent", "join")} <= seen
+
+
+# --------------------------------------------------------------------------
 # The agent's own coalition opens its signature group.
 # --------------------------------------------------------------------------
 
@@ -264,3 +348,39 @@ def test_tier_calls_on_singletons_do_not_grow_with_n(monkeypatch):
     small = _tier_calls_on_singletons(100, monkeypatch)
     assert small == _tier_calls_on_singletons(1000, monkeypatch)
     assert 0 < small < 100
+
+
+def test_first_deviating_agent_ends_the_search(monkeypatch):
+    # 1,000 agents in 20 coalitions of 30 color-0 and 20 color-1 agents,
+    # each everyone's top tier.  Moving agent 0 from coalition 0 to 1
+    # lures it back to coalition 0 with one decision; nothing past agent 0
+    # is decided.  A stable outcome costs two decisions per class, also
+    # when split into 200 coalitions of 3:2, whose members are walked.
+    n = 1000
+    colors = [1 if a % 5 in (1, 3) else 0 for a in range(n)]
+    prefs = {
+        0: NamedFamily("own_ratio_tiers", {"color": 0, "tiers": [[[3, 5]], [[1, 1]]]}),
+        1: NamedFamily("own_ratio_tiers", {"color": 1, "tiers": [[[2, 5]], [[1, 1]]]}),
+    }
+    instance = make_instance(colors, prefs, types=colors, gamma=2)
+    blocks = [list(range(50 * j, 50 * j + 50)) for j in range(20)]
+    moved = [list(b) for b in blocks]
+    moved[1].append(moved[0].pop(0))
+    calls = 0
+    real = DeviationRule.lured
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(DeviationRule, "lured", counting)
+    small = [list(range(5 * j, 5 * j + 5)) for j in range(200)]
+    for kind, finder in FINDERS:
+        for stable in (blocks, small):
+            calls = 0
+            assert finder(instance, Outcome.from_sets(stable)) is None
+            assert calls == 4
+        calls = 0
+        dev = finder(instance, Outcome.from_sets(moved))
+        assert (dev.agent, dev.target, calls) == (0, 0, 1)

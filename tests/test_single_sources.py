@@ -125,8 +125,8 @@ def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
         real = mod.deal_outcome
         dealt = []
 
-        def dealing(instance, blocks, real=real, dealt=dealt):
-            dealt.append(real(instance, blocks))
+        def dealing(instance, blocks, alone=(), real=real, dealt=dealt):
+            dealt.append(real(instance, blocks, alone))
             return dealt[-1]
 
         monkeypatch.setattr(mod, "deal_outcome", dealing)
@@ -135,6 +135,37 @@ def test_class_level_solvers_materialise_through_deal_outcome(monkeypatch):
         assert len(dealt) == 1
         dealers.append(algo)
     assert dealers == list(CLASS_LEVEL.values())
+
+
+def test_flow_solvers_deal_lone_agents_in_runs(monkeypatch):
+    # Three 1:1 pairs and three color-0 agents left alone: colors-ntcoal
+    # and own-nash hand every lone agent to `deal_outcome` as a run, never
+    # as a one-agent block.
+    tiers = [[[1, 2]], [[1, 1]]]
+    prefs = {t: NamedFamily("own_ratio_tiers", {"color": t, "tiers": tiers}) for t in (0, 1)}
+    colors = [0, 1, 0, 1, 0, 1, 0, 0, 0]
+    inst = hdg.make_instance(colors, prefs, types=colors, gamma=2, sigma=2, rho2=3)
+    for module, algo, notion in (
+        ("colors_ntcoal", "colors-ntcoal", NS),
+        ("colors_ntcoal", "colors-ntcoal", IS),
+        ("ownhdg", "own-nash", NS),
+    ):
+        mod = importlib.import_module(f"hdg.{module}")
+        real = mod.deal_outcome
+        calls = []
+
+        def dealing(instance, blocks, alone=(), real=real, calls=calls):
+            blocks, alone = [list(b) for b in blocks], list(alone)
+            calls.append((blocks, alone))
+            return real(instance, blocks, alone)
+
+        monkeypatch.setattr(mod, "deal_outcome", dealing)
+        witness = bench.SOLVERS[algo].solve(inst, notion)
+        [(blocks, alone)] = calls
+        assert all(sum(k for _, k in block) >= 2 for block in blocks)
+        lone = sum(1 for coalition in witness.coalitions if len(coalition) == 1)
+        assert lone == 3 and sum(k for _, k in alone) == lone
+        monkeypatch.undo()
 
 
 def _perfbench_constant(module: str, name: str):

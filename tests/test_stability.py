@@ -17,7 +17,7 @@ from hdg.stability import (
 )
 from hdg.randgen import GenCaps, random_instance
 
-from fixtures import A, B, C, D, example1
+from fixtures import A, B, C, D, example1, solver_shaped
 from references import shape_multisets
 
 
@@ -149,8 +149,34 @@ def test_returned_deviation_replays_through_comparator():
                     assert order.tier_of(joined) <= order.tier_of(base)
 
 
-def test_check_outcome_walks_the_agents_once(monkeypatch):
-    # The partition check and the deviation search share one member_of pass.
+# example1 has four agents, 0..3; each outcome below is not a partition of them.
+MALFORMED = {
+    "agents missing": ((0, 1), (2,)),
+    "duplicated across coalitions": ((0, 1), (1, 2, 3)),
+    "duplicated within a coalition": ((0, 0, 1), (2, 3)),
+    "duplicated, count still n": ((0, 1), (1, 2)),
+    "id past n": ((0, 1, 2), (3, 4)),
+    "id past n, count still n": ((0, 1), (2, 4)),
+    "negative id": ((-1, 0, 1, 2, 3),),
+    "negative id, count still n": ((-1, 0), (1, 2)),
+    "empty coalition": ((0, 1, 2, 3), ()),
+    "float id": ((0.0, 1), (2, 3)),
+    "float id in place of a missing int": ((1, 2), (3, 4.0)),
+    "string id": (("0", 1), (2, 3)),
+    "bool id": ((0, True), (2, 3)),
+    "bool id beside its int": ((0, 1), (True, 2, 3)),
+    "unhashable id": (([0], 1), (2, 3)),
+}
+CHECKS = (
+    lambda inst, out: check_outcome(inst, out, NS),
+    lambda inst, out: check_outcome(inst, out, IS),
+    find_ns_deviation,
+    find_is_deviation,
+)
+
+
+def test_check_outcome_calls_member_of_only_to_reject(monkeypatch):
+    # The partition test runs at C level; member_of only words the error.
     calls = []
     real = Outcome.member_of
 
@@ -158,13 +184,35 @@ def test_check_outcome_walks_the_agents_once(monkeypatch):
         calls.append(n)
         return real(self, n)
 
-    monkeypatch.setattr(Outcome, "member_of", counting)
     inst = example1()
-    for notion in (NS, IS):
-        for blocks in all_partitions(range(inst.n)):
-            calls.clear()
-            check_outcome(inst, Outcome.from_sets(blocks), notion)
-            assert calls == [inst.n]
+    monkeypatch.setattr(Outcome, "member_of", counting)
+    for blocks in all_partitions(range(inst.n)):
+        for check in CHECKS:
+            check(inst, Outcome.from_sets(blocks))
+    assert calls == []
+    for case, coalitions in MALFORMED.items():
+        with pytest.raises(InvalidOutcome) as want:
+            real(Outcome(coalitions), inst.n)
+        for check in CHECKS:
+            with pytest.raises(InvalidOutcome) as got:
+                check(inst, Outcome(coalitions))
+            assert str(got.value) == str(want.value), case
+
+
+def test_non_int_agent_ids_are_invalid_outcomes():
+    # Each id stands where an int agent should, and equals it or indexes
+    # like it; the error names the id instead of reading it as the agent.
+    inst = example1()
+    outcomes = [
+        (0.0, ((0.0, 1), (2, 3))),
+        ("0", (("0", 1), (2, 3))),
+        (True, ((0, True), (2, 3))),
+        (False, ((False, 1), (2, 3))),
+    ]
+    for bad, coalitions in outcomes:
+        for check in CHECKS:
+            with pytest.raises(InvalidOutcome, match=f"agent id {bad!r} is not an int"):
+                check(inst, Outcome(coalitions))
 
 
 def test_deal_outcome_deals_each_class_in_id_order():
@@ -184,6 +232,24 @@ def test_deal_outcome_rejects_counts_that_are_not_a_partition():
     for blocks in (undealt, overdrawn):
         with pytest.raises(SolverDivergence):
             deal_outcome(inst, blocks)
+
+
+def test_dealing_lone_runs_equals_one_block_per_agent():
+    rng = random.Random(41)
+    for _ in range(300):
+        n, gamma, tau = rng.randint(1, 14), rng.randint(1, 3), rng.randint(1, 3)
+        colors = [rng.randrange(gamma) for _ in range(n)]
+        types = [rng.randrange(tau) for _ in range(n)]
+        prefs = {t: TierList([]) for t in range(tau)}
+        inst = make_instance(colors, prefs, types=types, gamma=gamma)
+        blocks, runs = solver_shaped(rng, inst, 3, 5)
+        one_each = blocks + [[(pair, 1)] for pair, k in runs for _ in range(k)]
+        assert deal_outcome(inst, blocks, runs) == deal_outcome(inst, one_each)
+        pair, k = runs[0]
+        for wrong in (k - 1, k + 1):
+            if wrong >= 0:
+                with pytest.raises(SolverDivergence):
+                    deal_outcome(inst, blocks, [(pair, wrong)] + runs[1:])
 
 
 def test_shapes_are_the_bounded_multisets_in_composition_order():
