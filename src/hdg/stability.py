@@ -49,7 +49,9 @@ EMPTY = -1
 
 # The search reads a coalition of at least SCAN_FROM agents and at most
 # SCAN_CLASSES classes with `_scan`'s C-level scans, and walks any other
-# member by member, which is cheaper for a handful of members.
+# member by member.  On outcomes of 1,200 agents dealt at random (CPython
+# 3.11) the scan is the cheaper from about 6 agents of one class, 12 of
+# two and 24 of four, and at 24 agents the dearer with 8 classes or more.
 SCAN_FROM = 24
 SCAN_CLASSES = 4
 
