@@ -21,9 +21,15 @@ could revive), and packing one candidate more than twice leaves the
 entries of packing it twice.  So singletons are never searched: the
 search is breadth-first over the non-trivial candidates, at most rho2
 levels deep, on states (residual counts per (color, type), viability),
-and closes every state by sending each leftover agent alone, which rho1
-must allow.  `STATES_CAP` bounds the number of candidates and of distinct
-states kept.
+and extends a state only from the candidate that first reached it on.
+Pairs move independently, and a pair's move reads the candidate only
+through its static cell, so moves are memoized per pair on (entries,
+cell).  A state closes when rho1 allows one more coalition per leftover
+agent and every pair keeps an entry once each pair's singleton is packed
+for those agents, at most twice; that too is memoized per pair.  The
+last level is never extended, so its children are decided pair by pair
+and never interned.  `STATES_CAP` bounds the number of candidates, of
+distinct states kept, and of the last level's live children.
 
 A rank is a negated tier, so higher is better.  Every comparison the
 search makes depends only on the order of ranks, so any order-preserving
@@ -162,8 +168,9 @@ def _apply_candidate(
 
 class _Residuals:
     """Residual count vectors (agents per (color, type) still to pack) as
-    `PackedCounts`, and the non-trivial candidates that fit: a candidate
-    fits when its difference keeps every guard bit."""
+    `PackedCounts`, the non-trivial candidates that fit (a candidate fits
+    when its difference keeps every guard bit), and what closing a
+    residual reads of it."""
 
     def __init__(self, setup: _Setup):
         self.packing = packing = PackedCounts(setup.n_vec)
@@ -171,15 +178,29 @@ class _Residuals:
             (k, packing.pack(vec)) for k, vec in enumerate(setup.candidates) if sum(vec) >= 2
         ]
         self._fits: dict[int, list[tuple[int, int]]] = {}
+        self._left: dict[int, tuple[int, int]] = {}
 
-    def fits(self, residual: int) -> list[tuple[int, int]]:
-        """Non-trivial candidates that fit, as (candidate, next residual)."""
+    def fits(self, residual: int, start: int = 0) -> list[tuple[int, int]]:
+        """Non-trivial candidates from index `start` on that fit, as
+        (candidate, next residual)."""
         out = self._fits.get(residual)
         if out is None:
             guard = self.packing.guard
             out = self._fits[residual] = [
                 (k, rest) for k, vec in self._packed if (rest := residual - vec) & guard == guard
             ]
+        return out[bisect_left(out, (start,)):] if start else out
+
+    def left(self, residual: int) -> tuple[int, int]:
+        """The number of agents left, and their count per pair capped at 2
+        as base-3 digits, the first pair lowest."""
+        out = self._left.get(residual)
+        if out is None:
+            counts = self.packing.unpack(residual)
+            pattern = 0
+            for count in reversed(counts):
+                pattern = 3 * pattern + min(count, 2)
+            out = self._left[residual] = (sum(counts), pattern)
         return out
 
 
@@ -189,36 +210,49 @@ class _Viabilities:
     Entry tuples are interned per pair; a viability is the tuple of its
     pairs' entry ids, interned in turn.  `moves[vid * n_cand + k]` holds
     the id after packing candidate k, or -1 when some pair is left with no
-    entry; the per-pair moves below it are shared by every viability.
+    entry.  A pair's move reads the candidate only through its cell, so
+    cells are interned per pair on first use, and the per-pair moves below
+    `moves`, shared by every viability, are keyed on (entry id, cell id).
     """
 
     def __init__(self, setup: _Setup, init_viab: tuple[Entries, ...]):
         self.setup = setup
-        self.n_cand = len(setup.candidates)
+        self.n_cand = n_cand = len(setup.candidates)
+        pairs = range(len(init_viab))
         self.pair_ids: list[dict[Entries, int]] = [{e: 0} for e in init_viab]
         self.pair_entries: list[list[Entries]] = [[e] for e in init_viab]
-        self.pair_moves: list[dict[int, int]] = [{} for _ in init_viab]
+        self.cell_ids: list[list[int]] = [[-1] * n_cand for _ in pairs]
+        self.pair_cells: list[dict[tuple, int]] = [{} for _ in pairs]
+        self.pair_moves: list[dict[int, int]] = [{} for _ in pairs]
+        self.pair_closes: list[dict[int, bool]] = [{} for _ in pairs]
+        self.patterns = 3 ** len(init_viab)
         self.ids = {(0,) * len(init_viab): 0}
         self.viabs = list(self.ids)
         self.moves: dict[int, int] = {}
-        pairs = range(len(init_viab))
         self.singles = [setup.candidates.index(tuple(int(j == i) for j in pairs)) for i in pairs]
 
+    def pair_move(self, i: int, eid: int, cand_idx: int) -> int:
+        """Pair i's entry id after packing candidate cand_idx, or -1."""
+        cid = self.cell_ids[i][cand_idx]
+        if cid < 0:
+            cell = self.setup.cand_static[i][cand_idx] or self.setup.cell(i, cand_idx)
+            cells = self.pair_cells[i]
+            cid = self.cell_ids[i][cand_idx] = cells.setdefault(cell, len(cells))
+        key = eid * self.n_cand + cid
+        nxt = self.pair_moves[i].get(key)
+        if nxt is None:
+            new = _apply_candidate(self.setup, i, self.pair_entries[i][eid], cand_idx)
+            nxt = self.pair_ids[i].get(new, -1) if new else -1
+            if new and nxt < 0:
+                nxt = self.pair_ids[i][new] = len(self.pair_entries[i])
+                self.pair_entries[i].append(new)
+            self.pair_moves[i][key] = nxt
+        return nxt
+
     def move(self, vid: int, cand_idx: int) -> int:
-        nxt = self.moves.get(vid * self.n_cand + cand_idx)
-        if nxt is not None:
-            return nxt
         out = []
         for i, eid in enumerate(self.viabs[vid]):
-            key = eid * self.n_cand + cand_idx
-            nxt = self.pair_moves[i].get(key)
-            if nxt is None:
-                new = _apply_candidate(self.setup, i, self.pair_entries[i][eid], cand_idx)
-                nxt = self.pair_ids[i].get(new, -1) if new else -1
-                if new and nxt < 0:
-                    nxt = self.pair_ids[i][new] = len(self.pair_entries[i])
-                    self.pair_entries[i].append(new)
-                self.pair_moves[i][key] = nxt
+            nxt = self.pair_move(i, eid, cand_idx)
             if nxt < 0:
                 break
             out.append(nxt)
@@ -231,15 +265,23 @@ class _Viabilities:
         self.moves[vid * self.n_cand + cand_idx] = nxt
         return nxt
 
-    def send_alone(self, vid: int, left: tuple[int, ...]) -> int:
-        """The id after each pair's `left` agents go alone, or -1; a
-        candidate packed a third time changes no entries."""
-        for single, count in zip(self.singles, left):
-            for _ in range(min(count, 2)):
-                vid = self.move(vid, single)
-                if vid < 0:
-                    return -1
-        return vid
+    def closes(self, i: int, eid: int, pattern: int) -> bool:
+        """Whether pair i keeps an entry once every leftover agent goes
+        alone: each pair's singleton packed as often as its digit of
+        `pattern` says (a candidate packed a third time changes no
+        entries).  Pairs move independently, so a viability survives
+        exactly when each of its pairs does."""
+        key = eid * self.patterns + pattern
+        ok = self.pair_closes[i].get(key)
+        if ok is None:
+            counts = pattern
+            for single in self.singles:
+                for _ in range(counts % 3):
+                    if eid >= 0:
+                        eid = self.pair_move(i, eid, single)
+                counts //= 3
+            ok = self.pair_closes[i][key] = eid >= 0
+        return ok
 
 
 def _search(
@@ -250,9 +292,23 @@ def _search(
 
     Level r holds the states first met with r non-trivial candidates, each
     one int (its viability id above its residual), closed as it is met:
-    its r coalitions plus one per leftover agent must stay within rho1.
+    its r coalitions plus one per leftover agent must stay within rho1,
+    and every pair must keep an entry once those agents go alone.
+
+    Packing commutes, so a state is extended only from the candidate that
+    first reached it on.  If Q + k first met S, a child S + k' with k' < k
+    is (Q + k') + k, and Q + k' was met before S, so that child was met
+    before S is extended: skipping it changes no state and no witness.
+
+    The last level, depth = min(rho1, rho2), is never extended, so its
+    children are decided pair by pair, moved and then closed, and not
+    interned; the first that closes is the one a search keeping them would
+    return, since a child met before did not close then, and closing only
+    gets harder as r grows.  `STATES_CAP` bounds the states kept, and on
+    its own the last level's live children, those every pair survives.
     """
     budgets = setup.instance.budgets
+    depth = min(budgets.rho1, budgets.rho2)
     limit = search_cap(STATES_CAP)
     residuals = _Residuals(setup)
     packing = residuals.packing
@@ -260,27 +316,37 @@ def _search(
     mask = (1 << bits) - 1
     viabilities = _Viabilities(setup, init_viab)
     move, moves, n_cand = viabilities.move, viabilities.moves, viabilities.n_cand
+    viabs, pair_move, closes = viabilities.viabs, viabilities.pair_move, viabilities.closes
     parent: dict[int, tuple[int, int] | None] = {full: None}
 
-    def close(state: int, r: int) -> tuple[list[int], tuple[int, ...]] | None:
-        left = packing.unpack(state & mask)
-        if r + sum(left) > budgets.rho1 or viabilities.send_alone(state >> bits, left) < 0:
-            return None
-        chosen: list[int] = []
+    def too_many() -> SearchSpaceTooLarge:
+        return SearchSpaceTooLarge(f"more than {limit} packing states (cap via HDG_SEARCH_CAP)")
+
+    def closing(viab: tuple[int, ...] | list[int], rest: int, r: int) -> bool:
+        left, pattern = residuals.left(rest)
+        return r + left <= budgets.rho1 and all(
+            closes(i, eid, pattern) for i, eid in enumerate(viab)
+        )
+
+    def children(state: int) -> list[tuple[int, int]]:
+        step = parent[state]
+        return residuals.fits(state & mask, step[1] if step else 0)
+
+    def found(state: int, chosen: list[int], rest: int) -> tuple[list[int], tuple[int, ...]]:
         while (step := parent[state]) is not None:
             state, cand_idx = step
             chosen.insert(0, cand_idx)
-        return chosen, left
+        return chosen, packing.unpack(rest)
 
-    frontier = [full]
-    if (found := close(full, 0)) is not None:
-        return found
-    for r in range(1, min(budgets.rho1, budgets.rho2) + 1):
+    if closing(viabs[0], full & mask, 0):
+        return found(full, [], full & mask)
+    frontier = [full] if depth else []
+    for r in range(1, depth):
         next_frontier = []
         for state in frontier:
             vid = state >> bits
             base = vid * n_cand
-            for cand_idx, rest in residuals.fits(state & mask):
+            for cand_idx, rest in children(state):
                 nid = moves.get(base + cand_idx)
                 if nid is None:
                     nid = move(vid, cand_idx)
@@ -290,14 +356,28 @@ def _search(
                 if new_state in parent:
                     continue
                 if len(parent) > limit:
-                    raise SearchSpaceTooLarge(
-                        f"more than {limit} packing states (cap via HDG_SEARCH_CAP)"
-                    )
+                    raise too_many()
                 parent[new_state] = (state, cand_idx)
-                if (found := close(new_state, r)) is not None:
-                    return found
+                if closing(viabs[nid], rest, r):
+                    return found(new_state, [], rest)
                 next_frontier.append(new_state)
         frontier = next_frontier
+    live = 0
+    for state in frontier:
+        viab = viabs[state >> bits]
+        for cand_idx, rest in children(state):
+            child = []
+            for i, eid in enumerate(viab):
+                nxt = pair_move(i, eid, cand_idx)
+                if nxt < 0:
+                    break
+                child.append(nxt)
+            else:
+                if live > limit:
+                    raise too_many()
+                live += 1
+                if closing(child, rest, depth):
+                    return found(state, [cand_idx], rest)
     return None
 
 

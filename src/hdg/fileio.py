@@ -64,6 +64,23 @@ def _integers(values, what: str) -> tuple[int, ...]:
     return values
 
 
+def _type_id(key: str) -> int:
+    """A `types` key as its type id: canonical decimal digits only, so no
+    two keys name one type."""
+    if not (key.isascii() and key.isdigit()) or str(int(key)) != key:
+        raise InvalidInput(f"type key {key!r} is not a canonical decimal type id")
+    return int(key)
+
+
+def _agent_ids(agents) -> tuple[str, ...]:
+    """Agent ids as strings; only JSON strings and ints (not booleans) are ids."""
+    names = [a["id"] for a in agents]
+    if not set(map(type, names)) <= {str, int}:
+        bad = next(v for v in names if type(v) not in (str, int))
+        raise InvalidInput(f"agent id must be a string or an int, not {type(bad).__name__}")
+    return tuple(map(str, names))
+
+
 def instance_from_data(data: Mapping) -> Instance:
     if not isinstance(data, dict):
         raise InvalidInput("instance data must be a JSON object")
@@ -80,21 +97,21 @@ def instance_from_data(data: Mapping) -> Instance:
         prefs: dict[int, TierList | NamedFamily] = {}
         for key, block in data["types"].items():
             if "tiers" in block:
-                prefs[int(key)] = TierList(
+                prefs[_type_id(key)] = TierList(
                     [
                         [_integers(p, f"type {key} palette entry") for p in tier]
                         for tier in block["tiers"]
                     ]
                 )
             else:
-                prefs[int(key)] = NamedFamily(block["family"], block["params"])
+                prefs[_type_id(key)] = NamedFamily(block["family"], block["params"])
         instance = Instance(
             gamma=data["gamma"],
             colors=_integers((a["color"] for a in agents), "agent color"),
             types=_integers((a["type"] for a in agents), "agent type"),
             prefs=prefs,
             budgets=Budgets(data["sigma"], data["rho1"], data["rho2"]),
-            agent_ids=tuple(str(a["id"]) for a in agents),
+            agent_ids=_agent_ids(agents),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed instance data: {exc}") from exc

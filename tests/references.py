@@ -9,7 +9,8 @@
   palette with `tier_of`, never through that table, so tests can check
   the solvers' building blocks against the definitions on tiny inputs;
   colors-ntcoal's guess walk is spelled out whole, every guess straight
-  to `max_flow`.
+  to `max_flow`, and colors-types' search as a plain breadth-first
+  search that keeps every level and memoizes nothing.
 * The agent-level enumeration of budget-respecting partitions, the
   small-n reference for the class-level brute force.
 * Source-side deciders and witness decoders of the reductions, the
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from hdg.colors_ntcoal import TRIVIAL, Guess, _compositions
+from hdg.colors_types import _apply_candidate, _initial_entries, _Setup
 from hdg.core import (
     Instance,
     Palette,
@@ -262,6 +264,70 @@ def solve_colors_types_branchwise(instance: Instance, notion: str) -> bool:
         branch_reaches_target(instance, branch, notion)
         for branch in worst_pair_branches(instance)
     )
+
+
+def colors_types_bfs(instance: Instance, notion: str) -> Outcome | None:
+    """colors-types' deferred search as one plain breadth-first search.
+
+    A state is the residual counts per pair with every pair's entries,
+    kept whole; level r holds the states first met with r non-trivial
+    candidates, each closed as it is met by packing one singleton per
+    leftover agent, within rho1.  Every level up to min(rho1, rho2) keeps
+    its states, and no move or closing is memoized, so the first state
+    that closes, and so the witness, is the one the solver must return.
+    """
+    setup = _Setup(instance, notion)
+    start = tuple(_initial_entries(setup, i) for i in range(len(setup.pairs)))
+    if not all(start):
+        return None
+    budgets = instance.budgets
+    cands = setup.candidates
+    pairs = range(len(setup.pairs))
+    singles = [cands.index(tuple(int(j == i) for j in pairs)) for i in pairs]
+    nontrivial = [k for k, vec in enumerate(cands) if sum(vec) >= 2]
+
+    def pack(viab, cand_idx):
+        out = tuple(_apply_candidate(setup, i, entries, cand_idx) for i, entries in enumerate(viab))
+        return out if all(out) else None
+
+    def closes(viab, left, r):
+        if r + sum(left) > budgets.rho1:
+            return False
+        for single, count in zip(singles, left):
+            for _ in range(count):
+                viab = pack(viab, single)
+                if viab is None:
+                    return False
+        return True
+
+    def witness(state):
+        chosen, left = [], state[0]
+        while parent[state] is not None:
+            state, cand_idx = parent[state]
+            chosen.insert(0, cands[cand_idx])
+        return deal_outcome(
+            instance, (zip(setup.pairs, vec) for vec in chosen), zip(setup.pairs, left)
+        )
+
+    left = setup.n_vec
+    parent = {(left, start): None}
+    if closes(start, left, 0):
+        return witness((left, start))
+    frontier = list(parent)
+    for r in range(1, min(budgets.rho1, budgets.rho2) + 1):
+        next_frontier = []
+        for state in frontier:
+            for cand_idx in nontrivial:
+                left = tuple(a - b for a, b in zip(state[0], cands[cand_idx]))
+                viab = pack(state[1], cand_idx) if min(left) >= 0 else None
+                if viab is None or (left, viab) in parent:
+                    continue
+                parent[left, viab] = (state, cand_idx)
+                if closes(viab, left, r):
+                    return witness((left, viab))
+                next_frontier.append((left, viab))
+        frontier = next_frontier
+    return None
 
 
 # --------------------------------------------------------------------------

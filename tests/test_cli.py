@@ -119,6 +119,50 @@ def test_non_integer_json_values_are_errors(example1_path, tmp_path, capsys, fie
     assert "must be int" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "rename, extra",
+    [
+        # int(key) read each of these as a type id: "00" after "0" silently
+        # replaced type 0's order, and " 1" and "0_1" stood for type 1.
+        (None, "00"),
+        ("1", " 1"),
+        ("1", "0_1"),
+        ("1", "+1"),
+        ("1", "01"),
+        ("1", "\u0661"),
+        ("1", "-1"),
+    ],
+)
+def test_type_keys_must_be_canonical_decimals(example1_path, tmp_path, capsys, rename, extra):
+    with open(example1_path) as fh:
+        data = json.load(fh)
+    if rename is None:
+        data["types"][extra] = {"tiers": []}
+    else:
+        data["types"][extra] = data["types"].pop(rename)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and f"type key {extra!r}" in err, err
+
+
+@pytest.mark.parametrize("value", [None, True, 1.5, ["a"], {"a": 1}])
+def test_agent_ids_must_be_strings_or_ints(example1_path, tmp_path, capsys, value):
+    # A null id used to be read as the agent "None".
+    with open(example1_path) as fh:
+        data = json.load(fh)
+    data["agents"][0]["id"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "agent id must be a string or an int" in err, err
+    data["agents"][0]["id"] = 7
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 0
+
+
 def two_agent_game(family, params):
     """Agents a (color 0) and b (color 1) of one type with this family."""
     return {

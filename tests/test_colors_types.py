@@ -8,6 +8,7 @@ from hdg import colors_types
 from hdg.colors_types import (
     _apply_candidate,
     _initial_entries,
+    _Residuals,
     _Setup,
     _Viabilities,
     solve_colors_types,
@@ -24,6 +25,7 @@ from references import (
     branch_reaches_target,
     candidate_rows,
     coalition_compatible,
+    colors_types_bfs,
     solve_colors_types_branchwise,
     theta_palettes,
 )
@@ -225,10 +227,11 @@ def test_packing_a_candidate_more_than_twice_changes_no_entries():
     assert cases > 5000 and changed > 200, (cases, changed)
 
 
-def test_sending_leftover_agents_alone_matches_packing_every_singleton():
-    # The closing step packs each pair's singleton at most twice; packing
-    # it once per leftover agent must give the same viability.  Packing it
-    # only once would not.
+def test_closing_pair_by_pair_matches_packing_every_singleton():
+    # A state closes when every pair keeps an entry once each pair's
+    # singleton is packed at most twice; packing it once per leftover agent
+    # must keep a viability exactly then.  Packing it only once would not
+    # give the same viability.
     rng = random.Random(1618)
     cases = once_differs = 0
     for _ in range(60):
@@ -239,6 +242,7 @@ def test_sending_leftover_agents_alone_matches_packing_every_singleton():
             if not all(init):
                 continue
             viabilities = _Viabilities(setup, init)
+            residuals = _Residuals(setup)
 
             def packed(vid, cands):
                 for cand_idx in cands:
@@ -250,9 +254,15 @@ def test_sending_leftover_agents_alone_matches_packing_every_singleton():
                 if vid < 0:
                     continue
                 left = [rng.randint(0, 4) for _ in setup.pairs]
+                pattern = sum(min(count, 2) * 3**i for i, count in enumerate(left))
+                if all(map(int.__le__, left, setup.n_vec)):
+                    residual = residuals.packing.guard + residuals.packing.pack(left)
+                    assert residuals.left(residual) == (sum(left), pattern)
                 singles = list(zip(viabilities.singles, left))
                 want = packed(vid, [single for single, count in singles for _ in range(count)])
-                assert viabilities.send_alone(vid, left) == want, (inst, notion, vid, left)
+                pairs = enumerate(viabilities.viabs[vid])
+                closes = all(viabilities.closes(i, eid, pattern) for i, eid in pairs)
+                assert closes == (want >= 0), (inst, notion, vid, left)
                 cases += 1
                 once_differs += packed(vid, [single for single, count in singles if count]) != want
     assert cases > 500 and once_differs > 10, (cases, once_differs)
@@ -284,10 +294,10 @@ def expanded_states(monkeypatch, inst, notion):
     calls = 0
     fits = colors_types._Residuals.fits
 
-    def counting(self, residual):
+    def counting(self, residual, start=0):
         nonlocal calls
         calls += 1
-        return fits(self, residual)
+        return fits(self, residual, start)
 
     monkeypatch.setattr(colors_types._Residuals, "fits", counting)
     solve_colors_types(inst, notion)
@@ -303,6 +313,94 @@ def test_packing_states_stop_growing_with_n(monkeypatch):
     ):
         counts = [expanded_states(monkeypatch, sweep_game(profile, n, rho2), notion) for n in sizes]
         assert counts[0] == counts[1], (profile, rho2, notion, counts)
+
+
+def test_witnesses_match_the_plain_breadth_first_search(monkeypatch):
+    # The solver decides the last level pair by pair without interning it,
+    # and extends a state of the level before only from the candidate that
+    # first reached it; the plain search keeps every level and tries every
+    # candidate, and both must return the same witness.  With rho2 >= 3
+    # the level before the last is reached in more than one way.
+    starts = 0
+    fits = colors_types._Residuals.fits
+
+    def counting(self, residual, start=0):
+        nonlocal starts
+        starts += start > 0
+        return fits(self, residual, start)
+
+    monkeypatch.setattr(colors_types._Residuals, "fits", counting)
+    pruned = []
+
+    def same_witness(inst, notion, label):
+        nonlocal starts
+        starts = 0
+        got = solve_colors_types(inst, notion)
+        assert got == colors_types_bfs(inst, notion), label
+        if starts and min(inst.budgets.rho1, inst.budgets.rho2) >= 3:
+            pruned.append(got is not None)
+
+    rng = random.Random(6021)
+    for trial in range(400):
+        caps = GenCaps(n=rng.randint(2, 9), rho1=rng.randint(1, 6), rho2=rng.randint(1, 4))
+        inst = random_instance(rng, caps, own_color=trial % 4 == 0)
+        for notion in (NS, IS):
+            same_witness(inst, notion, (trial, inst.budgets, notion))
+    for rho2, sizes in ((2, (12, 24)), (3, (20,)), (4, (16,)), (8, (20,))):
+        for profile in (0, 1):
+            for n in sizes:
+                for notion in (NS, IS):
+                    same_witness(sweep_game(profile, n, rho2), notion, (profile, n, rho2, notion))
+    assert len(pruned) >= 9 and pruned.count(True) >= 2, pruned
+
+
+def apply_calls(monkeypatch, inst, notion):
+    """How many times one solve computes a pair's entries."""
+    calls = 0
+    apply = colors_types._apply_candidate
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return apply(*args)
+
+    monkeypatch.setattr(colors_types, "_apply_candidate", counting)
+    solve_colors_types(inst, notion)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "profile, n, rho2, notion, bound",
+    [
+        (0, 16, 2, NS, 184), (0, 16, 2, IS, 254), (1, 16, 2, NS, 224), (1, 16, 2, IS, 286),
+        (0, 24, 4, NS, 246), (0, 24, 4, IS, 401), (1, 24, 4, NS, 326), (1, 24, 4, IS, 482),
+    ],
+)
+def test_pair_moves_computed_stay_bounded(monkeypatch, profile, n, rho2, notion, bound):
+    # Work counter: keyed on (entries, candidate), interning every level and
+    # closing through interned states, these solves computed 990-1,215
+    # pair moves at n=16 and 1,505-2,291 at n=24.
+    assert apply_calls(monkeypatch, sweep_game(profile, n, rho2), notion) <= bound
+
+
+def test_state_cap_counts_the_last_levels_live_children(monkeypatch):
+    # The last level keeps no states, but the children it finds alive,
+    # every pair keeping an entry, count against STATES_CAP on their own.
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    inst = sweep_game(0, 16, 2)  # NO under NS, so the last level is decided whole
+    assert len(_Setup(inst, NS).candidates) < 154 and expanded_states(monkeypatch, inst, NS) < 154
+
+    def answers(cap):
+        monkeypatch.setattr(colors_types, "STATES_CAP", cap)
+        try:
+            solve_colors_types(inst, NS)
+        except SearchSpaceTooLarge as exc:
+            assert f"more than {cap} packing states (cap via HDG_SEARCH_CAP)" in str(exc)
+            return False
+        return True
+
+    # Its 156 live children: the cap is checked before each one counts.
+    assert answers(155) and not answers(154)
 
 
 def test_binding_rho1_agrees_with_brute_force():
