@@ -40,16 +40,17 @@ order of the plain walk, so the first saturating guess is the same:
 * IS refusal dominance: a refinement that refuses color-c joiners at j
   when dropping that refusal changes no valid seat is passed over; the
   refinement accepting them, with fewer blockers, comes earlier on the
-  same edges and saturates whenever this one does.  Passed-over guesses
-  still count towards GUESS_CAP.
+  same edges and saturates whenever this one does.
+
+GUESS_CAP counts the guesses that reach the flow: every composition guess
+under NS, every refinement that passes both IS screens under IS.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .core import Instance, TierTable, compositions_upto, tier_table
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
@@ -330,18 +331,17 @@ def _is_guesses(
     types_of_color: dict[int, list[int]],
     comps: tuple[tuple[int, ...], ...],
     trivial_counts: tuple[int, ...],
-) -> Iterator[Guess | None]:
+) -> Iterator[Guess]:
     """Accept/blocked/blocker refinements of one composition guess.
 
     Flags whose restrictive choice cannot change any agent's validity are
     fixed to the permissive one; restrictive accept flags need a member
     class that objects to the join, and each chosen objecting class
-    becomes a demand for one of its agents in the coalition.  A refinement
-    that cannot be the first to saturate is yielded as None, so that it
-    still counts as a guess: every refinement of a family whose relaxed
-    network (see `_relaxed_saturates`) does not saturate, first for the
-    whole composition guess and then for each non-empty refused set, and
-    each dominated refinement (see `_dominated`).
+    becomes a demand for one of its agents in the coalition.  Only
+    refinements that could be the first to saturate are yielded: none of
+    a family whose relaxed network (see `_relaxed_saturates`) does not
+    saturate, first for the whole composition guess and then for each
+    non-empty refused set, and no dominated refinement (see `_dominated`).
     """
     gamma = instance.gamma
 
@@ -391,7 +391,6 @@ def _is_guesses(
                 for seat in seat_tiers(t, c_to)
             ):
                 relevant_blocked.append((c_from, c_to))
-    blocked_sets = 1 << len(relevant_blocked)
 
     def cover_choices(refused) -> list[list[frozenset[tuple[int, int]]]]:
         out = []
@@ -399,9 +398,6 @@ def _is_guesses(
             picks = itertools.product(*(objectors[key] for key in refused if key[0] == j))
             out.append(sorted({frozenset(pick) for pick in picks}, key=sorted))
         return out
-
-    def family_size(refused) -> int:
-        return math.prod(len(covers) for covers in cover_choices(refused)) * blocked_sets
 
     if not (refusable or relevant_blocked):
         # The one refinement goes to the flow as it is.
@@ -420,15 +416,12 @@ def _is_guesses(
         ):
             into[c_to] |= 1 << c_from
     if not _relaxed_saturates(instance, tiers, comps, trivial_counts, refusable, into):
-        for refused in _subsets(refusable):
-            yield from itertools.repeat(None, family_size(refused))
         return
 
     for refused in _subsets(refusable):
         if refused and not _relaxed_saturates(
             instance, tiers, comps, trivial_counts, refused, into
         ):
-            yield from itertools.repeat(None, family_size(refused))
             continue
         accepted = tuple(
             tuple((j, c) not in refused for c in range(gamma))
@@ -451,7 +444,8 @@ def _is_guesses(
                 )
                 if blocked not in dominated:
                     dominated[blocked] = _dominated(tiers, guess, types_of_color)
-                yield None if dominated[blocked] else guess
+                if not dominated[blocked]:
+                    yield guess
 
 
 def _subsets(items: list) -> Iterator[tuple]:
@@ -482,9 +476,7 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
             if d + sum(trivial_counts) > budgets.rho1:
                 continue
             if notion == NS:
-                guesses: Iterator[Guess | None] = iter(
-                    [Guess(compositions=comps, trivial_counts=trivial_counts)]
-                )
+                guesses: Iterable[Guess] = [Guess(comps, trivial_counts)]
             else:
                 guesses = _is_guesses(instance, tiers, types_of_color, comps, trivial_counts)
             # Seat validity per (accepted, blocked): blocker covers share it.
@@ -495,8 +487,6 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
                     raise SearchSpaceTooLarge(
                         f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
                     )
-                if guess is None:
-                    continue
                 class_ok = validity.setdefault((guess.accepted, guess.blocked), {})
                 outcome = _try_flow(instance, guess, notion, tiers, class_ok)
                 if outcome is not None:

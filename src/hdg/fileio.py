@@ -5,7 +5,8 @@ one record per agent (id, color, type), and one preference block per
 type, either an explicit tier list (palettes as integer count vectors)
 or a named comparator family with parameters.  Outcomes are lists of
 agent-id lists.  Serialization is canonical (sorted keys, sorted tiers)
-so files round-trip byte-exactly.
+so files round-trip byte-exactly; parsing rejects a key given twice in
+one object.
 """
 
 from __future__ import annotations
@@ -126,12 +127,28 @@ def serialize_instance(instance: Instance) -> str:
     return json.dumps(instance_to_data(instance), sort_keys=True, indent=1) + "\n"
 
 
-def parse_instance(text: str) -> Instance:
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a key given twice raises InvalidInput rather
+    than silently keeping the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InvalidInput(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
+def _loads(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from exc
-    return instance_from_data(data)
+
+
+def parse_instance(text: str) -> Instance:
+    return instance_from_data(_loads(text))
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -173,11 +190,7 @@ def serialize_outcome(instance: Instance, outcome: Outcome) -> str:
 
 
 def parse_outcome(instance: Instance, text: str) -> Outcome:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"not valid JSON: {exc}") from exc
-    return outcome_from_data(instance, data)
+    return outcome_from_data(instance, _loads(text))
 
 
 def save_outcome(instance: Instance, outcome: Outcome, path) -> None:

@@ -74,6 +74,20 @@ def test_check_rejects_a_coalition_that_is_not_a_list(example1_path, tmp_path, c
     assert "coalition must be a list" in capsys.readouterr().err
 
 
+def test_duplicated_keys_are_errors(example1_path, tmp_path, capsys):
+    with open(example1_path) as fh:
+        text = fh.read()
+    assert text.count('"rho2": 4') == 1
+    bad = tmp_path / "instance.json"
+    bad.write_text(text.replace('"rho2": 4', '"rho2": 0,\n "rho2": 4'))
+    assert main(["solve", str(bad)]) == 2
+    assert "duplicate key 'rho2'" in capsys.readouterr().err
+    out = tmp_path / "outcome.json"
+    out.write_text('{"coalitions": [["a", "b", "c", "d"]], "coalitions": []}')
+    assert main(["check", example1_path, str(out)]) == 2
+    assert "duplicate key 'coalitions'" in capsys.readouterr().err
+
+
 def test_malformed_instance_file_is_error(example1_path, tmp_path, capsys):
     with open(example1_path) as fh:
         good = json.load(fh)

@@ -292,8 +292,8 @@ def test_same_outcome_as_unpruned_walk_sweep(profile, n, notion):
 
 
 def no_is_game():
-    """No individually stable outcome; most of its 1,608 IS guesses are
-    dominated refinements."""
+    """No individually stable outcome; the unscreened walk generates 1,608
+    IS guesses, and the relaxed family screen rules out every one."""
     prefs = {
         0: TierList([[(3, 2)], [(2, 3)], [(1, 1)]]),
         1: TierList([[(1, 1), (2, 1)], [(1, 2)], [(3, 2)]]),
@@ -302,45 +302,68 @@ def no_is_game():
     return make_instance([0, 0, 1, 1, 0, 1], prefs, types=[2, 0, 1, 0, 1, 1], sigma=2, rho1=5, rho2=2)
 
 
-@pytest.mark.parametrize(
-    "game, notion",
-    [(no_is_game, IS), (lambda: sweep_game(0, 16, 2), NS)],
-    ids=["no-is-game", "sweep-p0-n16-ns"],
-)
-def test_guess_cap_counts_every_generated_guess(monkeypatch, game, notion):
-    # Screened and dominated guesses still count, so the cap trips at the
-    # same guess as in the walk that sends every guess to max_flow.
-    inst = game()
+def flowed_guesses(monkeypatch) -> list:
+    """Patch `_try_flow` to record each guess it is handed."""
+    flowed = []
+    real_try = colors_ntcoal._try_flow
+
+    def trying(instance, guess, *args):
+        flowed.append(guess)
+        return real_try(instance, guess, *args)
+
+    monkeypatch.setattr(colors_ntcoal, "_try_flow", trying)
+    return flowed
+
+
+@pytest.mark.parametrize("notion", [IS, NS])
+def test_guess_cap_counts_every_guess_it_flows(monkeypatch, notion):
+    # The cap counts the guesses that reach `_try_flow`: under NS every
+    # composition guess, as in the walk that sends every guess to max_flow;
+    # under IS only the refinements that pass both screens.
+    inst = sweep_game(0, 16, 2)
     monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
-    outcome, examined = ntcoal_walk(inst, notion)
-    assert outcome is None and len(_compositions(inst)) < examined
-    passed_over = []
-    real_guesses = colors_ntcoal._is_guesses
-
-    def counting(*args):
-        for guess in real_guesses(*args):
-            passed_over.append(guess is None)
-            yield guess
-
-    monkeypatch.setattr(colors_ntcoal, "_is_guesses", counting)
+    want, walked = ntcoal_walk(inst, notion)
+    flowed = flowed_guesses(monkeypatch)
+    assert solve_colors_ntcoal(inst, notion) == want
+    examined = len(flowed)
+    assert len(_compositions(inst)) < examined
+    assert examined == walked if notion == NS else examined < walked
     monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", examined)
-    assert solve_colors_ntcoal(inst, notion) is None
-    if notion == IS:
-        assert len(passed_over) == examined and sum(passed_over) > examined // 2
+    assert solve_colors_ntcoal(inst, notion) == want
     monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", examined - 1)
-    with pytest.raises(SearchSpaceTooLarge):
+    with pytest.raises(SearchSpaceTooLarge, match="guesses"):
         solve_colors_ntcoal(inst, notion)
+
+
+def test_screened_refinements_do_not_count_towards_the_cap(monkeypatch):
+    # The walk generates 1,608 IS guesses on this game; the screens leave
+    # none for the flow, so a cap that only admits the compositions holds.
+    inst = no_is_game()
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    assert ntcoal_walk(inst, IS) == (None, 1608)
+    flowed = flowed_guesses(monkeypatch)
+    monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", len(_compositions(inst)))
+    assert solve_colors_ntcoal(inst, IS) is None and flowed == []
 
 
 @pytest.mark.parametrize("guard", ["coalition compositions", "guesses"])
 def test_guess_cap_names_the_setting(monkeypatch, guard):
-    # GUESS_CAP bounds both the compositions and the guesses generated.
-    inst = no_is_game()
+    # GUESS_CAP bounds both the compositions and the guesses flowed.
+    inst = sweep_game(0, 16, 2)
     cap = 0 if guard == "coalition compositions" else len(_compositions(inst))
     monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
     monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", cap)
     with pytest.raises(SearchSpaceTooLarge, match=rf"more than {cap} {guard} .*HDG_SEARCH_CAP"):
         solve_colors_ntcoal(inst, IS)
+
+
+def test_rho2_eight_sweep_game_answers_under_is(monkeypatch):
+    # Counting screened refinements made this game trip GUESS_CAP after
+    # 500,000 guesses; a few hundred reach the flow.
+    inst = sweep_game(0, 32, 8)
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    outcome = solve_colors_ntcoal(inst, IS)
+    assert outcome is not None and check_outcome(inst, outcome, IS).stable
 
 
 @pytest.mark.parametrize("profile", [223, 247])

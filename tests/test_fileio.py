@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from hdg.core import NamedFamily, make_instance
@@ -86,4 +88,31 @@ def test_parse_outcome_needs_lists_of_lists(text):
     # A coalition given as a string or an object used to be read as its
     # characters or keys: "abcd" checked as the coalition {a, b, c, d}.
     with pytest.raises(InvalidInput):
+        parse_outcome(example1(), text)
+
+
+def _with_duplicate(where: str) -> str:
+    """example1's text with one key given twice, the added copy first."""
+    text = serialize_instance(example1())
+    if where == "top-level":
+        return text.replace('"rho2": 4', '"rho2": 0,\n "rho2": 4')
+    if where == "types":
+        return text.replace('"types": {', '"types": {\n  "0": {"tiers": [[[1, 0]]]},', 1)
+    return text.replace('"color": 0,', '"color": 1,\n   "color": 0,', 1)
+
+
+@pytest.mark.parametrize("where", ["top-level", "types", "agent"])
+def test_parse_rejects_a_duplicated_key(where):
+    # json.loads keeps the last of two equal keys: this text used to parse
+    # as example1, the added value silently dropped.
+    text = _with_duplicate(where)
+    original = serialize_instance(example1())
+    assert text != original and json.loads(text) == json.loads(original)
+    with pytest.raises(InvalidInput, match="duplicate key"):
+        parse_instance(text)
+
+
+def test_parse_outcome_rejects_a_duplicated_key():
+    text = '{"coalitions": [["a"], ["b"], ["c"], ["d"]], "coalitions": [["a", "b", "c", "d"]]}'
+    with pytest.raises(InvalidInput, match="duplicate key 'coalitions'"):
         parse_outcome(example1(), text)

@@ -15,6 +15,12 @@ class-level brute force and every table solver are checked against
   Their many classes put them out of reach of `Game.stable_exists` and of
   the table solvers within this gate's time, so brute force alone solves
   them.
+* The n-sweep games at rho2 = 8 under individual stability, past the
+  unpruned oracle's reach: colors-ntcoal and colors-types must agree,
+  every witness must pass `check_outcome`, and a Nash stable outcome
+  (colors-types) must come with an individually stable one.  n = 32 and
+  48 take seconds; n = 64 and 96 take about 20 s each and run with
+  `-m slow`, where colors-types may trip its cap.
 """
 
 import importlib.util
@@ -26,11 +32,15 @@ import pytest
 
 from hdg.bench import SOLVERS
 from hdg.brute import solve_brute
+from hdg.colors_ntcoal import solve_colors_ntcoal
+from hdg.colors_types import solve_colors_types
 from hdg.core import NamedFamily, TierList, make_instance, realizable_palettes
 from hdg.errors import OwnColorViolation, SearchSpaceTooLarge
 from hdg.fileio import serialize_instance
 from hdg.reductions import from_independent_set, from_x3c
-from hdg.stability import IS, NS
+from hdg.stability import IS, NS, check_outcome
+
+from fixtures import sweep_game
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
@@ -155,3 +165,37 @@ def test_indset_gadgets_past_twelve_agents():
                 blocks = [sorted(b) for b in outcome.coalitions]
                 assert reference.indset_witness_error(instance.agent_ids, blocks, edges, k) is None
     assert answers == {True, False}
+
+
+def check_rho2_eight_is(profile, n, types_may_decline):
+    instance = sweep_game(profile, n, 8)
+    answers = {}
+    for solve, notion in (
+        (solve_colors_ntcoal, IS),
+        (solve_colors_types, IS),
+        (solve_colors_types, NS),
+    ):
+        try:
+            outcome = solve(instance, notion)
+        except SearchSpaceTooLarge:
+            assert types_may_decline and solve is solve_colors_types, notion
+            continue
+        if outcome is not None:
+            assert check_outcome(instance, outcome, notion).stable, (solve, notion)
+        answers[solve, notion] = outcome is not None
+    is_yes = answers[solve_colors_ntcoal, IS]
+    assert answers.get((solve_colors_types, IS), is_yes) == is_yes
+    assert is_yes or not answers.get((solve_colors_types, NS))
+
+
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("n", [32, 48])
+def test_rho2_eight_sweep_games_agree_under_is(profile, n):
+    check_rho2_eight_is(profile, n, types_may_decline=False)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("n", [64, 96])
+def test_rho2_eight_sweep_games_agree_under_is_past_48(profile, n):
+    check_rho2_eight_is(profile, n, types_may_decline=True)
