@@ -5,7 +5,8 @@ fixed, up to swapping them, by the class counts of its coalitions.  The
 search walks multisets of at most rho2 shapes of size 2..sigma from
 `stability.shapes` (the non-trivial coalitions; every other agent sits
 alone, and rho1 is checked on each candidate) and decides each at class
-level with the block form of `stability.DeviationRule`.  A shape is used
+level with the block form of the instance's `stability.deviation_rule`,
+whose verdicts colors-size reads too.  A shape is used
 only when none of its classes would rather go alone, and joins the chosen
 ones only when compatible with each, itself too when it repeats: a
 deviation between chosen coalitions survives whatever else a candidate
@@ -15,12 +16,19 @@ first stable one is dealt out.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Iterator
 
 from .core import Instance
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
-from .stability import Block, DeviationRule, Outcome, check_outcome, deal_outcome, shapes
+from .stability import (
+    Block,
+    DeviationRule,
+    Outcome,
+    check_outcome,
+    deal_outcome,
+    deviation_rule,
+    shapes,
+)
 
 # perfbench/tracing.py still hooks these names here; brute force no longer calls them.
 from .stability import find_is_deviation, find_ns_deviation  # noqa: F401
@@ -45,24 +53,25 @@ def enumerate_stable(instance: Instance, notion: str) -> Iterator[Outcome]:
     counts; SearchSpaceTooLarge once more than BRUTE_CAP candidates are decided."""
     b = instance.budgets
     limit = search_cap(BRUTE_CAP)
-    rule = DeviationRule(instance, notion)
-    pairs = instance.present_pairs
-    singles = [Block([(pair, 1)], instance.gamma) for pair in pairs]
+    rule = deviation_rule(instance, notion)
+    free = rule.free
+    table = shapes(instance)
+    pairs, singles = instance.present_pairs, table.singles
     # The shapes of size 2..sigma that no member class would leave to go
     # alone, drawn only as far as the walk needs.
-    source = (shape for shape in shapes(instance, 2) if rule.free(shape[1]))
-    drawn: list[tuple[tuple[int, ...], Block]] = []
+    kept: list[Block] = []
+    vectors: list[tuple[int, ...]] = []
+    seen = 0
     tried = 0
 
     def vector(i: int) -> tuple[int, ...] | None:
-        while len(drawn) <= i and (entry := next(source, None)) is not None:
-            drawn.append(entry)
-        return drawn[i][0] if i < len(drawn) else None
-
-    @cache
-    def compatible(i: int, j: int) -> bool:
-        src, dst = drawn[i][1], drawn[j][1]
-        return rule.free(src, dst) and (i == j or rule.free(dst, src))
+        nonlocal seen
+        while len(kept) <= i and (vec := table.vector(seen)) is not None:
+            if sum(vec) >= 2 and free(block := table.block(seen)):
+                kept.append(block)
+                vectors.append(vec)
+            seen += 1
+        return vectors[i] if i < len(vectors) else None
 
     def rec(start: int, chosen: list[int], residual: list[int]) -> Iterator[Outcome]:
         nonlocal tried
@@ -72,14 +81,16 @@ def enumerate_stable(instance: Instance, notion: str) -> Iterator[Outcome]:
             if tried > limit:
                 raise SearchSpaceTooLarge(f"more than {limit} outcomes (cap via HDG_SEARCH_CAP)")
             alone = [single for single, r in zip(singles, residual) if r]
-            blocks = [drawn[i][1] for i in chosen]
+            blocks = [kept[i] for i in chosen]
             if settled(rule, blocks, alone):
                 yield deal_outcome(
                     instance, [block.pair_counts for block in blocks], zip(pairs, residual)
                 )
         i = start
         while k < b.rho2 and (v := vector(i)) is not None:
-            if all(x <= r for x, r in zip(v, residual)) and all(compatible(j, i) for j in chosen):
+            if all(x <= r for x, r in zip(v, residual)) and all(
+                free(kept[j], kept[i]) and free(kept[i], kept[j]) for j in chosen
+            ):
                 chosen.append(i)
                 yield from rec(i, chosen, [r - x for r, x in zip(residual, v)])
                 chosen.pop()

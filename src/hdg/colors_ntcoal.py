@@ -24,7 +24,8 @@ order of the plain walk, so the first saturating guess is the same:
 
 * Tier memo: each (type, palette) tier is read once, on first use, into
   the instance's tier table, which back-to-back calls on one instance
-  share; a tier depends on nothing the guess changes.
+  share; a tier depends on nothing the guess changes.  The composition
+  list is built once per instance too, for both notions.
 * Seat screen: a row with supply but no valid seat, or a seat with room
   but no valid row, fails the guess; edges stay within a color and per
   color the supplies equal the seats, so a saturating flow uses both.
@@ -37,13 +38,9 @@ order of the plain walk, so the first saturating guess is the same:
   the relaxed network cannot seat everyone (seat screen, then max-flow),
   no refinement of the family saturates.  Skipped when the composition
   guess has a single refinement.
-* IS refusal dominance: a refinement that refuses color-c joiners at j
-  when dropping that refusal changes no valid seat is passed over; the
-  refinement accepting them, with fewer blockers, comes earlier on the
-  same edges and saturates whenever this one does.
 
 GUESS_CAP counts the guesses that reach the flow: every composition guess
-under NS, every refinement that passes both IS screens under IS.
+under NS, every refinement that passes the IS family screen under IS.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator
 
-from .core import Instance, TierTable, compositions_upto, tier_table
+from .core import Instance, TierTable, compositions_upto, shared, tier_table
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .maxflow import FlowNetwork, max_flow
 from .stability import IS, NS, Outcome, check_outcome, deal_outcome
@@ -146,16 +143,23 @@ def _flags(guess: Guess) -> list[tuple[int, int, int]]:
 
 
 def _compositions(instance: Instance) -> list[tuple[int, ...]]:
-    sigma = min(instance.budgets.sigma, instance.n)
+    """The sorted color-count vectors of 2..sigma agents the instance can
+    form, built once per instance and kept in its `core.shared` parts; the
+    composition guard is checked on every call."""
     limit = search_cap(GUESS_CAP)
-    out = []
-    for c in compositions_upto(instance.class_sizes, sigma, min_size=2):
-        out.append(c)
-        if len(out) > limit:
-            raise SearchSpaceTooLarge(
-                f"more than {limit} coalition compositions (cap via HDG_SEARCH_CAP)"
-            )
-    return sorted(out)
+    parts = shared(instance).parts
+    out = parts.get("colors_ntcoal")
+    if out is None:
+        sigma = min(instance.budgets.sigma, instance.n)
+        vectors = compositions_upto(instance.class_sizes, sigma, min_size=2)
+        out = list(itertools.islice(vectors, limit + 1))
+        if len(out) <= limit:
+            out = parts["colors_ntcoal"] = sorted(out)
+    if len(out) > limit:
+        raise SearchSpaceTooLarge(
+            f"more than {limit} coalition compositions (cap via HDG_SEARCH_CAP)"
+        )
+    return out
 
 
 def _seats(
@@ -268,35 +272,6 @@ def _try_flow(
     return deal_outcome(instance, [sorted(m.items()) for m in members], singles)
 
 
-def _dominated(tiers: TierTable, guess: Guess, types_of_color: dict[int, list[int]]) -> bool:
-    """Does the guess refuse color-c joiners at j when no seat needs it?
-
-    Dropping that refusal changes no valid seat when no color-c class is
-    valid at a seat other than j under the guess's flags and invalid once
-    the refusal bit is cleared.  Then the guess that accepts them, with
-    the same blocked set and a subset of the blockers, comes at a smaller
-    refused-set size: it has the same edges and fewer demands, so it
-    saturates whenever this one does.
-    """
-    comps, trivial_counts = guess.compositions, guess.trivial_counts
-    flags = _flags(guess)
-    targets = [*range(len(comps)), TRIVIAL]
-    for j in range(len(comps)):
-        bit = 1 << j
-        for c, (refused, into, out) in enumerate(flags):
-            if refused & bit and not any(
-                _seat_ok(tiers, comps, trivial_counts, c, t, target, flags[c])
-                and not _seat_ok(
-                    tiers, comps, trivial_counts, c, t, target, (refused ^ bit, into, out)
-                )
-                for t in types_of_color[c]
-                for target in targets
-                if target != j
-            ):
-                return True
-    return False
-
-
 def _relaxed_saturates(
     instance: Instance,
     tiers: TierTable,
@@ -341,7 +316,7 @@ def _is_guesses(
     refinements that could be the first to saturate are yielded: none of
     a family whose relaxed network (see `_relaxed_saturates`) does not
     saturate, first for the whole composition guess and then for each
-    non-empty refused set, and no dominated refinement (see `_dominated`).
+    non-empty refused set.
     """
     gamma = instance.gamma
 
@@ -427,7 +402,6 @@ def _is_guesses(
             tuple((j, c) not in refused for c in range(gamma))
             for j in range(len(comps))
         )
-        dominated: dict[tuple, bool] = {}  # by blocked set: blockers do not matter
         for cover_pick in itertools.product(*cover_choices(refused)):
             blockers = tuple(
                 (klass, j)
@@ -435,17 +409,13 @@ def _is_guesses(
                 for klass in sorted(classes)
             )
             for blocked in _subsets(relevant_blocked):
-                guess = Guess(
+                yield Guess(
                     compositions=comps,
                     trivial_counts=trivial_counts,
                     accepted=accepted,
                     blocked=frozenset(blocked),
                     blockers=blockers,
                 )
-                if blocked not in dominated:
-                    dominated[blocked] = _dominated(tiers, guess, types_of_color)
-                if not dominated[blocked]:
-                    yield guess
 
 
 def _subsets(items: list) -> Iterator[tuple]:

@@ -10,9 +10,9 @@ a support of pairwise deviation-free types (that also tolerate going alone)
 decides stability by itself, and one integer feasibility system per support,
 over the extra copies of its self-compatible types, decides whether the
 agent counts can be partitioned accordingly.  Going alone, self-compatibility
-and pairwise compatibility are all the block form of
-`stability.DeviationRule`, read from the instance's tier table, which
-back-to-back calls on one instance share.
+and pairwise compatibility are all the block form of the instance's
+`stability.deviation_rule`, whose verdicts every solve of the instance
+under the notion shares, as it shares the `Block`s of `stability.shapes`.
 
 The supports are produced lazily, in walk order, and only those that can
 still be feasible reach the integer system: a support that over-commits a
@@ -22,26 +22,25 @@ first feasible support is the witness.
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import islice
 from typing import Iterator
 
 from .core import Instance, PackedCounts
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
-from .stability import Block, DeviationRule, Outcome, check_outcome, deal_outcome, shapes
+from .stability import Block, Outcome, check_outcome, deal_outcome, deviation_rule, shapes
 
 TYPES_CAP = 50_000
 SUPPORT_CAP = 2_000_000
 
 
 def enumerate_coalition_types(instance: Instance) -> list[tuple[tuple[int, ...], Block]]:
-    """Every coalition type the instance can realize, sizes 1..sigma, as
-    `stability.shapes` yields them, ordered by size and then entries."""
+    """Every coalition type the instance can realize, sizes 1..sigma, from
+    `stability.shapes`, ordered by size and then entries."""
     limit = search_cap(TYPES_CAP)
-    out = list(islice(shapes(instance, 1), limit + 1))
-    if len(out) > limit:
+    table = shapes(instance)
+    if table.draw(limit + 1) > limit:
         raise SearchSpaceTooLarge(f"more than {limit} coalition types (cap via HDG_SEARCH_CAP)")
+    out = [(vec, table.block(i)) for i, vec in enumerate(table.vectors)]
     out.sort(key=lambda shape: (sum(shape[0]), shape[1].pair_counts))
     return out
 
@@ -64,21 +63,18 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
     side.
     """
     b, pairs = instance.budgets, instance.present_pairs
-    rule = DeviationRule(instance, notion)
+    rule = deviation_rule(instance, notion)
+    free = rule.free
     # Types whose members would rather go alone can never be realized.
-    kept = [(vec, block) for vec, block in enumerate_coalition_types(instance) if rule.free(block)]
+    kept = [(vec, block) for vec, block in enumerate_coalition_types(instance) if free(block)]
     blocks = [block for _, block in kept]
-    self_ok = [rule.free(block, block) for block in blocks]
+    self_ok = [free(block, block) for block in blocks]
     columns = [vec + (1, int(sum(vec) >= 2)) for vec, _ in kept]
     # The pairs a type can take more agents of, by occurring again.
     covers = [
         sum(1 << j for j, k in enumerate(vec) if k) if ok else 0
         for (vec, _), ok in zip(kept, self_ok)
     ]
-
-    @cache
-    def compatible(i: int, j: int) -> bool:
-        return rule.free(blocks[i], blocks[j]) and rule.free(blocks[j], blocks[i])
 
     # Residuals are `PackedCounts` over the column coordinates, so a column
     # fits when its difference keeps every guard bit.  `placing` holds a
@@ -107,7 +103,9 @@ def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tup
             yield [blocks[i] for i in chosen], reusable, packing.unpack(residual)
         for i in range(start, len(blocks)):
             rest = residual - packed[i]
-            if rest & guard != guard or not all(compatible(j, i) for j in chosen):
+            if rest & guard != guard or not all(
+                free(blocks[j], blocks[i]) and free(blocks[i], blocks[j]) for j in chosen
+            ):
                 continue
             still = placing
             for bit, shift in takes[i]:

@@ -31,6 +31,12 @@ last level is never extended, so its children are decided pair by pair
 and never interned.  `STATES_CAP` bounds the number of candidates, of
 distinct states kept, and of the last level's live children.
 
+The candidates are the instance's `stability.shapes` vectors, and what
+the search reads of them under either notion (`_Classes`: color counts,
+theta and singleton ranks, the NS cells and the packed residuals) is
+built once per instance and kept in its `core.shared` parts, so an IS
+solve after an NS one, or the reverse, starts from it.
+
 A rank is a negated tier, so higher is better.  Every comparison the
 search makes depends only on the order of ranks, so any order-preserving
 values would give the same entries, states and witness.  The static data
@@ -48,11 +54,11 @@ singletons, so completeness is unaffected.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
+from functools import cached_property
 
-from .core import Instance, PackedCounts, compositions_upto, tier_table
+from .core import Instance, PackedCounts, shared, tier_table
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
-from .stability import IS, Outcome, check_outcome, deal_outcome
+from .stability import IS, Outcome, check_outcome, deal_outcome, shapes
 
 STATES_CAP = 400_000
 
@@ -62,61 +68,96 @@ STATES_CAP = 400_000
 # --------------------------------------------------------------------------
 
 
-class _Setup:
-    """What the search reads of one instance: the candidates, each pair's
-    theta ranks and singleton rank, and per pair and candidate a static
-    cell filled on first use.  All tiers come from the instance's `tier_table`.
-    """
+class _Classes:
+    """What the search reads of one instance under either notion: the
+    pairs and their counts, the candidates (the instance's
+    `stability.shapes` vectors) with their color counts, each pair's theta
+    ranks and singleton rank, the NS cells and the candidates' packed
+    residuals.  Built once per instance, from its `tier_table`, and kept
+    in its `core.shared` parts."""
 
-    def __init__(self, instance: Instance, notion: str):
-        self.instance = instance
-        self.notion = notion
+    def __init__(self, instance: Instance, candidates: list[tuple[int, ...]]):
         self.pairs: list[tuple[int, int]] = list(instance.present_pairs)
         self.n_vec = tuple(instance.n_ct[p] for p in self.pairs)
-        sigma = min(instance.budgets.sigma, instance.n)
-        limit = search_cap(STATES_CAP)
-        self.candidates = list(islice(compositions_upto(self.n_vec, sigma), limit + 1))
-        if len(self.candidates) > limit:
-            raise SearchSpaceTooLarge(
-                f"more than {limit} candidate coalitions (cap via HDG_SEARCH_CAP)"
-            )
-        self.tiers = tier_table(instance)
+        self.candidates = candidates
+        self.tiers = tiers = tier_table(instance)
         # Pairs are sorted by color, so each color's pairs are one slice.
         edges = [bisect_left(self.pairs, (c,)) for c in range(instance.gamma + 1)]
         spans = list(zip(edges, edges[1:]))
-        self.cand_counts = [
-            tuple([sum(vec[a:b]) for a, b in spans]) for vec in self.candidates
-        ]
+        self.cand_counts = [tuple([sum(vec[a:b]) for a, b in spans]) for vec in candidates]
         # Palettes a branched worst/second-worst may take: those of every
         # coalition within the size budget that holds the color.  A
         # color's count splits freely over its pairs, so these are the
         # candidates' color-count vectors.
         vectors = list(dict.fromkeys(self.cand_counts))
-        own = self.tiers.own
+        own = tiers.own
         self.theta_ranks: list[list[int]] = []
         self.singleton_rank: list[int] = []
         for c, t in self.pairs:
             self.theta_ranks.append(sorted({-own(t, v) for v in vectors if v[c]}))
-            self.singleton_rank.append(-self.tiers.single(t, c))
+            self.singleton_rank.append(-tiers.single(t, c))
+        # Per pair and candidate, the NS cell (see `_Setup`), filled on
+        # first use under either notion: an IS cell differs only in its
+        # escape flag.
+        self.ns_cells: list[list[tuple[bool, int | None, int, bool] | None]] = [
+            [None] * len(candidates) for _ in self.pairs
+        ]
+
+    @cached_property
+    def residuals(self) -> _Residuals:
+        return _Residuals(self)
+
+
+class _Setup:
+    """What the search reads of one instance under one notion: its
+    `_Classes`, and per pair and candidate a static cell filled on first
+    use.  The candidate cap is checked on every set-up, against the
+    instance's shapes, before any shared part is read.
+    """
+
+    def __init__(self, instance: Instance, notion: str):
+        self.instance = instance
+        self.notion = notion
+        limit = search_cap(STATES_CAP)
+        table = shapes(instance)
+        if table.draw(limit + 1) > limit:
+            raise SearchSpaceTooLarge(
+                f"more than {limit} candidate coalitions (cap via HDG_SEARCH_CAP)"
+            )
+        parts = shared(instance).parts
+        classes = parts.get("colors_types")
+        if classes is None:
+            classes = parts["colors_types"] = _Classes(instance, table.vectors)
+        self.classes = classes
+        self.pairs, self.n_vec, self.tiers = classes.pairs, classes.n_vec, classes.tiers
+        self.candidates, self.cand_counts = classes.candidates, classes.cand_counts
+        self.theta_ranks, self.singleton_rank = classes.theta_ranks, classes.singleton_rank
         # Per pair and candidate: (in it, rank of its palette, rank once one
         # more agent of the pair joins, whether that agent may not join).
-        self.cand_static: list[list[tuple[bool, int | None, int, bool] | None]] = [
+        self.cand_static = classes.ns_cells if notion != IS else [
             [None] * len(self.candidates) for _ in self.pairs
         ]
 
     def cell(self, i: int, idx: int) -> tuple[bool, int | None, int, bool]:
-        """The static data of pair i and candidate idx, filled and kept."""
+        """The static data of pair i and candidate idx, filled and kept: the
+        NS cell once per instance, and under IS that cell with the IS veto
+        added to its escape flag."""
         vec, counts = self.candidates[idx], self.cand_counts[idx]
         c, t = self.pairs[i]
-        k = vec[i]
-        escape = k == self.n_vec[i]
         tiers = self.tiers
-        if not escape and self.notion == IS:
-            members = frozenset(t2 for (_, t2), k2 in zip(self.pairs, vec) if k2)
-            escape = tiers.refused(counts, c, members)
-        cell = self.cand_static[i][idx] = (
-            k > 0, -tiers.own(t, counts) if k else None, -tiers.joined(t, counts, c), escape
-        )
+        cell = self.classes.ns_cells[i][idx]
+        if cell is None:
+            k = vec[i]
+            cell = self.classes.ns_cells[i][idx] = (
+                k > 0, -tiers.own(t, counts) if k else None, -tiers.joined(t, counts, c),
+                k == self.n_vec[i],
+            )
+        if self.notion == IS:
+            if not cell[3]:
+                members = frozenset(t2 for (_, t2), k2 in zip(self.pairs, vec) if k2)
+                if tiers.refused(counts, c, members):
+                    cell = cell[:3] + (True,)
+            self.cand_static[i][idx] = cell
         return cell
 
     def theta_in(self, i: int, lo: int, hi: int) -> bool:
@@ -310,7 +351,7 @@ def _search(
     budgets = setup.instance.budgets
     depth = min(budgets.rho1, budgets.rho2)
     limit = search_cap(STATES_CAP)
-    residuals = _Residuals(setup)
+    residuals = setup.classes.residuals
     packing = residuals.packing
     bits, full = packing.bits, packing.full
     mask = (1 << bits) - 1

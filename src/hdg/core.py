@@ -71,7 +71,9 @@ class TierList:
             for p in tier:
                 if p in index:
                     raise InvalidInput(f"palette {p} appears in two tiers")
-                if not p or reduce_counts(p) != p:
+                if not any(p):
+                    raise InvalidInput(f"tier palette {p} has no agent")
+                if reduce_counts(p) != p:
                     raise InvalidInput(f"tier palette {p} is not reduced")
                 index[p] = i
         self._index = index
@@ -753,25 +755,44 @@ class TierTable:
         return hit
 
 
-# The instance the last `tier_table` call served, held weakly, and its table.
-_slot: tuple[Callable[[], Instance | None], TierTable | None] = (lambda: None, None)
+class Shared:
+    """What every solve and check of one instance shares, each part built
+    at most once, on first use: its `TierTable`, and in `parts` what the
+    layers above build of the instance (its coalition shapes, a deviation
+    rule per notion, a solver's set-up), each under its own layer's key."""
+
+    __slots__ = ("tiers", "parts")
+
+    def __init__(self, instance: Instance):
+        self.tiers = TierTable(instance)
+        self.parts: dict[str, object] = {}
+
+
+# The instance the last `shared` call served, held weakly, and its parts.
+_slot: tuple[Callable[[], Instance | None], Shared | None] = (lambda: None, None)
+
+
+def shared(instance: Instance) -> Shared:
+    """The `Shared` parts of `instance`.
+
+    One process-wide slot serves back-to-back calls on one instance (a
+    solve and its witness re-check, NS after IS, one solver after
+    another, repeated checks) with the same parts; a call on any other
+    instance replaces them.  The slot holds the instance only by weak
+    reference, so it keeps no instance alive and a new instance that
+    reuses a dropped one's id never gets its parts.
+    """
+    global _slot
+    ref, data = _slot
+    if ref() is not instance:
+        data = Shared(instance)
+        _slot = weakref.ref(instance), data
+    return data
 
 
 def tier_table(instance: Instance) -> TierTable:
-    """The `TierTable` of `instance`.
-
-    One process-wide slot serves back-to-back calls on one instance (a
-    solve and its witness re-check, NS after IS, repeated checks) with the
-    same table; a call on any other instance replaces it.  The slot holds
-    the instance only by weak reference, so it keeps no instance alive and
-    a new instance that reuses a dropped one's id never gets its table.
-    """
-    global _slot
-    ref, table = _slot
-    if ref() is not instance:
-        table = TierTable(instance)
-        _slot = weakref.ref(instance), table
-    return table
+    """The `TierTable` of `instance`, shared as `shared` says."""
+    return shared(instance).tiers
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,10 @@ its own coalition's color counts, C's color counts and, under IS, the set
 of types present in C.  `DeviationRule` states that once, over the
 instance's `core.tier_table`, per agent class and per pair of coalition
 shapes (`Block`, the one shape the class-level solvers use; `shapes`
-yields every shape an instance can realize).
+holds every shape an instance can realize).  Both are built once per
+instance and kept in its `core.shared` parts, the rule once per notion,
+so every solve and check of the instance reads the same shapes and the
+same block verdicts.
 
 Checking an outcome costs per coalition and class, not per agent.  The
 partition is tested with a few C-level passes over the ids (`member_of`
@@ -34,11 +37,10 @@ witness's key is decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
-from typing import Iterator
 
-from .core import Instance, compositions_upto, tier_table
+from .core import Instance, compositions_upto, shared, tier_table
 from .errors import InvalidOutcome, SolverDivergence
 
 NS = "ns"
@@ -141,14 +143,59 @@ class Block:
         self.types = frozenset([t for (_, t), _ in pair_counts])
 
 
-def shapes(instance: Instance, min_size: int) -> Iterator[tuple[tuple[int, ...], Block]]:
-    """(count vector over `present_pairs`, `Block`) for every coalition
-    shape the instance can realize with min_size..sigma members, in
-    `compositions_upto` order."""
-    pairs, gamma = instance.present_pairs, instance.gamma
-    limits = [instance.n_ct[pair] for pair in pairs]
-    for vec in compositions_upto(limits, instance.budgets.sigma, min_size):
-        yield vec, Block([(pair, k) for pair, k in zip(pairs, vec) if k], gamma)
+class Shapes:
+    """Every coalition shape one instance can realize with 1..sigma
+    members, in `compositions_upto` order, drawn only as far as some
+    caller has asked and kept: `vectors` holds the count vectors over
+    `present_pairs` drawn so far, and `block(i)` the i-th shape's `Block`,
+    built on first use.  `singles` holds each present pair's one-agent
+    `Block`, in `present_pairs` order."""
+
+    __slots__ = ("vectors", "singles", "_blocks", "_source", "_pairs", "_gamma")
+
+    def __init__(self, instance: Instance):
+        self._pairs, self._gamma = pairs, gamma = instance.present_pairs, instance.gamma
+        limits = [instance.n_ct[pair] for pair in pairs]
+        self._source = compositions_upto(limits, instance.budgets.sigma)
+        self.vectors: list[tuple[int, ...]] = []
+        self._blocks: dict[int, Block] = {}
+        self.singles = [Block([(pair, 1)], gamma) for pair in pairs]
+
+    def draw(self, count: int) -> int:
+        """Draws until `count` shapes are kept or none is left; returns the
+        number kept, which exceeds `count` only when a caller drew more."""
+        vectors = self.vectors
+        if len(vectors) < count:
+            vectors += islice(self._source, count - len(vectors))
+        return len(vectors)
+
+    def vector(self, i: int) -> tuple[int, ...] | None:
+        """The i-th count vector, drawn if it is the next one, or None past
+        the last; i is at most the number kept."""
+        vectors = self.vectors
+        if i < len(vectors):
+            return vectors[i]
+        vec = next(self._source, None)
+        if vec is not None:
+            vectors.append(vec)
+        return vec
+
+    def block(self, i: int) -> Block:
+        """The i-th shape's `Block`; the i-th vector must have been drawn."""
+        block = self._blocks.get(i)
+        if block is None:
+            pairs = zip(self._pairs, self.vectors[i])
+            block = self._blocks[i] = Block([(pair, k) for pair, k in pairs if k], self._gamma)
+        return block
+
+
+def shapes(instance: Instance) -> Shapes:
+    """The instance's `Shapes`, shared by every solve of it."""
+    parts = shared(instance).parts
+    table = parts.get("shapes")
+    if table is None:
+        table = parts["shapes"] = Shapes(instance)
+    return table
 
 
 class DeviationRule:
@@ -157,13 +204,15 @@ class DeviationRule:
     a coalition with counts `target` when it strictly prefers the grown
     coalition and, under IS, no member type of the target refuses it.
     Going alone is joining the empty coalition, which has no member to
-    refuse."""
+    refuse.  The block form `free` keeps its verdicts, keyed on the
+    `Block`s themselves."""
 
-    __slots__ = ("tiers", "under_is", "empty")
+    __slots__ = ("tiers", "under_is", "empty", "_free")
 
     def __init__(self, instance: Instance, notion: str):
         self.tiers, self.under_is = tier_table(instance), notion == IS
         self.empty = (0,) * instance.gamma
+        self._free: dict[tuple[Block, Block | None], bool] = {}
 
     def lured(self, color: int, t: int, own_tier: int, target, members: frozenset[int]) -> bool:
         tiers = self.tiers
@@ -173,12 +222,29 @@ class DeviationRule:
 
     def free(self, src: Block, dst: Block | None = None) -> bool:
         """No member of `src` is lured to `dst`, or with no `dst`, to go alone."""
+        key = (src, dst)
+        verdict = self._free.get(key)
+        if verdict is None:
+            verdict = self._free[key] = self._decide(src, dst)
+        return verdict
+
+    def _decide(self, src: Block, dst: Block | None) -> bool:
         own, lured, counts = self.tiers.own, self.lured, src.counts
         target, members = (self.empty, frozenset()) if dst is None else (dst.counts, dst.types)
         for (c, t), _ in src.pair_counts:
             if lured(c, t, own(t, counts), target, members):
                 return False
         return True
+
+
+def deviation_rule(instance: Instance, notion: str) -> DeviationRule:
+    """The instance's `DeviationRule` under `notion` (NS or IS), shared by
+    every solve and check of it under that notion."""
+    parts = shared(instance).parts
+    rule = parts.get(notion)
+    if rule is None:
+        rule = parts[notion] = DeviationRule(instance, notion)
+    return rule
 
 
 def _sizes(outcome: Outcome, n: int) -> list[int]:
@@ -223,7 +289,7 @@ def _scan(instance: Instance, block) -> tuple[list[int], dict[tuple[int, int], i
 
 def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
     colors, types, gamma = instance.colors, instance.types, instance.gamma
-    rule = DeviationRule(instance, kind)
+    rule = deviation_rule(instance, kind)
     lured, tier, empty, under_is = rule.lured, rule.tiers.own, rule.empty, rule.under_is
     none = frozenset()  # member types, read only under IS
 

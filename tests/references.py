@@ -3,7 +3,7 @@
 * Literal, per-branch forms of the parameterized solvers.  Each solver
   decides its branches implicitly (colors-types defers the branch choice
   into one DP, colors-size prunes supports during its walk, colors-ntcoal
-  screens seats and passes over dominated refinements), and all three
+  screens seats and whole families of refinements), and all three
   read tiers from the instance's shared `TierTable`.  The functions here
   spell one branch out at a time and read every tier straight off its
   palette with `tier_of`, never through that table, so tests can check

@@ -177,6 +177,19 @@ def test_agent_ids_must_be_strings_or_ints(example1_path, tmp_path, capsys, valu
     assert main(["solve", str(path)]) == 0
 
 
+def test_an_empty_tier_palette_is_an_error(example1_path, tmp_path, capsys):
+    # The all-zero palette used to reach the palette reduction and print
+    # only "cannot take the palette of an empty coalition".
+    with open(example1_path) as fh:
+        data = json.load(fh)
+    data["types"]["0"]["tiers"][0].append([0, 0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "tier palette (0, 0)" in err, err
+
+
 def two_agent_game(family, params):
     """Agents a (color 0) and b (color 1) of one type with this family."""
     return {

@@ -85,7 +85,7 @@ def test_ntcoal_blocker_demands(monkeypatch):
 
 
 def test_ntcoal_flow_counts_on_the_sweep_games(monkeypatch):
-    # Screened and dominated guesses never reach max_flow: sending every
+    # Screened guesses never reach max_flow: sending every
     # guess there took 943 (p0) and 953 (p1) flows on n=10 IS, and the
     # NS flow count does not move with n.  Past n=16 both games have no
     # IS outcome; refinement by refinement the walk took 43 (p0) and 35

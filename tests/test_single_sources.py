@@ -8,8 +8,10 @@ benchmark in `perfbench/` names is an `hdg` export, and every entry point
 its traced mode hooks exists.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
 a set of cached properties on `Instance`.  `stability.Block` is the one
-coalition shape, which brute force and colors-size draw from
-`stability.shapes`, and `core.PackedCounts` the one packed residual.  Every layer reads preferences
+coalition shape, which brute force, colors-size and colors-types draw
+from `stability.shapes`, and `core.PackedCounts` the one packed residual.
+`core.shared` is the one per-instance slot, and only `core` holds an
+instance by weak reference.  Every layer reads preferences
 through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
 Only `core` (in `TierTable`) and `ownhdg` (its own-ratio order builder)
 call it; every other layer reads each tier through the instance's
@@ -258,12 +260,36 @@ def _classes_defining(attr: str) -> set[tuple[str, str]]:
 
 
 def test_block_is_the_one_coalition_shape():
-    # brute force and colors-size draw their shapes from `stability.shapes`
-    # and build no count vectors of their own.
+    # brute force, colors-size and colors-types draw their shapes from
+    # `stability.shapes` and build no count vectors of their own.
     assert _classes_defining("pair_counts") == {("stability", "Block")}
-    for module in (hdg.brute, colors_size):
+    for module in (hdg.brute, colors_size, colors_types):
         assert module.shapes is hdg.stability.shapes
         assert "compositions_upto" not in Path(module.__file__).read_text()
+
+
+def test_only_core_holds_an_instance_weakly():
+    # `core.shared` is the one per-instance slot: every other layer keeps
+    # what it builds of an instance in that slot's parts.
+    importers = set()
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Import) and any(a.name == "weakref" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "weakref"
+            ):
+                importers.add(path.stem)
+    assert importers == {"core"}
+    refs = [
+        node
+        for node in ast.walk(ast.parse(Path(hdg.core.__file__).read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "ref"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "weakref"
+    ]
+    assert len(refs) == 1
 
 
 def test_only_core_sizes_packed_fields():
@@ -299,7 +325,7 @@ def test_only_core_builds_a_tier_table():
 
 
 def test_colors_ntcoal_has_one_seat_rule():
-    # Flow, relaxed family screen and refusal dominance all decide seats
+    # The flow and the relaxed family screen both decide seats
     # through `_seat_ok`; only it and the flag screens of `_is_guesses`
     # read the join and pair tiers.
     tree = ast.parse(Path(colors_ntcoal.__file__).read_text())

@@ -242,20 +242,28 @@ def test_dealing_lone_runs_equals_one_block_per_agent():
 
 def test_shapes_are_the_bounded_multisets_in_composition_order():
     rng = random.Random(31)
-    for _ in range(40):
+    for trial in range(40):
         inst = random_instance(rng, GenCaps(n=7))
         pairs, sigma = inst.present_pairs, inst.budgets.sigma
         multisets = shape_multisets(pairs, inst.n_ct, sigma)
-        for min_size in (1, 2):
-            got = list(shapes(inst, min_size))
-            limits = [inst.n_ct[p] for p in pairs]
-            assert [vec for vec, _ in got] == list(compositions_upto(limits, sigma, min_size))
-            assert {block.pair_counts for _, block in got} == {
-                shape for shape in multisets if sum(k for _, k in shape) >= min_size
-            }
-            for vec, block in got:
-                counts = [0] * inst.gamma
-                for (c, _), k in zip(pairs, vec):
-                    counts[c] += k
-                assert block.counts == tuple(counts)
-                assert block.types == {t for (_, t), k in zip(pairs, vec) if k}
+        limits = [inst.n_ct[p] for p in pairs]
+        table = shapes(inst)
+        # Drawn one at a time for some instances and all at once for others.
+        if trial % 2:
+            total = table.draw(10**6)
+        else:
+            total = 0
+            while table.vector(total) is not None:
+                total += 1
+        assert table.vectors == list(compositions_upto(limits, sigma))
+        assert total == len(table.vectors) == len(multisets)
+        assert table.vector(total) is None and table.draw(total + 1) == total
+        got = [(vec, table.block(i)) for i, vec in enumerate(table.vectors)]
+        assert {block.pair_counts for _, block in got} == set(multisets)
+        assert [block.pair_counts for block in table.singles] == [((p, 1),) for p in pairs]
+        for vec, block in got:
+            counts = [0] * inst.gamma
+            for (c, _), k in zip(pairs, vec):
+                counts[c] += k
+            assert block.counts == tuple(counts)
+            assert block.types == {t for (_, t), k in zip(pairs, vec) if k}
