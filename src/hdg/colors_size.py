@@ -1,30 +1,26 @@
 """Solver for bounded color count plus bounded coalition size.
 
-A coalition type is a multiset of (color, preference type) pairs, one
-`stability.Block` from `stability.shapes`.  The search walks over which
-coalition types occur in the outcome, its support.  Stability depends on
-the multiplicities only through self-compatibility: a type whose members
-do not want to join a copy of their own coalition is stable however often
-it occurs, and any other type may occur only once.  So
-a support of pairwise deviation-free types (that also tolerate going alone)
-decides stability by itself, and one integer feasibility system per support,
-over the extra copies of its self-compatible types, decides whether the
-agent counts can be partitioned accordingly.  Going alone, self-compatibility
-and pairwise compatibility are all the block form of the instance's
-`stability.deviation_rule`, whose verdicts every solve of the instance
-under the notion shares, as it shares the `Block`s of `stability.shapes`.
-
-The supports are produced lazily, in walk order, and only those that can
-still be feasible reach the integer system: a support that over-commits a
-pair count or a coalition budget is dropped as soon as it does, and the
-first feasible support is the witness.
+A coalition type is one `stability.Block`.  The search walks over which
+non-trivial types (2..sigma members) occur in the outcome, its support;
+`supports` is that walk, and brute force closes its supports too.  A type
+whose members do not want to join a copy of their own coalition may occur
+any number of times, any other type once, so a support of pairwise
+compatible types decides the stability of its non-trivial coalitions.  The
+agents it leaves sit alone: a lone class is a class with agents left whose
+one-agent coalition is compatible with every type of the support.  Two lone
+agents of one color never deviate to each other (their palette is the same
+alone and together), so only lone classes of different colors can exclude
+each other, and one integer feasibility system per maximal set of mutually
+compatible lone classes decides the support.  Every verdict is the block
+form of the instance's `stability.deviation_rule`, shared by every solve.
 """
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Iterator
 
-from .core import Instance, PackedCounts
+from .core import Instance
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
 from .ilp import ILPSystem, feasible
 from .stability import Block, Outcome, check_outcome, deal_outcome, deviation_rule, shapes
@@ -32,122 +28,152 @@ from .stability import Block, Outcome, check_outcome, deal_outcome, deviation_ru
 TYPES_CAP = 50_000
 SUPPORT_CAP = 2_000_000
 
+Shape = tuple[tuple[int, ...], Block, int]  # count vector, Block, size
+
 
 def enumerate_coalition_types(instance: Instance) -> list[tuple[tuple[int, ...], Block]]:
     """Every coalition type the instance can realize, sizes 1..sigma, from
-    `stability.shapes`, ordered by size and then entries."""
-    limit = search_cap(TYPES_CAP)
-    table = shapes(instance)
-    if table.draw(limit + 1) > limit:
+    `stability.shapes`: the one-agent types, then `Shapes.shape` order."""
+    limit, table = search_cap(TYPES_CAP), shapes(instance)
+    out = [(tuple(int(j == i) for j in range(len(table.singles))), single)
+           for i, single in enumerate(table.singles)]
+    while len(out) <= limit and (shape := table.shape(len(out) - len(table.singles))):
+        out.append(shape[:2])
+    if len(out) > limit:
         raise SearchSpaceTooLarge(f"more than {limit} coalition types (cap via HDG_SEARCH_CAP)")
-    out = [(vec, table.block(i)) for i, vec in enumerate(table.vectors)]
-    out.sort(key=lambda shape: (sum(shape[0]), shape[1].pair_counts))
     return out
 
 
-def _branches(instance: Instance, notion: str) -> Iterator[tuple[list, list, tuple]]:
-    """Every support that may be feasible, once each and in walk order, as
-    (support, reusable, residual): the support's types, its self-compatible
-    types (the only ones that may occur again) with their columns, and what
-    one copy of every support type leaves of each column coordinate.
-
-    Supports grow by types in enumeration order, each new type compatible
-    with every chosen one.  A type's column is its use of each present
-    (color, type) pair, then its share of the two coalition budgets (1, and
-    1 if non-trivial), so a residual `n_ct + (rho1, rho2)` going negative
-    means the support is over-committed, and it and all its extensions are
-    skipped.  A support is also not yielded when it leaves agents of a pair
-    to place but none of its self-compatible types uses that pair.  What is
-    yielded is exactly the set of stable supports whose feasibility system
-    has no over-committed row and no empty row with a positive right-hand
-    side.
+def supports(instance: Instance, notion: str) -> Iterator[tuple[list[Shape], tuple[int, ...]]]:
+    """Every support once, in walk order, with what one copy of each of its
+    types leaves of each present pair.  A support is a set of at most
+    min(rho1, rho2) distinct non-trivial types, taken in `Shapes.shape`
+    order (the larger first), that fit the instance and that no member
+    would leave, to go alone or for another type of the set.  The empty support comes first.
+    Extensions that would leave more than rho1 coalitions even with types
+    of sigma members are not walked.  The yielded list is the walk's own.
+    SearchSpaceTooLarge once it reads more than TYPES_CAP types.
     """
-    b, pairs = instance.budgets, instance.present_pairs
-    rule = deviation_rule(instance, notion)
-    free = rule.free
-    # Types whose members would rather go alone can never be realized.
-    kept = [(vec, block) for vec, block in enumerate_coalition_types(instance) if free(block)]
-    blocks = [block for _, block in kept]
-    self_ok = [free(block, block) for block in blocks]
-    columns = [vec + (1, int(sum(vec) >= 2)) for vec, _ in kept]
-    # The pairs a type can take more agents of, by occurring again.
-    covers = [
-        sum(1 << j for j, k in enumerate(vec) if k) if ok else 0
-        for (vec, _), ok in zip(kept, self_ok)
-    ]
+    b = instance.budgets
+    free = deviation_rule(instance, notion).free
+    table = shapes(instance)
+    drawn, depth, limit = table.drawn, min(b.rho1, b.rho2), search_cap(TYPES_CAP)
+    chosen: list[Shape] = []
 
-    # Residuals are `PackedCounts` over the column coordinates, so a column
-    # fits when its difference keeps every guard bit.  `placing` holds a
-    # bit per pair with agents left.
-    packing = PackedCounts(tuple(instance.n_ct[p] for p in pairs) + (b.rho1, b.rho2))
-    guard, mask = packing.guard, packing.mask
-    packed = [packing.pack(column) for column in columns]
-    # The pairs each type takes agents of, as (pair bit, field shift).
-    takes = [
-        [(1 << j, packing.shifts[j]) for j in range(len(pairs)) if column[j]]
-        for column in columns
-    ]
-    budget = search_cap(SUPPORT_CAP)
-    examined = 0
-    chosen: list[int] = []
-
-    def walk(start: int, residual: int, placing: int, covered: int) -> Iterator[tuple]:
-        nonlocal examined
-        examined += 1
-        if examined > budget:
-            raise SearchSpaceTooLarge(
-                f"more than {budget} supports (cap via HDG_SEARCH_CAP)"
-            )
-        if chosen and not placing & ~covered:
-            reusable = [(blocks[i], columns[i]) for i in chosen if self_ok[i]]
-            yield [blocks[i] for i in chosen], reusable, packing.unpack(residual)
-        for i in range(start, len(blocks)):
-            rest = residual - packed[i]
-            if rest & guard != guard or not all(
-                free(blocks[j], blocks[i]) and free(blocks[i], blocks[j]) for j in chosen
-            ):
-                continue
-            still = placing
-            for bit, shift in takes[i]:
-                if not (rest >> shift) & mask:
-                    still &= ~bit
-            chosen.append(i)
-            yield from walk(i + 1, rest, still, covered | covers[i])
+    def walk(options: list[Shape], seen: int, residual: tuple[int, ...], left: int):
+        # `options` holds the types of the first `seen` drawn that may join
+        # `chosen`; a type that may not never joins an extension either.
+        yield chosen, residual
+        k = len(chosen)
+        if k == depth:
+            return
+        # A type of `size` members leaves `left - size` agents to place with
+        # at most depth - k - 1 more types of sigma members.
+        most = b.rho1 - k - 1 + (depth - k - 1) * (b.sigma - 1)
+        pos = 0
+        while True:
+            # Types drawn since; only when no option is left is one more drawn.
+            while seen < len(drawn) or (pos == len(options) and table.shape(seen)):
+                if seen == limit:
+                    raise SearchSpaceTooLarge(
+                        f"more than {limit} coalition types (cap via HDG_SEARCH_CAP)"
+                    )
+                vec, block, size = shape = drawn[seen]
+                seen += 1
+                if (
+                    left - size <= most
+                    and min(map(sub, residual, vec)) >= 0
+                    and free(block)
+                    and all(free(block, other) and free(other, block) for _, other, _ in chosen)
+                ):
+                    options.append(shape)
+            if pos == len(options):
+                return
+            vec, block, size = shape = options[pos]
+            pos += 1
+            rest, rest_left = tuple(map(sub, residual, vec)), left - size
+            after = [
+                (vec2, other, size2) for vec2, other, size2 in options[pos:]
+                if rest_left - size2 <= most - b.sigma
+                and min(map(sub, rest, vec2)) >= 0
+                and free(block, other) and free(other, block)
+            ] if k + 1 < depth else []
+            chosen.append(shape)
+            yield from walk(after, seen, rest, rest_left)
             chosen.pop()
 
-    yield from walk(0, packing.full, (1 << len(pairs)) - 1, 0)
+    if instance.n - depth * (b.sigma - 1) <= b.rho1:
+        yield from walk([], 0, table.counts, instance.n)
+
+
+def _lone_sets(lone: list[int], fits) -> Iterator[list[int]]:
+    """The maximal sets of pairwise `fits` classes of `lone`, each once
+    (Bron-Kerbosch)."""
+
+    def grow(group: list[int], options: list[int], passed: list[int]) -> Iterator[list[int]]:
+        if not options and not passed:
+            yield group
+        for k, i in enumerate(options):
+            yield from grow(
+                group + [i],
+                [j for j in options[k + 1 :] if fits(i, j)],
+                [j for j in passed + options[:k] if fits(i, j)],
+            )
+
+    yield from grow([], lone, [])
 
 
 def solve_colors_size(instance: Instance, notion: str) -> Outcome | None:
-    """Some stable budget-respecting outcome, or None if none exists.
-
-    Supports of realized types that admit a deviation are pruned during the
-    support walk, which is exactly the stability test: a self-compatible
-    type is stable however often it occurs, and any other type occurs once.
-    The surviving supports go to integer feasibility in walk order, and the
-    first feasible one is the witness.  Its variables count the copies of
-    each self-compatible type beyond the one the support commits; equality
-    rows make the per-(color, type) usage hit the instance exactly and two
-    inequality rows keep the coalition budgets.
+    """Some stable budget-respecting outcome, or None if none exists: the
+    first feasible system, in walk order.  Its variables count the extra
+    copies of each self-compatible type of the support, then the lone agents
+    of each class of the set, which come last so that each is fixed by its
+    own equality row; two inequality rows keep the coalition budgets.
     """
-    width = len(instance.present_pairs)
-    for support, reusable, residual in _branches(instance, notion):
-        # `feasible` branches over the variables in order.  Non-trivial
-        # types are bounded by the small rho2 row, while a singleton type
-        # ranges over a whole leftover count; in front, every singleton
-        # count would be multiplied into the search over the non-trivial
-        # types, behind them the singletons only close it.  A column ends
-        # in 1 for a non-trivial type.
-        reusable.sort(key=lambda entry: not entry[1][-1])
-        rows = tuple((tuple(col[j] for _, col in reusable), rhs) for j, rhs in enumerate(residual))
-        extra = feasible(ILPSystem(len(reusable), rows[:width], rows[width:]))
-        if extra is None:
+    b, pairs = instance.budgets, instance.present_pairs
+    free = deviation_rule(instance, notion).free
+    singles = shapes(instance).singles
+    budget = search_cap(SUPPORT_CAP)
+    tolerant: dict[Block, int] = {}  # per type, the classes whose lone agents it keeps, as bits
+
+    def fits(single: Block, other: Block) -> bool:
+        return free(single, other) and free(other, single)
+
+    for examined, (support, residual) in enumerate(supports(instance, notion), 1):
+        if examined > budget:
+            raise SearchSpaceTooLarge(f"more than {budget} supports (cap via HDG_SEARCH_CAP)")
+        kept = -1
+        for _, block, _ in support:
+            if block not in tolerant:
+                tolerant[block] = sum(1 << j for j, single in enumerate(singles) if fits(single, block))
+            kept &= tolerant[block]
+        reusable = [(vec, block) for vec, block, _ in support if free(block, block)]
+        # A class with more agents left than the extra copies can take must
+        # have lone agents.
+        k = len(support)
+        reach = [(min(b.rho1, b.rho2) - k) * max(col) for col in zip(*(v for v, _ in reusable))]
+        needed = sum(1 << j for j, r in enumerate(residual) if r > (reach[j] if reach else 0))
+        if needed & ~kept:
             continue
-        times = {block: 1 + extra[v] for v, (block, _) in enumerate(reusable)}
-        blocks = [block.pair_counts for block in support for _ in range(times.get(block, 1))]
-        outcome = deal_outcome(instance, blocks)
-        verdict = check_outcome(instance, outcome, notion)
-        if not verdict.stable:
-            raise SolverDivergence(f"colors-size witness failed: {verdict}")
-        return outcome
+        lone = [j for j, r in enumerate(residual) if r and kept >> j & 1]
+        for group in _lone_sets(lone, lambda i, j: fits(singles[i], singles[j])):
+            if needed & ~sum(1 << g for g in group):
+                continue
+            width = len(reusable) + len(group)
+            eqs = tuple(
+                (tuple(vec[j] for vec, _ in reusable) + tuple(int(j == g) for g in group), r)
+                for j, r in enumerate(residual)
+            )
+            les = (((1,) * width, b.rho1 - k), ((1,) * len(reusable) + (0,) * len(group), b.rho2 - k))
+            extra = feasible(ILPSystem(width, eqs, les))
+            if extra is None:
+                continue
+            blocks = [block for _, block, _ in support]
+            blocks += [block for v, (_, block) in enumerate(reusable) for _ in range(extra[v])]
+            alone = [(pairs[g], extra[len(reusable) + v]) for v, g in enumerate(group)]
+            outcome = deal_outcome(instance, [block.pair_counts for block in blocks], alone)
+            verdict = check_outcome(instance, outcome, notion)
+            if not verdict.stable:
+                raise SolverDivergence(f"colors-size witness failed: {verdict}")
+            return outcome
     return None

@@ -803,20 +803,36 @@ def tier_table(instance: Instance) -> TierTable:
 def compositions_upto(
     limits: Sequence[int], max_size: int, min_size: int = 1
 ) -> Iterator[tuple[int, ...]]:
-    """All count vectors with counts[c] <= limits[c] and min <= sum <= max."""
-    gamma = len(limits)
+    """All count vectors with counts[c] <= limits[c] and min <= sum <= max,
+    in lexicographic order.
 
-    def rec(c: int, counts: list[int], total: int) -> Iterator[tuple[int, ...]]:
-        if c == gamma:
-            if total >= min_size:
-                yield tuple(counts)
+    An odometer over every coordinate but the last, whose values one
+    `range` gives per setting of the others.
+    """
+    if not limits:
+        if min_size <= 0:
+            yield ()
+        return
+    if min(limits) < 0:
+        return
+    *heads, last = limits
+    counts = [0] * len(heads)
+    total = 0
+    while True:
+        head = tuple(counts)
+        for x in range(max(min_size - total, 0), min(last, max_size - total) + 1):
+            yield head + (x,)
+        # Step the odometer: the rightmost head coordinate that may grow
+        # does, and every one after it drops to 0.
+        c = len(counts) - 1
+        while c >= 0 and (counts[c] == heads[c] or total >= max_size):
+            total -= counts[c]
+            counts[c] = 0
+            c -= 1
+        if c < 0:
             return
-        for x in range(0, min(limits[c], max_size - total) + 1):
-            counts.append(x)
-            yield from rec(c + 1, counts, total + x)
-            counts.pop()
-
-    yield from rec(0, [], 0)
+        counts[c] += 1
+        total += 1
 
 
 class PackedCounts:

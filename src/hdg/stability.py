@@ -37,8 +37,9 @@ witness's key is decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from operator import itemgetter
+from typing import Iterator
 
 from .core import Instance, compositions_upto, shared, tier_table
 from .errors import InvalidOutcome, SolverDivergence
@@ -145,48 +146,82 @@ class Block:
 
 class Shapes:
     """Every coalition shape one instance can realize with 1..sigma
-    members, in `compositions_upto` order, drawn only as far as some
-    caller has asked and kept: `vectors` holds the count vectors over
-    `present_pairs` drawn so far, and `block(i)` the i-th shape's `Block`,
-    built on first use.  `singles` holds each present pair's one-agent
-    `Block`, in `present_pairs` order."""
+    members, drawn only as far as some caller has asked and kept, in two
+    orders:
 
-    __slots__ = ("vectors", "singles", "_blocks", "_source", "_pairs", "_gamma")
+    - `vectors`: the count vectors over `present_pairs`, in
+      `compositions_upto` order, drawn by `draw`;
+    - `shape(i)`: the i-th shape of 2..sigma members, the larger first and
+      then by `Block.pair_counts`, as (count vector, `Block`, size).
+
+    `singles` holds each present pair's one-agent `Block`, in
+    `present_pairs` order, and `counts` each present pair's number of
+    agents."""
+
+    __slots__ = ("vectors", "singles", "counts", "drawn", "_source", "_sized", "_pairs", "_gamma")
 
     def __init__(self, instance: Instance):
         self._pairs, self._gamma = pairs, gamma = instance.present_pairs, instance.gamma
-        limits = [instance.n_ct[pair] for pair in pairs]
-        self._source = compositions_upto(limits, instance.budgets.sigma)
+        self.counts = limits = tuple([instance.n_ct[pair] for pair in pairs])
+        sigma = instance.budgets.sigma
+        self._source = compositions_upto(limits, sigma)
         self.vectors: list[tuple[int, ...]] = []
-        self._blocks: dict[int, Block] = {}
         self.singles = [Block([(pair, 1)], gamma) for pair in pairs]
+        self.drawn: list[tuple[tuple[int, ...], Block, int]] = []
+        self._sized = _largest_first(limits, sigma)
 
     def draw(self, count: int) -> int:
-        """Draws until `count` shapes are kept or none is left; returns the
+        """Draws until `count` vectors are kept or none is left; returns the
         number kept, which exceeds `count` only when a caller drew more."""
         vectors = self.vectors
         if len(vectors) < count:
             vectors += islice(self._source, count - len(vectors))
         return len(vectors)
 
-    def vector(self, i: int) -> tuple[int, ...] | None:
-        """The i-th count vector, drawn if it is the next one, or None past
-        the last; i is at most the number kept."""
-        vectors = self.vectors
-        if i < len(vectors):
-            return vectors[i]
-        vec = next(self._source, None)
-        if vec is not None:
-            vectors.append(vec)
-        return vec
+    def shape(self, i: int) -> tuple[tuple[int, ...], Block, int] | None:
+        """The i-th shape of 2..sigma members, drawn if it is the next one,
+        or None past the last; i is at most the number drawn, which `drawn`
+        holds."""
+        drawn = self.drawn
+        if i < len(drawn):
+            return drawn[i]
+        vec = next(self._sized, None)
+        if vec is None:
+            return None
+        block = Block([(pair, k) for pair, k in zip(self._pairs, vec) if k], self._gamma)
+        drawn.append(entry := (vec, block, sum(vec)))
+        return entry
 
-    def block(self, i: int) -> Block:
-        """The i-th shape's `Block`; the i-th vector must have been drawn."""
-        block = self._blocks.get(i)
-        if block is None:
-            pairs = zip(self._pairs, self.vectors[i])
-            block = self._blocks[i] = Block([(pair, k) for pair, k in pairs if k], self._gamma)
-        return block
+
+def _largest_first(limits: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
+    """The count vectors with counts[j] <= limits[j] and 2..top members, the
+    larger first and those of one size in the order of their
+    `Block.pair_counts`: at the first coordinate where two vectors differ,
+    the smaller positive count first and 0 last.  The vectors of a size are
+    built from kept lists of tails, the last coordinates of a vector
+    summing to a given count."""
+    room = list(accumulate(reversed(limits), initial=0))[::-1]  # room[j]: sum(limits[j:])
+    tails: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def heads(j: int, left: int) -> list[int]:
+        # The counts coordinate j may take, `left` members to go, in order.
+        counts = list(range(max(left - room[j + 1], 1), min(limits[j], left) + 1))
+        return counts + [0] if left <= room[j + 1] else counts
+
+    def tail(j: int, left: int) -> list[tuple[int, ...]]:
+        got = tails.get((j, left))
+        if got is None:
+            if left:
+                got = [(x,) + rest for x in heads(j, left) for rest in tail(j + 1, left - x)]
+            else:
+                got = [(0,) * (len(limits) - j)]
+            tails[j, left] = got
+        return got
+
+    for size in range(min(top, room[0]), 1, -1):
+        for x in heads(0, size):
+            for rest in tail(1, size - x):
+                yield (x,) + rest
 
 
 def shapes(instance: Instance) -> Shapes:

@@ -13,6 +13,8 @@
   search that keeps every level and memoizes nothing.
 * The agent-level enumeration of budget-respecting partitions, the
   small-n reference for the class-level brute force.
+* The recursive form of `core.compositions_upto`, which the odometer
+  there must match vector for vector.
 * Source-side deciders and witness decoders of the reductions, the
   agent-by-agent form of the sGASP construction's columns, and an exact
   row check of ILP assignments.
@@ -42,6 +44,31 @@ from hdg.ilp import ILPSystem, feasible
 from hdg.maxflow import FlowNetwork, max_flow
 from hdg.reductions import SGaspInstance
 from hdg.stability import IS, NS, Outcome, deal_outcome
+
+# --------------------------------------------------------------------------
+# Count vectors: the recursive form of `core.compositions_upto`.
+# --------------------------------------------------------------------------
+
+
+def recursive_compositions_upto(
+    limits: Sequence[int], max_size: int, min_size: int = 1
+) -> Iterator[tuple[int, ...]]:
+    """All count vectors with counts[c] <= limits[c] and min <= sum <= max,
+    one coordinate per level of recursion, in lexicographic order."""
+    gamma = len(limits)
+
+    def rec(c: int, counts: list[int], total: int) -> Iterator[tuple[int, ...]]:
+        if c == gamma:
+            if total >= min_size:
+                yield tuple(counts)
+            return
+        for x in range(0, min(limits[c], max_size - total) + 1):
+            counts.append(x)
+            yield from rec(c + 1, counts, total + x)
+            counts.pop()
+
+    yield from rec(0, [], 0)
+
 
 # --------------------------------------------------------------------------
 # colors-types: explicit worst/second-worst branch product.

@@ -5,11 +5,11 @@ import pytest
 from hdg.brute import solve_brute
 from hdg import colors_size
 from hdg.colors_size import enumerate_coalition_types, solve_colors_size
-from hdg.core import TierList, make_instance
+from hdg.core import TierList, make_instance, realizable_palettes, singleton_palette
 from hdg.errors import SearchSpaceTooLarge
 from hdg.ilp import feasible
 from hdg.randgen import GenCaps, random_instance
-from hdg.stability import IS, NS, DeviationRule, check_outcome
+from hdg.stability import IS, NS, DeviationRule, check_outcome, deviation_rule, shapes
 
 from fixtures import example1, sweep_game
 from references import (
@@ -20,6 +20,7 @@ from references import (
     shape_multisets,
     some_branch_is_feasible,
 )
+from test_brute import agent_level_yes
 
 
 def test_enumerate_types_example1_sigma2():
@@ -151,9 +152,9 @@ def test_tight_budgets_agree_with_brute_force():
 
 
 def test_pruned_walk_answers_like_every_branch():
-    # The support walk, its one system per support (reusing only
-    # self-compatible types) and the first-feasible stop drop only branches
-    # that cannot be feasible.
+    # The support walk over non-trivial types, its one system per maximal
+    # set of lone classes (reusing only self-compatible types) and the
+    # first-feasible stop drop only branches that cannot be feasible.
     answers = set()
     draws = [(-1, example1())] + list(tight_draws(78, 150))
     draws += [(t, random_instance(random.Random(t), GenCaps(n=6, sigma=4))) for t in range(60)]
@@ -182,7 +183,8 @@ def recorded_systems(monkeypatch, instances, notions=(NS, IS)):
 
 def test_no_over_committed_or_unplaceable_branch_reaches_the_ilp(monkeypatch):
     # The random draws hold the rare supports whose leftover agents only a
-    # type that may not occur twice could take.
+    # type that may not occur twice could take; no right-hand side is
+    # negative and no row without a variable asks for agents.
     draws = [inst for _, inst in tight_draws(79, 100)]
     draws += [random_instance(random.Random(t), GenCaps(n=6, sigma=4)) for t in range(60)]
     systems = recorded_systems(monkeypatch, draws)
@@ -197,14 +199,15 @@ def test_each_support_is_yielded_once():
     for trial, inst in tight_draws(80, 150):
         for notion in (NS, IS):
             supports = [
-                tuple(block.pair_counts for block in support)
-                for support, _, _ in colors_size._branches(inst, notion)
+                tuple(block.pair_counts for _, block, _ in support)
+                for support, _ in colors_size.supports(inst, notion)
             ]
             assert len(supports) == len(set(supports)), (trial, notion)
 
 
 def test_non_trivial_types_come_first_in_every_system(monkeypatch):
-    # The rho2 row holds 1 for a non-trivial type and 0 for a singleton.
+    # The rho2 row holds 1 for a copy of a non-trivial type and 0 for the
+    # lone agents of a class, which come last.
     draws = [inst for _, inst in tight_draws(81, 100)]
     draws += [random_instance(random.Random(t), GenCaps(n=6, sigma=4)) for t in range(40)]
     mixed = 0
@@ -255,3 +258,103 @@ def test_deviation_tests_match_the_tier_of_reference():
     assert len(ns) > 5000 and 0.1 < sum(ns) / len(ns) < 0.9
     # Vetoes turn some NS deviations into IS-free joins, never the reverse.
     assert all(a <= b for a, b in zip(ns, is_)) and sum(is_) > sum(ns)
+
+
+def test_lone_agents_of_one_color_never_deviate_to_each_other():
+    # A coalition of one color has that color's one-agent palette, however
+    # many agents and types it holds, so two lone agents of one color are
+    # as well off together as alone: the lone classes of a color are
+    # always compatible, under both notions and in own-ratio games too.
+    rng = random.Random(5150)
+    palettes = 0
+    for trial in range(150):
+        inst = random_instance(rng, GenCaps(n=7, gamma=4, tau=4), own_color=trial % 3 == 0)
+        for palette in realizable_palettes(inst, inst.n):
+            colors = [c for c, k in enumerate(palette) if k]
+            if len(colors) == 1:
+                assert palette == singleton_palette(colors[0], inst.gamma)
+                palettes += 1
+        singles = shapes(inst).singles
+        for notion in (NS, IS):
+            free = deviation_rule(inst, notion).free
+            for a in singles:
+                for b in singles:
+                    if a.counts == b.counts:
+                        assert free(a, b), (trial, notion, a.pair_counts, b.pair_counts)
+    assert palettes > 200
+
+
+def conflicting_draws(seed, count):
+    """(instance, notion) pairs: draws with 3-4 colors and room for a
+    non-trivial coalition where, under the notion, the lone agents of two
+    classes of different colors would not both stay alone."""
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        caps = GenCaps(n=7, gamma=4, tau=rng.randint(1, 3), sigma=rng.randint(2, 4), rho1=7)
+        inst = random_instance(rng, caps, own_color=rng.random() < 0.2)
+        if len(set(inst.colors)) < 3 or not inst.budgets.rho2:
+            continue
+        singles = shapes(inst).singles
+        for notion in (NS, IS):
+            free = deviation_rule(inst, notion).free
+            if any(
+                a.counts != b.counts and not free(a, b) for a in singles for b in singles
+            ):
+                found += 1
+                yield inst, notion
+
+
+def mixed_pairs_game():
+    # One type, happiest in a pair of colors 0 and 1, then alone.  One
+    # such pair leaves an agent of each color, and lone agents of colors 0
+    # and 1 would pair up: the maximal lone sets are {0, 2} and {1, 2}.
+    alone = [singleton_palette(c, 3) for c in range(3)]
+    return make_instance(
+        [0, 0, 1, 1, 2], {0: TierList([[(1, 1, 0)], alone])}, types=[0] * 5,
+        gamma=3, sigma=2, rho2=2,
+    )
+
+
+def test_lone_classes_that_conflict_agree_with_every_reference(monkeypatch):
+    # Both solvers walk the same supports and close them differently:
+    # colors-size with one system per maximal set of lone classes, brute
+    # force by trying every candidate.  Both answer like colors-size's
+    # unpruned branch reference and the agent-level enumeration, and some
+    # supports have more than one maximal set.
+    groups = []
+    real = colors_size._lone_sets
+
+    def recording(lone, fits):
+        found = list(real(lone, fits))
+        groups.append(found)
+        return iter(found)
+
+    monkeypatch.setattr(colors_size, "_lone_sets", recording)
+    game = mixed_pairs_game()
+    for notion in (NS, IS):
+        out = solve_colors_size(game, notion)
+        assert out is not None and sorted(map(len, out.coalitions)) == [1, 2, 2]
+    assert [[0, 2], [1, 2]] in groups
+    groups.clear()
+    answers = set()
+    for inst, notion in conflicting_draws(90, 80):
+        want = agent_level_yes(inst, notion)
+        assert some_branch_is_feasible(inst, notion) == want
+        for solve in (solve_colors_size, solve_brute):
+            got = solve(inst, notion)
+            assert (got is not None) == want, (inst, notion, solve.__name__)
+            assert got is None or check_outcome(inst, got, notion).stable
+        answers.add((notion, want))
+    assert answers == {(nt, yes) for nt in (NS, IS) for yes in (True, False)}
+    assert any(len(found) > 1 for found in groups)
+
+
+@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("profile", [0, 1])
+def test_sweep_games_at_rho2_8_are_answered_under_is(profile, n):
+    # The walk order decides this regime: both games answer under the
+    # default caps, with the YES that colors-types finds at these n.
+    inst = sweep_game(profile, n, 8)
+    out = solve_colors_size(inst, IS)
+    assert out is not None and check_outcome(inst, out, IS).stable

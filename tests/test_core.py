@@ -10,6 +10,7 @@ from hdg.core import (
     NamedFamily,
     PackedCounts,
     TierList,
+    compositions_upto,
     make_instance,
     palette_of,
     realizable_palettes,
@@ -18,6 +19,7 @@ from hdg.core import (
 from hdg.errors import EmptyCoalition, InvalidInput
 
 from fixtures import A, B, C, D, example1
+from references import recursive_compositions_upto
 
 
 def test_palette_of_example1_triple():
@@ -257,3 +259,23 @@ def test_packed_counts_round_trip_and_guarded_difference():
     residual = packing.guard + packing.pack([3, 0, 2])
     assert (residual - packing.pack([0, 1, 0])) & packing.guard != packing.guard
     assert (residual - packing.pack([3, 0, 2])) == packing.guard
+
+
+def test_compositions_odometer_yields_the_recursive_sequence():
+    # Vector for vector and in the same order as the recursive form, on
+    # random limits with zeros, no coordinates at all, sizes from below 0
+    # to past the limits' sum, and minimum sizes from 0 up.
+    rng = random.Random(1618)
+    seen = {"empty": 0, "zero limit": 0, "none": 0, "many": 0}
+    for _ in range(3000):
+        limits = [rng.choice([0, 0, 1, 2, 3, 5]) for _ in range(rng.randint(0, 5))]
+        max_size, min_size = rng.randint(-1, 12), rng.randint(0, 4)
+        got = list(compositions_upto(limits, max_size, min_size))
+        assert got == list(recursive_compositions_upto(limits, max_size, min_size)), (
+            limits, max_size, min_size,
+        )
+        seen["empty"] += not limits
+        seen["zero limit"] += 0 in limits
+        seen["none"] += not got
+        seen["many"] += len(got) > 50
+    assert min(seen.values()) > 50, seen

@@ -83,12 +83,15 @@ def test_one_shape_enumeration_per_instance(monkeypatch):
 
 
 def test_brute_force_draws_only_the_shapes_it_walks():
-    # sigma = n, so there are far more shapes than brute force's rho2 = 1
-    # walk reads before its first stable candidate.
+    # sigma = n, so there are more shapes than brute force's rho2 = 1 walk
+    # reads before its first stable candidate; it draws none of the
+    # composition-ordered vectors.
     inst = example1(rho2=1)
     assert solve_brute(inst, NS) is not None
-    drawn = len(shapes(inst).vectors)
-    assert 0 < drawn < shapes(inst).draw(10**6)
+    table = shapes(inst)
+    drawn = len(table.drawn)
+    assert 0 < drawn < len(enumerate_coalition_types(inst)) - len(table.singles)
+    assert not table.vectors
 
 
 def test_one_composition_list_for_both_notions(monkeypatch):
@@ -121,6 +124,10 @@ def test_the_shared_rule_keeps_each_block_verdict(monkeypatch):
 
 def test_caps_are_checked_on_every_solve_of_a_shared_instance(monkeypatch):
     monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    # The types a colors-size solve reads, counted on an instance of its own.
+    fresh = example1()
+    solve_colors_size(fresh, IS)
+    read = len(shapes(fresh).drawn)
     inst = example1()
     for notion in (NS, IS):
         for solve in SOLVERS.values():
@@ -129,6 +136,12 @@ def test_caps_are_checked_on_every_solve_of_a_shared_instance(monkeypatch):
     assert len(enumerate_coalition_types(inst)) == total
     monkeypatch.setattr(colors_size, "TYPES_CAP", total - 1)
     with pytest.raises(SearchSpaceTooLarge, match=f"more than {total - 1} coalition types"):
+        enumerate_coalition_types(inst)
+    # One fewer than a solve reads trips the cap on the shared instance,
+    # whose types are all drawn by now.
+    assert 0 < read <= len(shapes(inst).drawn)
+    monkeypatch.setattr(colors_size, "TYPES_CAP", read - 1)
+    with pytest.raises(SearchSpaceTooLarge, match=f"more than {read - 1} coalition types"):
         solve_colors_size(inst, IS)
     monkeypatch.setattr(colors_types, "STATES_CAP", total - 1)
     with pytest.raises(SearchSpaceTooLarge, match=f"more than {total - 1} candidate coalitions"):
@@ -153,7 +166,7 @@ def test_a_cap_tripped_while_drawing_leaves_later_solves_whole(monkeypatch):
     monkeypatch.setattr(colors_size, "TYPES_CAP", 3)
     with pytest.raises(SearchSpaceTooLarge):
         solve_colors_size(inst, NS)
-    assert len(shapes(inst).vectors) == 4
+    assert len(shapes(inst).drawn) == 4
     monkeypatch.setattr(colors_size, "TYPES_CAP", 50_000)
     for notion in (NS, IS):
         for name, solve in SOLVERS.items():

@@ -369,8 +369,10 @@ def test_tier_of_is_the_only_preference_oracle():
 def test_a_solve_reads_each_tier_once(monkeypatch, module, solve, notion):
     # The solver's tier_of calls, not counting its witness re-check: a
     # palette p is read at most once per count vector k*p a coalition or
-    # a coalition plus one joiner can have.
-    inst = from_x3c([1, 2, 3, 4, 5, 6], [[1, 2, 3], [4, 5, 6], [1, 2, 4]])
+    # a coalition plus one joiner can have.  Over a universe of nine, so
+    # that even colors-size, which stops at its first feasible support,
+    # reads well over a hundred palettes.
+    inst = from_x3c(list(range(1, 10)), [[1, 2, 3], [4, 5, 6], [7, 8, 9], [1, 2, 4]])
     calls: Counter = Counter()
     counting = [True]
     for cls in (TierList, NamedFamily):

@@ -241,6 +241,9 @@ def test_dealing_lone_runs_equals_one_block_per_agent():
 
 
 def test_shapes_are_the_bounded_multisets_in_composition_order():
+    # `vectors` in `compositions_upto` order, and `shape(i)` the ones of two
+    # members or more, the larger first and then by entries, each drawn in
+    # bulk for some instances and one at a time for others.
     rng = random.Random(31)
     for trial in range(40):
         inst = random_instance(rng, GenCaps(n=7))
@@ -248,22 +251,26 @@ def test_shapes_are_the_bounded_multisets_in_composition_order():
         multisets = shape_multisets(pairs, inst.n_ct, sigma)
         limits = [inst.n_ct[p] for p in pairs]
         table = shapes(inst)
-        # Drawn one at a time for some instances and all at once for others.
         if trial % 2:
             total = table.draw(10**6)
         else:
             total = 0
-            while table.vector(total) is not None:
+            while table.draw(total + 1) > total:
                 total += 1
         assert table.vectors == list(compositions_upto(limits, sigma))
         assert total == len(table.vectors) == len(multisets)
-        assert table.vector(total) is None and table.draw(total + 1) == total
-        got = [(vec, table.block(i)) for i, vec in enumerate(table.vectors)]
-        assert {block.pair_counts for _, block in got} == set(multisets)
+        assert table.draw(total + 1) == total
+        got = []
+        while (shape := table.shape(len(got))) is not None:
+            got.append(shape)
+        assert table.shape(len(got)) is None and table.drawn == got
         assert [block.pair_counts for block in table.singles] == [((p, 1),) for p in pairs]
-        for vec, block in got:
+        blocks = [block.pair_counts for _, block, _ in got]
+        assert blocks == sorted(blocks, key=lambda entries: (-sum(k for _, k in entries), entries))
+        assert set(blocks) == {shape for shape in multisets if sum(k for _, k in shape) >= 2}
+        for vec, block, size in got:
             counts = [0] * inst.gamma
             for (c, _), k in zip(pairs, vec):
                 counts[c] += k
-            assert block.counts == tuple(counts)
+            assert block.counts == tuple(counts) and size == sum(vec)
             assert block.types == {t for (_, t), k in zip(pairs, vec) if k}
