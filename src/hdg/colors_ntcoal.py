@@ -29,6 +29,20 @@ order of the plain walk, so the first saturating guess is the same:
 * Seat screen: a row with supply but no valid seat, or a seat with room
   but no valid row, fails the guess; edges stay within a color and per
   color the supplies equal the seats, so a saturating flow uses both.
+* NS composition walk: for each d, a depth-first walk over sorted
+  prefixes P of k compositions, whose leaves (k = d) come in
+  `combinations_with_replacement` order.  With top[c] the most agents of
+  color c in any composition, a color c with sizes[c] - used[c] >
+  (d - k) * top[c] keeps lone agents in every leaf below P; tau is 1 on
+  those forced lone colors and 0 elsewhere.  The walk cuts P's subtree
+  when a forced lone color, or a seat (j, c) of P, has no class that
+  `_seat_ok(P, tau)` seats there.  A leaf below P has P's compositions
+  and more, and trivial room at least in every forced lone color, so it
+  only adds join and pair targets, which never add a valid seat; its
+  (trivial, c) seat and P's seat (j, c) still have room, and with no
+  valid class the seat screen fails it.  At a leaf tau is the trivial
+  counts' support, so the cut is the seat screen's empty-seat test.  The
+  all-alone guess (d = 0) goes straight to the flow.
 * IS family screen: before the refinements of a composition guess are
   built, one relaxed network tests them all, and then one tests each
   non-empty refused set.  Its seats are those `_seat_ok` accepts under
@@ -37,17 +51,20 @@ order of the plain walk, so the first saturating guess is the same:
   so by monotonicity its valid seats lie within the relaxed ones: when
   the relaxed network cannot seat everyone (seat screen, then max-flow),
   no refinement of the family saturates.  Skipped when the composition
-  guess has a single refinement.
+  guess has a single refinement.  Composition guesses are not pruned
+  under IS.
 
-GUESS_CAP counts the guesses that reach the flow: every composition guess
-under NS, every refinement that passes the IS family screen under IS.
+GUESS_CAP counts, under NS, every node the composition walk visits (the
+all-alone guess and every prefix that fits the class sizes, cut or not),
+so a walk that cuts every leaf stays bounded; under IS, every refinement
+that passes the family screen and reaches the flow.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterator
 
 from .core import Instance, TierTable, compositions_upto, shared, tier_table
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
@@ -57,6 +74,7 @@ from .stability import IS, NS, Outcome, check_outcome, deal_outcome
 GUESS_CAP = 500_000
 
 TRIVIAL = "trivial"
+NO_FLAGS = (0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -94,6 +112,9 @@ def _seat_ok(
     stability sets none.  A refused or into bit only waives a deviation and
     an out bit only adds one, so the test is monotone: more refused or into
     bits never remove a valid seat, and more out bits never add one.
+    Likewise, more compositions in `comps` or more colors with trivial
+    room only add join and pair deviations: while the target keeps its
+    composition and room, they never add a valid seat.
     """
     refused, into, out = flags
     if target == TRIVIAL:
@@ -234,7 +255,7 @@ def _try_flow(
     comps, trivial_counts = guess.compositions, guess.trivial_counts
     slots, caps = _seats(comps, trivial_counts)
     slot_index = {s: i for i, s in enumerate(slots)}
-    flags = _flags(guess) if notion == IS else [(0, 0, 0)] * instance.gamma
+    flags = _flags(guess) if notion == IS else [NO_FLAGS] * instance.gamma
 
     def valid(color, type_id, target) -> bool:
         key = (color, type_id, target)
@@ -423,47 +444,140 @@ def _subsets(items: list) -> Iterator[tuple]:
         yield from itertools.combinations(items, r)
 
 
-def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
-    """Some stable budget-respecting outcome, or None if none exists."""
-    budgets = instance.budgets
-    n = instance.n
-    sizes = instance.class_sizes
-    limit = search_cap(GUESS_CAP)
-    d_max = min(budgets.rho2, budgets.rho1, n // 2)
-    comps_all = _compositions(instance)
-    tiers = tier_table(instance)
-    types_of_color: dict[int, list[int]] = {}
-    for c, t in instance.present_pairs:
-        types_of_color.setdefault(c, []).append(t)
-    examined = 0
-
+def _composition_guesses(
+    instance: Instance, comps_all: list[tuple[int, ...]], d_max: int
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """Every (compositions, trivial counts) guess that fits the class sizes
+    and rho1, for d = 0..d_max in `combinations_with_replacement` order."""
+    sizes, rho1 = instance.class_sizes, instance.budgets.rho1
     for d in range(0, d_max + 1):
         for comps in itertools.combinations_with_replacement(comps_all, d):
             used = [sum(comp[c] for comp in comps) for c in range(instance.gamma)]
             if any(u > s for u, s in zip(used, sizes)):
                 continue
             trivial_counts = tuple(s - u for s, u in zip(sizes, used))
-            if d + sum(trivial_counts) > budgets.rho1:
-                continue
-            if notion == NS:
-                guesses: Iterable[Guess] = [Guess(comps, trivial_counts)]
+            if d + sum(trivial_counts) <= rho1:
+                yield comps, trivial_counts
+
+
+def _types_of_color(instance: Instance) -> dict[int, list[int]]:
+    out: dict[int, list[int]] = {}
+    for c, t in instance.present_pairs:
+        out.setdefault(c, []).append(t)
+    return out
+
+
+def _can_stay(
+    tiers: TierTable,
+    types_of_color: dict[int, list[int]],
+    comps: tuple[tuple[int, ...], ...],
+    lone: tuple[int, ...],
+) -> bool:
+    """Does every forced lone color and every seat of `comps` keep a class
+    that `_seat_ok` seats, with `lone` as the trivial counts?  Equal
+    compositions lie next to each other and have equal seats."""
+    for c, forced in enumerate(lone):
+        if forced:
+            for t in types_of_color[c]:
+                if _seat_ok(tiers, comps, lone, c, t, TRIVIAL, NO_FLAGS):
+                    break
             else:
-                guesses = _is_guesses(instance, tiers, types_of_color, comps, trivial_counts)
-            # Seat validity per (accepted, blocked): blocker covers share it.
-            validity: dict[tuple, dict] = {}
-            for guess in guesses:
-                examined += 1
-                if examined > limit:
-                    raise SearchSpaceTooLarge(
-                        f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
-                    )
-                class_ok = validity.setdefault((guess.accepted, guess.blocked), {})
-                outcome = _try_flow(instance, guess, notion, tiers, class_ok)
-                if outcome is not None:
-                    verdict = check_outcome(instance, outcome, notion)
-                    if not verdict.stable:
-                        raise SolverDivergence(
-                            f"colors-ntcoal witness failed: {verdict}"
-                        )
-                    return outcome
+                return False
+    for j, comp in enumerate(comps):
+        if j and comp is comps[j - 1]:
+            continue
+        for c, room in enumerate(comp):
+            if room:
+                for t in types_of_color[c]:
+                    if _seat_ok(tiers, comps, lone, c, t, j, NO_FLAGS):
+                        break
+                else:
+                    return False
+    return True
+
+
+def _ns_guesses(
+    instance: Instance,
+    tiers: TierTable,
+    comps_all: list[tuple[int, ...]],
+    d_max: int,
+    limit: int,
+) -> Iterator[tuple[Guess, dict]]:
+    """The NS guesses that may saturate, in the plain walk's order: for
+    each d, a depth-first walk over the sorted prefixes of d compositions
+    that fit the class sizes, cutting every prefix `_can_stay` rejects.
+    Each node it visits counts towards `limit`."""
+    sizes, rho1 = instance.class_sizes, instance.budgets.rho1
+    colors, last = range(instance.gamma), len(comps_all)
+    examined = 0
+    for d in range(d_max + 1):
+        if d == 1:  # the all-alone guess goes to the flow without this set-up
+            top = [max((comp[c] for comp in comps_all), default=0) for c in colors]
+            types_of_color = _types_of_color(instance)
+        stack = [((), sizes, 0)]  # (prefix, agents left per color, first index)
+        while stack:
+            comps, left, first = stack.pop()
+            examined += 1
+            if examined > limit:
+                raise SearchSpaceTooLarge(
+                    f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
+                )
+            rem = d - len(comps)
+            if not rem and d + sum(left) > rho1:
+                continue
+            if d:
+                lone = tuple([1 if k > rem * m else 0 for k, m in zip(left, top)])
+                if not _can_stay(tiers, types_of_color, comps, lone):
+                    continue
+            if not rem:
+                yield Guess(comps, left), {}
+                continue
+            children = []
+            for i in range(first, last):
+                comp = comps_all[i]
+                rest = tuple([k - u for k, u in zip(left, comp)])
+                if min(rest) >= 0:
+                    children.append((comps + (comp,), rest, i))
+            stack.extend(reversed(children))
+
+
+def _is_walk(
+    instance: Instance,
+    tiers: TierTable,
+    comps_all: list[tuple[int, ...]],
+    d_max: int,
+    limit: int,
+) -> Iterator[tuple[Guess, dict]]:
+    """The IS refinements that pass the family screens, each composition
+    guess's in turn, with a seat-validity memo per (accepted, blocked);
+    each refinement counts towards `limit`."""
+    types_of_color = _types_of_color(instance)
+    examined = 0
+    for comps, trivial_counts in _composition_guesses(instance, comps_all, d_max):
+        # Blocker covers share seat validity.
+        validity: dict[tuple, dict] = {}
+        for guess in _is_guesses(instance, tiers, types_of_color, comps, trivial_counts):
+            examined += 1
+            if examined > limit:
+                raise SearchSpaceTooLarge(
+                    f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
+                )
+            yield guess, validity.setdefault((guess.accepted, guess.blocked), {})
+
+
+def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
+    """Some stable budget-respecting outcome, or None if none exists."""
+    budgets = instance.budgets
+    limit = search_cap(GUESS_CAP)
+    d_max = min(budgets.rho2, budgets.rho1, instance.n // 2)
+    comps_all = _compositions(instance)
+    tiers = tier_table(instance)
+    walk = _ns_guesses if notion == NS else _is_walk
+    for guess, class_ok in walk(instance, tiers, comps_all, d_max, limit):
+        outcome = _try_flow(instance, guess, notion, tiers, class_ok)
+        if outcome is not None:
+            verdict = check_outcome(instance, outcome, notion)
+            if not verdict.stable:
+                raise SolverDivergence(f"colors-ntcoal witness failed: {verdict}")
+            return outcome
     return None

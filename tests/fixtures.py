@@ -31,6 +31,34 @@ def example1(sigma=None, rho1=None, rho2=None) -> Instance:
 A, B, C, D = 0, 1, 2, 3
 
 
+class LargeInstance(Instance):
+    """An `Instance` of over 512 bytes, past CPython's small-object
+    allocator, so its memory comes from the C library's `malloc`.
+
+    glibc keeps up to seven freed blocks of each small size in a cache and
+    hands out the one freed last first.  A test that holds `spare_blocks`
+    while it drops an instance has emptied that cache, so the next one
+    made gets the dropped one's id every time; a small object gets it only
+    when its pool happens to be the one its size class is served from,
+    which varies over a test run.
+    """
+
+    __slots__ = tuple(f"_pad{i}" for i in range(64))
+
+
+def large_copy(instance: Instance) -> LargeInstance:
+    """`instance`'s agents, preferences and budgets as a `LargeInstance`."""
+    return LargeInstance(
+        instance.gamma, instance.colors, instance.types, instance.prefs, instance.budgets
+    )
+
+
+def spare_blocks(fields) -> list[LargeInstance]:
+    """Seven `LargeInstance`s to hold while one is dropped: they take the
+    blocks glibc keeps ready, so the dropped one's block is handed out next."""
+    return [LargeInstance(*fields) for _ in range(7)]
+
+
 def sweep_game(profile, n, rho2):
     """A game of the benchmark's n-sweep: gamma=2, tau=2, sigma=4, four
     equal (color, type) classes, each type a random weak order over six

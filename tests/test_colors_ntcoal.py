@@ -16,6 +16,7 @@ from hdg.colors_ntcoal import (
 from hdg.core import TierList, make_instance, reduce_counts, singleton_palette, tier_table
 from hdg.errors import SearchSpaceTooLarge
 from hdg.randgen import GenCaps, random_instance
+from hdg.reductions import from_x3c
 from hdg.stability import IS, NS, check_outcome
 
 from fixtures import A, B, C, D, example1, sweep_game
@@ -317,22 +318,135 @@ def flowed_guesses(monkeypatch) -> list:
 
 @pytest.mark.parametrize("notion", [IS, NS])
 def test_guess_cap_counts_every_guess_it_flows(monkeypatch, notion):
-    # The cap counts the guesses that reach `_try_flow`: under NS every
-    # composition guess, as in the walk that sends every guess to max_flow;
-    # under IS only the refinements that pass both screens.
+    # Under IS the cap counts the refinements that reach `_try_flow`, past
+    # both screens.  Under NS it counts every node of the composition walk,
+    # cut or flowed, so a walk that cuts every leaf stays bounded: 15 nodes
+    # on this game (the all-alone guess, and per d = 1, 2 the root and the
+    # prefixes that fit), of which 1 reaches the flow, where the plain walk
+    # flows 91 guesses.
     inst = sweep_game(0, 16, 2)
     monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
     want, walked = ntcoal_walk(inst, notion)
     flowed = flowed_guesses(monkeypatch)
     assert solve_colors_ntcoal(inst, notion) == want
-    examined = len(flowed)
-    assert len(_compositions(inst)) < examined
-    assert examined == walked if notion == NS else examined < walked
+    if notion == IS:
+        examined = len(flowed)
+        assert len(_compositions(inst)) < examined
+    else:
+        examined = 15
+        assert len(flowed) == 1
+    assert len(flowed) < walked
     monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", examined)
     assert solve_colors_ntcoal(inst, notion) == want
     monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", examined - 1)
     with pytest.raises(SearchSpaceTooLarge, match="guesses"):
         solve_colors_ntcoal(inst, notion)
+
+
+def walk_skips_only_failing_leaves(monkeypatch, inst, sample=None):
+    """Solve inst under NS and check the composition walk against the
+    plain one: it flows leaves of the plain walk, in that walk's order,
+    and every leaf it skips up to its last flowed one (all of them, when
+    it answers NO) returns None from `_try_flow`; with `sample`, that many
+    skipped leaves, drawn with a fixed seed, are checked.  Returns the
+    outcome and the numbers of flowed and skipped leaves."""
+    real_try = colors_ntcoal._try_flow
+    flowed = flowed_guesses(monkeypatch)
+    outcome = solve_colors_ntcoal(inst, NS)
+    leaves = list(ntcoal_composition_guesses(inst))
+    position = {leaf: i for i, leaf in enumerate(leaves)}
+    order = [position[g.compositions, g.trivial_counts] for g in flowed]
+    assert order == sorted(set(order))
+    if outcome is not None:
+        leaves = leaves[: order[-1]]
+    kept = {leaves[i] for i in order if i < len(leaves)}
+    skipped = [leaf for leaf in leaves if leaf not in kept]
+    if sample is not None and len(skipped) > sample:
+        skipped = random.Random(sample).sample(skipped, sample)
+    tiers = tier_table(inst)
+    for comps, trivial_counts in skipped:
+        assert real_try(inst, Guess(comps, trivial_counts), NS, tiers, {}) is None, comps
+    return outcome, len(flowed), len(skipped)
+
+
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("rho2, n", [(2, 8), (2, 16), (2, 32), (4, 8), (4, 12), (4, 24), (4, 48)])
+def test_ns_walk_cuts_only_leaves_that_fail(monkeypatch, profile, rho2, n):
+    inst = sweep_game(profile, n, rho2)
+    outcome, flowed, skipped = walk_skips_only_failing_leaves(monkeypatch, inst)
+    assert skipped > flowed
+    assert outcome == ntcoal_walk(inst, NS)[0]
+
+
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("n, sample", [(24, None), (32, 2000), (48, 2000)])
+def test_ns_walk_cuts_only_leaves_that_fail_at_rho2_eight(monkeypatch, profile, n, sample):
+    # Every skipped leaf at n = 24 (p1 answers YES there), a sample of
+    # them past it; `-m slow` checks them all, with the plain walk.
+    inst = sweep_game(profile, n, 8)
+    outcome, flowed, skipped = walk_skips_only_failing_leaves(monkeypatch, inst, sample)
+    assert (outcome is not None) == ((profile, n) == (1, 24))
+    assert skipped >= 2000 > flowed
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("n", [24, 32, 48])
+def test_ns_walk_answers_like_the_plain_walk_at_rho2_eight(monkeypatch, profile, n):
+    inst = sweep_game(profile, n, 8)
+    outcome, _, _ = walk_skips_only_failing_leaves(monkeypatch, inst)
+    assert outcome == ntcoal_walk(inst, NS)[0]
+
+
+def test_ns_walk_cuts_only_leaves_that_fail_random(monkeypatch):
+    # Sweep-style games under random seeds, then draws of up to four
+    # colors, where several colors can be forced alone at once and rho1
+    # below n makes leaves fall to the rho1 test.
+    rng = random.Random(2626)
+    games = [
+        sweep_game(rng.randrange(10**6), rng.randint(6, 16), rng.randint(2, 4)) for _ in range(40)
+    ]
+    caps = GenCaps(n=9, gamma=4, rho1=9, rho2=4)
+    games += [random_instance(rng, caps, own_color=i % 4 == 0) for i in range(300)]
+    flowed = skipped = 0
+    for i, inst in enumerate(games):
+        outcome, kept, cut = walk_skips_only_failing_leaves(monkeypatch, inst)
+        assert outcome == ntcoal_walk(inst, NS)[0], i
+        flowed += kept
+        skipped += cut
+    assert skipped > 4 * flowed > 2000, (flowed, skipped)
+
+
+X3C_GADGET = ([1, 2, 3, 4, 5, 6], [[1, 2, 3], [4, 5, 6], [1, 2, 4]])
+
+
+@pytest.mark.parametrize(
+    "game, nodes, flowed",
+    [
+        ((0, 32), 5132, 45),
+        ((1, 32), 6419, 479),
+        ((0, 64), 21, 1),
+        ((1, 64), 3528, 496),
+        ("x3c", 1401, 2),
+    ],
+    ids=["p0-n32", "p1-n32", "p0-n64", "p1-n64", "x3c"],
+)
+def test_ns_walk_counters(monkeypatch, game, nodes, flowed):
+    # Counters are deterministic, so they gate: the walk visits `nodes`
+    # nodes (GUESS_CAP trips at one fewer) and flows `flowed` guesses, on
+    # the rho2 = 8 sweep games and a nine-color X3C gadget (283
+    # compositions; it answers YES).  The plain walk flows 90,274 guesses
+    # at n = 32, 125,970 at n = 64 and 9,909 on the gadget.
+    inst = from_x3c(*X3C_GADGET) if game == "x3c" else sweep_game(*game, 8)
+    monkeypatch.delenv("HDG_SEARCH_CAP", raising=False)
+    tried = flowed_guesses(monkeypatch)
+    monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", nodes)
+    outcome = solve_colors_ntcoal(inst, NS)
+    assert (outcome is not None) == (game == "x3c")
+    assert len(tried) == flowed
+    monkeypatch.setattr(colors_ntcoal, "GUESS_CAP", nodes - 1)
+    with pytest.raises(SearchSpaceTooLarge, match="guesses"):
+        solve_colors_ntcoal(inst, NS)
 
 
 def test_screened_refinements_do_not_count_towards_the_cap(monkeypatch):

@@ -21,6 +21,9 @@ class-level brute force and every table solver are checked against
   (colors-types) must come with an individually stable one.  n = 32 and
   48 take seconds; n = 64 and 96 take about 20 s each and run with
   `-m slow`, where colors-types may trip its cap.
+* The same games under Nash stability at n = 64 and 128: colors-ntcoal,
+  colors-types and colors-size must agree, and every witness must pass
+  `check_outcome`.
 """
 
 import importlib.util
@@ -33,6 +36,7 @@ import pytest
 from hdg.bench import SOLVERS
 from hdg.brute import solve_brute
 from hdg.colors_ntcoal import solve_colors_ntcoal
+from hdg.colors_size import solve_colors_size
 from hdg.colors_types import solve_colors_types
 from hdg.core import NamedFamily, TierList, make_instance, realizable_palettes
 from hdg.errors import OwnColorViolation, SearchSpaceTooLarge
@@ -199,3 +203,16 @@ def test_rho2_eight_sweep_games_agree_under_is(profile, n):
 @pytest.mark.parametrize("n", [64, 96])
 def test_rho2_eight_sweep_games_agree_under_is_past_48(profile, n):
     check_rho2_eight_is(profile, n, types_may_decline=True)
+
+
+@pytest.mark.parametrize("profile", [0, 1])
+@pytest.mark.parametrize("n", [64, 128])
+def test_rho2_eight_sweep_games_agree_under_ns(profile, n):
+    instance = sweep_game(profile, n, 8)
+    answers = set()
+    for solve in (solve_colors_ntcoal, solve_colors_types, solve_colors_size):
+        outcome = solve(instance, NS)
+        if outcome is not None:
+            assert check_outcome(instance, outcome, NS).stable, solve
+        answers.add(outcome is not None)
+    assert len(answers) == 1

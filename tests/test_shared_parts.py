@@ -24,14 +24,14 @@ from hdg.brute import solve_brute
 from hdg.colors_ntcoal import solve_colors_ntcoal
 from hdg.colors_size import enumerate_coalition_types, solve_colors_size
 from hdg.colors_types import solve_colors_types
-from hdg.core import Instance, compositions_upto, shared
+from hdg.core import compositions_upto, shared
 from hdg.errors import SearchSpaceTooLarge
 from hdg.fileio import parse_instance, serialize_instance
 from hdg.randgen import GenCaps, random_instance
 from hdg.reductions import from_x3c
 from hdg.stability import IS, NS, deviation_rule, shapes
 
-from fixtures import example1, sweep_game
+from fixtures import LargeInstance, example1, large_copy, spare_blocks, sweep_game
 
 SOLVERS = {
     "brute": solve_brute,
@@ -261,8 +261,10 @@ def _twins():
 
 
 def test_a_replaced_instance_never_gets_the_dropped_ones_parts():
-    # As with the tier table: CPython often puts a new instance at a
-    # just-dropped one's id, and only the weak reference tells them apart.
+    # As with the tier table: a new instance made right after one is
+    # dropped can take its id, and only the weak reference tells them
+    # apart.  A `LargeInstance` dropped while `spare_blocks` are held
+    # makes that happen on every round.
     want = {}
     for inst in _twins():
         fresh = parse_instance(serialize_instance(inst))
@@ -272,18 +274,18 @@ def test_a_replaced_instance_never_gets_the_dropped_ones_parts():
             for notion in (NS, IS)
         }
     reused = 0
-    for round_ in range(200):
-        if reused:
-            break
-        inst, other = _twins()[:: 1 if round_ % 2 else -1]
+    for round_ in range(2):
+        inst, other = map(large_copy, _twins()[:: 1 if round_ % 2 else -1])
         fields = (other.gamma, other.colors, other.types, other.prefs, other.budgets)
         del other
         for (name, notion), result in want[inst.budgets.sigma].items():
             assert _result(SOLVERS[name], inst, notion) == result
         parts, old_id = shared(inst), id(inst)
         old = (parts.tiers, shapes(inst), deviation_rule(inst, NS), deviation_rule(inst, IS))
+        spares = spare_blocks(fields)
         del inst, parts
-        inst = Instance(*fields)
+        inst = LargeInstance(*fields)
+        del spares
         reused += id(inst) == old_id
         new = shared(inst)
         assert not new.parts
@@ -295,4 +297,4 @@ def test_a_replaced_instance_never_gets_the_dropped_ones_parts():
         for (name, notion), result in want[inst.budgets.sigma].items():
             assert _result(SOLVERS[name], inst, notion) == result
         del inst, new
-    assert reused > 0
+    assert reused == 2

@@ -22,7 +22,7 @@ from hdg.fileio import parse_instance, serialize_instance
 from hdg.reductions import from_x3c
 from hdg.stability import IS, NS, Outcome, check_outcome
 
-from fixtures import example1
+from fixtures import LargeInstance, example1, large_copy, spare_blocks
 from oracles import all_partitions, reference_deviation
 
 
@@ -147,31 +147,30 @@ def test_alternating_checks_match_checks_alone():
 
 
 def test_a_replaced_instance_never_gets_the_dropped_ones_table():
-    # CPython puts a new instance where a just-dropped one was, under the
-    # same id, more often than not; only the weak reference tells them
-    # apart.  Rounds run until they meet that case; some runs need more
-    # than twenty, and 200 misses in a row do not happen in practice.
+    # A new instance made right after one is dropped can take its id, and
+    # only the weak reference tells them apart.  `LargeInstance` makes
+    # that happen on every round, dropped while `spare_blocks` are held.
     outcomes = _outcomes(5)
     reused = 0
-    for round_ in range(200):
-        if reused:
-            break
-        inst, other = _twins()[:: 1 if round_ % 2 else -1]
+    for round_ in range(2):
+        inst, other = map(large_copy, _twins()[:: 1 if round_ % 2 else -1])
         fields = (other.gamma, other.colors, other.types, other.prefs, other.budgets)
         del other
         assert [_verdict(inst, out, IS)[1] for out in outcomes] == [
             reference_deviation(inst, out, IS) for out in outcomes
         ]
         old, old_id = tier_table(inst), id(inst)
+        spares = spare_blocks(fields)
         del inst
-        inst = Instance(*fields)
+        inst = LargeInstance(*fields)
+        del spares
         reused += id(inst) == old_id
         assert tier_table(inst) is not old
         assert [_verdict(inst, out, IS)[1] for out in outcomes] == [
             reference_deviation(inst, out, IS) for out in outcomes
         ]
         del inst
-    assert reused > 0
+    assert reused == 2
 
 
 def test_the_slot_keeps_no_instance_alive():
