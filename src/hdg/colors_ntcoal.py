@@ -29,12 +29,13 @@ order of the plain walk, so the first saturating guess is the same:
 * Seat screen: a row with supply but no valid seat, or a seat with room
   but no valid row, fails the guess; edges stay within a color and per
   color the supplies equal the seats, so a saturating flow uses both.
-* NS composition walk: for each d, a depth-first walk over sorted
-  prefixes P of k compositions, whose leaves (k = d) come in
-  `combinations_with_replacement` order.  With top[c] the most agents of
-  color c in any composition, a color c with sizes[c] - used[c] >
-  (d - k) * top[c] keeps lone agents in every leaf below P; tau is 1 on
-  those forced lone colors and 0 elsewhere.  The walk cuts P's subtree
+* Composition walk: under both notions, for each d, a depth-first walk
+  over the sorted prefixes P of k compositions that fit the class sizes,
+  whose leaves (k = d) come in `combinations_with_replacement` order.
+* NS cut: with top[c] the most agents of color c in any composition, a
+  color c with sizes[c] - used[c] > (d - k) * top[c] keeps lone agents
+  in every leaf below P; tau is 1 on those forced lone colors and 0
+  elsewhere.  The NS walk cuts P's subtree
   when a forced lone color, or a seat (j, c) of P, has no class that
   `_seat_ok(P, tau)` seats there.  A leaf below P has P's compositions
   and more, and trivial room at least in every forced lone color, so it
@@ -444,22 +445,6 @@ def _subsets(items: list) -> Iterator[tuple]:
         yield from itertools.combinations(items, r)
 
 
-def _composition_guesses(
-    instance: Instance, comps_all: list[tuple[int, ...]], d_max: int
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-    """Every (compositions, trivial counts) guess that fits the class sizes
-    and rho1, for d = 0..d_max in `combinations_with_replacement` order."""
-    sizes, rho1 = instance.class_sizes, instance.budgets.rho1
-    for d in range(0, d_max + 1):
-        for comps in itertools.combinations_with_replacement(comps_all, d):
-            used = [sum(comp[c] for comp in comps) for c in range(instance.gamma)]
-            if any(u > s for u, s in zip(used, sizes)):
-                continue
-            trivial_counts = tuple(s - u for s, u in zip(sizes, used))
-            if d + sum(trivial_counts) <= rho1:
-                yield comps, trivial_counts
-
-
 def _types_of_color(instance: Instance) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
     for c, t in instance.present_pairs:
@@ -496,41 +481,29 @@ def _can_stay(
     return True
 
 
-def _ns_guesses(
+def _composition_walk(
     instance: Instance,
-    tiers: TierTable,
     comps_all: list[tuple[int, ...]],
     d_max: int,
-    limit: int,
-) -> Iterator[tuple[Guess, dict]]:
-    """The NS guesses that may saturate, in the plain walk's order: for
-    each d, a depth-first walk over the sorted prefixes of d compositions
-    that fit the class sizes, cutting every prefix `_can_stay` rejects.
-    Each node it visits counts towards `limit`."""
+    keep: Callable[[tuple[tuple[int, ...], ...], tuple[int, ...], int], bool],
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+    """Every (compositions, trivial counts) guess that fits the class sizes
+    and rho1, for d = 0..d_max, each d's in `combinations_with_replacement`
+    order: a depth-first walk over the sorted prefixes of d compositions
+    that fit the class sizes.  `keep(prefix, agents left per color, d -
+    len(prefix))` sees every node of it, before a leaf's rho1 test, and
+    cuts the subtree of each node it refuses."""
     sizes, rho1 = instance.class_sizes, instance.budgets.rho1
-    colors, last = range(instance.gamma), len(comps_all)
-    examined = 0
+    last = len(comps_all)
     for d in range(d_max + 1):
-        if d == 1:  # the all-alone guess goes to the flow without this set-up
-            top = [max((comp[c] for comp in comps_all), default=0) for c in colors]
-            types_of_color = _types_of_color(instance)
         stack = [((), sizes, 0)]  # (prefix, agents left per color, first index)
         while stack:
             comps, left, first = stack.pop()
-            examined += 1
-            if examined > limit:
-                raise SearchSpaceTooLarge(
-                    f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
-                )
             rem = d - len(comps)
-            if not rem and d + sum(left) > rho1:
+            if not keep(comps, left, rem) or not rem and d + sum(left) > rho1:
                 continue
-            if d:
-                lone = tuple([1 if k > rem * m else 0 for k, m in zip(left, top)])
-                if not _can_stay(tiers, types_of_color, comps, lone):
-                    continue
             if not rem:
-                yield Guess(comps, left), {}
+                yield comps, left
                 continue
             children = []
             for i in range(first, last):
@@ -539,6 +512,36 @@ def _ns_guesses(
                 if min(rest) >= 0:
                     children.append((comps + (comp,), rest, i))
             stack.extend(reversed(children))
+
+
+def _ns_guesses(
+    instance: Instance,
+    tiers: TierTable,
+    comps_all: list[tuple[int, ...]],
+    d_max: int,
+    limit: int,
+) -> Iterator[tuple[Guess, dict]]:
+    """The NS guesses that may saturate, in the plain walk's order: the
+    composition walk, cutting every prefix `_can_stay` rejects.  Each node
+    it visits counts towards `limit`."""
+    examined = 0
+    top = types_of_color = None
+
+    def keep(comps: tuple[tuple[int, ...], ...], left: tuple[int, ...], rem: int) -> bool:
+        nonlocal examined, top, types_of_color
+        examined += 1
+        if examined > limit:
+            raise SearchSpaceTooLarge(f"more than {limit} guesses (cap via HDG_SEARCH_CAP)")
+        if not (comps or rem):  # the all-alone guess goes to the flow without this set-up
+            return True
+        if top is None:
+            top = [max((comp[c] for comp in comps_all), default=0) for c in range(instance.gamma)]
+            types_of_color = _types_of_color(instance)
+        lone = tuple([1 if k > rem * m else 0 for k, m in zip(left, top)])
+        return _can_stay(tiers, types_of_color, comps, lone)
+
+    for comps, trivial_counts in _composition_walk(instance, comps_all, d_max, keep):
+        yield Guess(comps, trivial_counts), {}
 
 
 def _is_walk(
@@ -553,15 +556,13 @@ def _is_walk(
     each refinement counts towards `limit`."""
     types_of_color = _types_of_color(instance)
     examined = 0
-    for comps, trivial_counts in _composition_guesses(instance, comps_all, d_max):
+    for comps, trivial_counts in _composition_walk(instance, comps_all, d_max, lambda *_: True):
         # Blocker covers share seat validity.
         validity: dict[tuple, dict] = {}
         for guess in _is_guesses(instance, tiers, types_of_color, comps, trivial_counts):
             examined += 1
             if examined > limit:
-                raise SearchSpaceTooLarge(
-                    f"more than {limit} guesses (cap via HDG_SEARCH_CAP)"
-                )
+                raise SearchSpaceTooLarge(f"more than {limit} guesses (cap via HDG_SEARCH_CAP)")
             yield guess, validity.setdefault((guess.accepted, guess.blocked), {})
 
 

@@ -32,16 +32,13 @@ Shape = tuple[tuple[int, ...], Block, int]  # count vector, Block, size
 
 
 def enumerate_coalition_types(instance: Instance) -> list[tuple[tuple[int, ...], Block]]:
-    """Every coalition type the instance can realize, sizes 1..sigma, from
-    `stability.shapes`: the one-agent types, then `Shapes.shape` order."""
+    """Every coalition type the instance can realize, sizes 1..sigma, as
+    `stability.shapes` lists them: the one-agent types, then `Shapes.shape`
+    order."""
     limit, table = search_cap(TYPES_CAP), shapes(instance)
-    out = [(tuple(int(j == i) for j in range(len(table.singles))), single)
-           for i, single in enumerate(table.singles)]
-    while len(out) <= limit and (shape := table.shape(len(out) - len(table.singles))):
-        out.append(shape[:2])
-    if len(out) > limit:
+    if table.draw(limit + 1) > limit:
         raise SearchSpaceTooLarge(f"more than {limit} coalition types (cap via HDG_SEARCH_CAP)")
-    return out
+    return table.listed()
 
 
 def supports(instance: Instance, notion: str) -> Iterator[tuple[list[Shape], tuple[int, ...]]]:

@@ -31,11 +31,14 @@ last level is never extended, so its children are decided pair by pair
 and never interned.  `STATES_CAP` bounds the number of candidates, of
 distinct states kept, and of the last level's live children.
 
-The candidates are the instance's `stability.shapes` vectors, and what
-the search reads of them under either notion (`_Classes`: color counts,
-theta and singleton ranks, the NS cells and the packed residuals) is
-built once per instance and kept in its `core.shared` parts, so an IS
-solve after an NS one, or the reverse, starts from it.
+The candidates are the instance's `stability.shapes` in their one
+order: first each pair's singleton, candidate i that of pair i, then the
+non-trivial ones in `Shapes.shape` order, the larger first.  The search
+reads each candidate's count vector and `Block` (its color counts and
+member types), and what it reads of them under either notion
+(`_Classes`: theta and singleton ranks, the NS cells and the packed
+residuals) is built once per instance and kept in its `core.shared`
+parts, so an IS solve after an NS one, or the reverse, starts from it.
 
 A rank is a negated tier, so higher is better.  Every comparison the
 search makes depends only on the order of ranks, so any order-preserving
@@ -58,7 +61,7 @@ from functools import cached_property
 
 from .core import Instance, PackedCounts, shared, tier_table
 from .errors import SearchSpaceTooLarge, SolverDivergence, search_cap
-from .stability import IS, Outcome, check_outcome, deal_outcome, shapes
+from .stability import IS, Outcome, Shapes, check_outcome, deal_outcome, shapes
 
 STATES_CAP = 400_000
 
@@ -71,25 +74,21 @@ STATES_CAP = 400_000
 class _Classes:
     """What the search reads of one instance under either notion: the
     pairs and their counts, the candidates (the instance's
-    `stability.shapes` vectors) with their color counts, each pair's theta
+    `stability.shapes`, as count vectors and `Block`s), each pair's theta
     ranks and singleton rank, the NS cells and the candidates' packed
     residuals.  Built once per instance, from its `tier_table`, and kept
     in its `core.shared` parts."""
 
-    def __init__(self, instance: Instance, candidates: list[tuple[int, ...]]):
+    def __init__(self, instance: Instance, table: Shapes):
         self.pairs: list[tuple[int, int]] = list(instance.present_pairs)
-        self.n_vec = tuple(instance.n_ct[p] for p in self.pairs)
-        self.candidates = candidates
+        self.n_vec = table.counts
+        self.candidates, self.blocks = map(list, zip(*table.listed()))
         self.tiers = tiers = tier_table(instance)
-        # Pairs are sorted by color, so each color's pairs are one slice.
-        edges = [bisect_left(self.pairs, (c,)) for c in range(instance.gamma + 1)]
-        spans = list(zip(edges, edges[1:]))
-        self.cand_counts = [tuple([sum(vec[a:b]) for a, b in spans]) for vec in candidates]
         # Palettes a branched worst/second-worst may take: those of every
         # coalition within the size budget that holds the color.  A
         # color's count splits freely over its pairs, so these are the
         # candidates' color-count vectors.
-        vectors = list(dict.fromkeys(self.cand_counts))
+        vectors = {block.counts for block in self.blocks}
         own = tiers.own
         self.theta_ranks: list[list[int]] = []
         self.singleton_rank: list[int] = []
@@ -100,7 +99,7 @@ class _Classes:
         # first use under either notion: an IS cell differs only in its
         # escape flag.
         self.ns_cells: list[list[tuple[bool, int | None, int, bool] | None]] = [
-            [None] * len(candidates) for _ in self.pairs
+            [None] * len(self.candidates) for _ in self.pairs
         ]
 
     @cached_property
@@ -127,10 +126,10 @@ class _Setup:
         parts = shared(instance).parts
         classes = parts.get("colors_types")
         if classes is None:
-            classes = parts["colors_types"] = _Classes(instance, table.vectors)
+            classes = parts["colors_types"] = _Classes(instance, table)
         self.classes = classes
         self.pairs, self.n_vec, self.tiers = classes.pairs, classes.n_vec, classes.tiers
-        self.candidates, self.cand_counts = classes.candidates, classes.cand_counts
+        self.candidates, self.blocks = classes.candidates, classes.blocks
         self.theta_ranks, self.singleton_rank = classes.theta_ranks, classes.singleton_rank
         # Per pair and candidate: (in it, rank of its palette, rank once one
         # more agent of the pair joins, whether that agent may not join).
@@ -142,21 +141,19 @@ class _Setup:
         """The static data of pair i and candidate idx, filled and kept: the
         NS cell once per instance, and under IS that cell with the IS veto
         added to its escape flag."""
-        vec, counts = self.candidates[idx], self.cand_counts[idx]
+        vec, block = self.candidates[idx], self.blocks[idx]
         c, t = self.pairs[i]
         tiers = self.tiers
         cell = self.classes.ns_cells[i][idx]
         if cell is None:
-            k = vec[i]
+            k, counts = vec[i], block.counts
             cell = self.classes.ns_cells[i][idx] = (
                 k > 0, -tiers.own(t, counts) if k else None, -tiers.joined(t, counts, c),
                 k == self.n_vec[i],
             )
         if self.notion == IS:
-            if not cell[3]:
-                members = frozenset(t2 for (_, t2), k2 in zip(self.pairs, vec) if k2)
-                if tiers.refused(counts, c, members):
-                    cell = cell[:3] + (True,)
+            if not cell[3] and tiers.refused(block.counts, c, block.types):
+                cell = cell[:3] + (True,)
             self.cand_static[i][idx] = cell
         return cell
 
@@ -209,15 +206,15 @@ def _apply_candidate(
 
 class _Residuals:
     """Residual count vectors (agents per (color, type) still to pack) as
-    `PackedCounts`, the non-trivial candidates that fit (a candidate fits
-    when its difference keeps every guard bit), and what closing a
-    residual reads of it."""
+    `PackedCounts`, the non-trivial candidates (those past the pairs'
+    singletons) that fit (a candidate fits when its difference keeps every
+    guard bit), and what closing a residual reads of it."""
 
-    def __init__(self, setup: _Setup):
-        self.packing = packing = PackedCounts(setup.n_vec)
-        self._packed = [
-            (k, packing.pack(vec)) for k, vec in enumerate(setup.candidates) if sum(vec) >= 2
-        ]
+    def __init__(self, classes: _Classes):
+        self.packing = packing = PackedCounts(classes.n_vec)
+        first = len(classes.pairs)
+        nontrivial = enumerate(classes.candidates[first:], first)
+        self._packed = [(k, packing.pack(vec)) for k, vec in nontrivial]
         self._fits: dict[int, list[tuple[int, int]]] = {}
         self._left: dict[int, tuple[int, int]] = {}
 
@@ -270,7 +267,7 @@ class _Viabilities:
         self.ids = {(0,) * len(init_viab): 0}
         self.viabs = list(self.ids)
         self.moves: dict[int, int] = {}
-        self.singles = [setup.candidates.index(tuple(int(j == i) for j in pairs)) for i in pairs]
+        self.singles = pairs  # candidate i is pair i's singleton
 
     def pair_move(self, i: int, eid: int, cand_idx: int) -> int:
         """Pair i's entry id after packing candidate cand_idx, or -1."""
@@ -433,7 +430,7 @@ def solve_colors_types(instance: Instance, notion: str) -> Outcome | None:
         return None
     chosen, left = found
     outcome = deal_outcome(
-        instance, (zip(setup.pairs, setup.candidates[i]) for i in chosen), zip(setup.pairs, left)
+        instance, (setup.blocks[i].pair_counts for i in chosen), zip(setup.pairs, left)
     )
     verdict = check_outcome(instance, outcome, notion)
     if not verdict.stable:

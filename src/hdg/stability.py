@@ -12,10 +12,10 @@ its own coalition's color counts, C's color counts and, under IS, the set
 of types present in C.  `DeviationRule` states that once, over the
 instance's `core.tier_table`, per agent class and per pair of coalition
 shapes (`Block`, the one shape the class-level solvers use; `shapes`
-holds every shape an instance can realize).  Both are built once per
-instance and kept in its `core.shared` parts, the rule once per notion,
-so every solve and check of the instance reads the same shapes and the
-same block verdicts.
+holds every shape an instance can realize, in the one order they all
+read).  Both are built once per instance and kept in its `core.shared`
+parts, the rule once per notion, so every solve and check of the
+instance reads the same shapes and the same block verdicts.
 
 Checking an outcome costs per coalition and class, not per agent.  The
 partition is tested with a few C-level passes over the ids (`member_of`
@@ -37,11 +37,11 @@ witness's key is decided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterator
 
-from .core import Instance, compositions_upto, shared, tier_table
+from .core import Instance, shared, tier_table
 from .errors import InvalidOutcome, SolverDivergence
 
 NS = "ns"
@@ -146,37 +146,21 @@ class Block:
 
 class Shapes:
     """Every coalition shape one instance can realize with 1..sigma
-    members, drawn only as far as some caller has asked and kept, in two
-    orders:
+    members, drawn only as far as some caller has asked and kept, in one
+    order: the one-agent shapes `singles`, one `Block` per present pair in
+    `present_pairs` order, then `shape(i)`, the i-th shape of 2..sigma
+    members, the larger first and then by `Block.pair_counts`, as (count
+    vector over `present_pairs`, `Block`, size).  `counts` holds each
+    present pair's number of agents."""
 
-    - `vectors`: the count vectors over `present_pairs`, in
-      `compositions_upto` order, drawn by `draw`;
-    - `shape(i)`: the i-th shape of 2..sigma members, the larger first and
-      then by `Block.pair_counts`, as (count vector, `Block`, size).
-
-    `singles` holds each present pair's one-agent `Block`, in
-    `present_pairs` order, and `counts` each present pair's number of
-    agents."""
-
-    __slots__ = ("vectors", "singles", "counts", "drawn", "_source", "_sized", "_pairs", "_gamma")
+    __slots__ = ("singles", "counts", "drawn", "_sized", "_pairs", "_gamma")
 
     def __init__(self, instance: Instance):
         self._pairs, self._gamma = pairs, gamma = instance.present_pairs, instance.gamma
         self.counts = limits = tuple([instance.n_ct[pair] for pair in pairs])
-        sigma = instance.budgets.sigma
-        self._source = compositions_upto(limits, sigma)
-        self.vectors: list[tuple[int, ...]] = []
         self.singles = [Block([(pair, 1)], gamma) for pair in pairs]
         self.drawn: list[tuple[tuple[int, ...], Block, int]] = []
-        self._sized = _largest_first(limits, sigma)
-
-    def draw(self, count: int) -> int:
-        """Draws until `count` vectors are kept or none is left; returns the
-        number kept, which exceeds `count` only when a caller drew more."""
-        vectors = self.vectors
-        if len(vectors) < count:
-            vectors += islice(self._source, count - len(vectors))
-        return len(vectors)
+        self._sized = _largest_first(limits, instance.budgets.sigma)
 
     def shape(self, i: int) -> tuple[tuple[int, ...], Block, int] | None:
         """The i-th shape of 2..sigma members, drawn if it is the next one,
@@ -191,6 +175,23 @@ class Shapes:
         block = Block([(pair, k) for pair, k in zip(self._pairs, vec) if k], self._gamma)
         drawn.append(entry := (vec, block, sum(vec)))
         return entry
+
+    def draw(self, count: int) -> int:
+        """Draws until `count` shapes, `singles` included, are kept or none
+        is left; returns the number kept, which exceeds `count` only when a
+        caller drew more."""
+        singles = len(self.singles)
+        for i in range(len(self.drawn), count - singles):
+            if self.shape(i) is None:
+                break
+        return singles + len(self.drawn)
+
+    def listed(self) -> list[tuple[tuple[int, ...], Block]]:
+        """The shapes kept, as (count vector, `Block`): `singles`, then
+        `drawn`."""
+        pairs = range(len(self.singles))
+        units = [tuple([int(j == i) for j in pairs]) for i in pairs]
+        return list(zip(units, self.singles)) + [(vec, block) for vec, block, _ in self.drawn]
 
 
 def _largest_first(limits: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:

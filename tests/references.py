@@ -251,11 +251,13 @@ def branch_reaches_target(
     return False
 
 
-def candidate_rows(instance: Instance, notion: str) -> list[list[tuple[bool, int, int, bool]]]:
+def candidate_rows(
+    instance: Instance, notion: str
+) -> dict[tuple[int, ...], list[tuple[bool, int, int, bool]]]:
     """colors-types' static data, eagerly and straight from `tier_of`.
 
-    One row per candidate (count vectors over the present pairs within the
-    size budget, in `compositions_upto` order), one entry per pair: whether
+    One row per candidate, keyed on its count vector over the present
+    pairs (every vector within the size budget), one entry per pair: whether
     the pair is in the candidate, the tier of its palette and of its
     palette once one more agent of the pair joins, and whether that agent
     may not join: the candidate holds every agent of the pair or, under
@@ -264,7 +266,7 @@ def candidate_rows(instance: Instance, notion: str) -> list[list[tuple[bool, int
     prefs, gamma = instance.prefs, instance.gamma
     pairs = instance.present_pairs
     n_vec = tuple(instance.n_ct[p] for p in pairs)
-    rows = []
+    rows = {}
     for vec in compositions_upto(n_vec, min(instance.budgets.sigma, instance.n)):
         counts = [0] * gamma
         for (c, _), k in zip(pairs, vec):
@@ -281,7 +283,7 @@ def candidate_rows(instance: Instance, notion: str) -> list[list[tuple[bool, int
                 and any(prefs[t2].tier_of(palette) < prefs[t2].tier_of(plus) for t2 in members)
             )
             row.append((vec[i] >= 1, prefs[t].tier_of(palette), prefs[t].tier_of(plus), refused))
-        rows.append(row)
+        rows[vec] = row
     return rows
 
 

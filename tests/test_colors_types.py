@@ -422,7 +422,7 @@ def test_binding_rho1_agrees_with_brute_force():
 def test_lazy_cells_order_values_as_tier_of_does():
     # Every cell, filled on first use in a random order, holds the same
     # flags as an eager table read straight off each palette with tier_of,
-    # and its rank values (with the theta and singleton ranks) order every
+    # row for row on the candidate's count vector, and its rank values (with the theta and singleton ranks) order every
     # pair of values as the tiers do, reversed: rank -> tier is one-to-one
     # and decreasing.
     rng = random.Random(5150)
@@ -432,8 +432,9 @@ def test_lazy_cells_order_values_as_tier_of_does():
         theta = theta_palettes(inst)
         for notion in (NS, IS):
             setup = _Setup(inst, notion)
-            want = candidate_rows(inst, notion)
-            assert len(want) == len(setup.candidates)
+            rows = candidate_rows(inst, notion)
+            assert sorted(rows) == sorted(setup.candidates)
+            want = [rows[vec] for vec in setup.candidates]
             order = [(i, k) for i in range(len(setup.pairs)) for k in range(len(want))]
             rng.shuffle(order)
             for i, k in order:

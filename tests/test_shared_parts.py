@@ -49,15 +49,15 @@ def _result(solve, instance, notion):
     return None if outcome is None else [list(c) for c in outcome.coalitions]
 
 
-def _counting(monkeypatch, module) -> list:
+def _counting(monkeypatch, module, name: str) -> list:
     calls = []
-    real = module.compositions_upto
+    real = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, "compositions_upto", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -67,35 +67,42 @@ def _counting(monkeypatch, module) -> list:
 
 
 def test_one_shape_enumeration_per_instance(monkeypatch):
-    calls = _counting(monkeypatch, stability)
+    # One `_largest_first` generator per instance, whichever solvers run
+    # on it and in whatever order: colors-types packs the one-agent shapes
+    # and then the same `Shapes.shape` stream the support walk reads.
+    calls = _counting(monkeypatch, stability, "_largest_first")
     inst = from_x3c([1, 2, 3, 4, 5, 6], [[1, 2, 3], [4, 5, 6], [1, 2, 4]])
     for notion in (NS, IS, NS, IS):
         for name in ("brute", "colors-size", "colors-types"):
             assert SOLVERS[name](inst, notion) is not None
     assert len(calls) == 1
     table = shapes(inst)
-    assert table is shapes(inst) and table.vectors
+    assert table is shapes(inst) and table.drawn
+    setup = colors_types._Setup(inst, NS)
+    singles = len(table.singles)
+    assert setup.blocks[:singles] == table.singles
+    assert setup.candidates[singles:] == [v for v, _, _ in table.drawn]
     assert deviation_rule(inst, NS) is deviation_rule(inst, NS)
     assert deviation_rule(inst, NS) is not deviation_rule(inst, IS)
     other = example1()
+    solve_colors_size(other, NS)
+    assert len(calls) == 2
     solve_colors_types(other, NS)
     assert len(calls) == 2 and shapes(other) is not table
 
 
 def test_brute_force_draws_only_the_shapes_it_walks():
     # sigma = n, so there are more shapes than brute force's rho2 = 1 walk
-    # reads before its first stable candidate; it draws none of the
-    # composition-ordered vectors.
+    # reads before its first stable candidate.
     inst = example1(rho2=1)
     assert solve_brute(inst, NS) is not None
     table = shapes(inst)
     drawn = len(table.drawn)
     assert 0 < drawn < len(enumerate_coalition_types(inst)) - len(table.singles)
-    assert not table.vectors
 
 
 def test_one_composition_list_for_both_notions(monkeypatch):
-    calls = _counting(monkeypatch, colors_ntcoal)
+    calls = _counting(monkeypatch, colors_ntcoal, "compositions_upto")
     inst = sweep_game(0, 12, 2)
     answers = [solve_colors_ntcoal(inst, notion) is not None for notion in (NS, IS, NS)]
     assert len(calls) == 1 and answers[0] == answers[2]
@@ -293,7 +300,8 @@ def test_a_replaced_instance_never_gets_the_dropped_ones_parts():
         assert all(a is not b for a, b in zip(old, now))
         limits = [inst.n_ct[p] for p in inst.present_pairs]
         shapes(inst).draw(10**6)
-        assert shapes(inst).vectors == list(compositions_upto(limits, inst.budgets.sigma))
+        listed = sorted(vec for vec, _ in shapes(inst).listed())
+        assert listed == sorted(compositions_upto(limits, inst.budgets.sigma))
         for (name, notion), result in want[inst.budgets.sigma].items():
             assert _result(SOLVERS[name], inst, notion) == result
         del inst, new

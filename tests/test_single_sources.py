@@ -9,7 +9,7 @@ its traced mode hooks exists.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
 a set of cached properties on `Instance`.  `stability.Block` is the one
 coalition shape, which brute force, colors-size and colors-types draw
-from `stability.shapes`, and `core.PackedCounts` the one packed residual.
+from `stability.shapes` in its one order, and `core.PackedCounts` the one packed residual.
 `core.shared` is the one per-instance slot, and only `core` holds an
 instance by weak reference.  Every layer reads preferences
 through `tier_of`, which only `core.TierList` and `core.NamedFamily` define.
@@ -322,6 +322,26 @@ def test_only_core_builds_a_tier_table():
                 if name == "TierTable":
                     builders.add(path.stem)
     assert builders == {"core"}
+
+
+def test_only_stability_lists_the_shapes():
+    # `stability.Shapes` holds the one order of the coalition shapes: only
+    # it calls `_largest_first`, and it builds no composition-order copy.
+    callers = set()
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                if name == "_largest_first":
+                    callers.add(path.stem)
+    assert callers == {"stability"}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(Path(hdg.stability.__file__).read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "compositions_upto" not in imported and not hasattr(hdg.stability, "compositions_upto")
 
 
 def test_colors_ntcoal_has_one_seat_rule():

@@ -240,10 +240,11 @@ def test_dealing_lone_runs_equals_one_block_per_agent():
                     deal_outcome(inst, blocks, [(pair, wrong)] + runs[1:])
 
 
-def test_shapes_are_the_bounded_multisets_in_composition_order():
-    # `vectors` in `compositions_upto` order, and `shape(i)` the ones of two
-    # members or more, the larger first and then by entries, each drawn in
-    # bulk for some instances and one at a time for others.
+def test_shapes_are_the_bounded_multisets_in_one_order():
+    # The one-agent `singles`, then `shape(i)`, the ones of two members or
+    # more, the larger first and then by entries, drawn in bulk for some
+    # instances and one at a time for others; `listed` gives them all, in
+    # that order, with their count vectors.
     rng = random.Random(31)
     for trial in range(40):
         inst = random_instance(rng, GenCaps(n=7))
@@ -257,14 +258,17 @@ def test_shapes_are_the_bounded_multisets_in_composition_order():
             total = 0
             while table.draw(total + 1) > total:
                 total += 1
-        assert table.vectors == list(compositions_upto(limits, sigma))
-        assert total == len(table.vectors) == len(multisets)
+        assert total == len(pairs) + len(table.drawn) == len(multisets)
         assert table.draw(total + 1) == total
         got = []
         while (shape := table.shape(len(got))) is not None:
             got.append(shape)
         assert table.shape(len(got)) is None and table.drawn == got
         assert [block.pair_counts for block in table.singles] == [((p, 1),) for p in pairs]
+        listed = table.listed()
+        assert [block for _, block in listed] == table.singles + [block for _, block, _ in got]
+        assert [vec for vec, _ in listed[len(pairs):]] == [vec for vec, _, _ in got]
+        assert sorted(vec for vec, _ in listed) == sorted(compositions_upto(limits, sigma))
         blocks = [block.pair_counts for _, block, _ in got]
         assert blocks == sorted(blocks, key=lambda entries: (-sum(k for _, k in entries), entries))
         assert set(blocks) == {shape for shape in multisets if sum(k for _, k in shape) >= 2}
