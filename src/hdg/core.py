@@ -117,6 +117,8 @@ class NamedFamily:
         # JSON round-trip canonicalizes tuples vs lists so that parsed
         # instances compare equal to constructed ones.
         self.params = json.loads(json.dumps(params))
+        if type(self.params) is not dict:
+            raise InvalidInput(f"{name} parameters must be an object, not {params!r}")
         self._tier_of = _FAMILIES[name](self.params)
         self._key = (name, json.dumps(self.params, sort_keys=True))
 
@@ -136,8 +138,9 @@ class NamedFamily:
 PreferenceOrder = TierList | NamedFamily
 
 # Family parameters checked against gamma when an Instance is built: those
-# naming one color, those listing colors (and the color pairs of "edges"),
-# and those with one entry per color.
+# naming one color (only "green_color" may be null, for no green class),
+# those listing colors (and the color pairs of "edges"), and those with one
+# entry per color.
 _COLOR_PARAMS = ("color", "green_color", "green", "red", "blue", "guard")
 _COLOR_LIST_PARAMS = ("marker_colors", "vertex_colors")
 _PER_COLOR_PARAMS = ("values", "class_sizes")
@@ -145,7 +148,11 @@ _PER_COLOR_PARAMS = ("values", "class_sizes")
 
 def _check_family_params(type_id: int, order: NamedFamily, gamma: int) -> None:
     params = order.params
-    named = [params[key] for key in _COLOR_PARAMS if params.get(key) is not None]
+    named = [
+        params[key]
+        for key in _COLOR_PARAMS
+        if key in params and (key, params[key]) != ("green_color", None)
+    ]
     for key in _COLOR_LIST_PARAMS:
         named.extend(params.get(key, ()))
     for edge in params.get("edges", ()):
@@ -272,6 +279,8 @@ def _partition_guard(params: dict) -> Callable[[Palette], int]:
     green = params["green"]
     red = params["red"]
     blue = params["blue"]
+    if type(green) is not int or not 0 <= green < len(class_sizes):
+        raise InvalidInput(f"{family} parameter 'green' must index 'class_sizes', not {green!r}")
     greens_total = class_sizes[green]
 
     def desirable(p: Palette) -> bool:

@@ -7,19 +7,29 @@ or a named comparator family with parameters.  Outcomes are lists of
 agent-id lists.  Serialization is canonical (sorted keys, sorted tiers)
 so files round-trip byte-exactly; parsing rejects a key given twice in
 one object.
+
+A file's bytes are those of `json.dumps(data, sort_keys=True, indent=1)`
+plus a newline.  json formats any indented output in pure Python, so the
+part that grows with n, the agent records and the coalitions, is written
+here in one C-level pass over the columns (ids through json's C string
+encoder); json writes only the header and the preference blocks.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .core import Budgets, Instance, NamedFamily, TierList
 from .errors import InvalidInput
 from .stability import Outcome
 
 
-def instance_to_data(instance: Instance) -> dict:
+def _header(instance: Instance) -> dict:
+    """An instance file's data without its agent records."""
     types: dict[str, dict] = {}
     for t, order in sorted(instance.prefs.items()):
         if isinstance(order, TierList):
@@ -36,12 +46,37 @@ def instance_to_data(instance: Instance) -> dict:
         "sigma": instance.budgets.sigma,
         "rho1": instance.budgets.rho1,
         "rho2": instance.budgets.rho2,
-        "agents": [
-            {"id": name, "color": color, "type": t}
-            for name, color, t in zip(instance.agent_ids, instance.colors, instance.types)
-        ],
         "types": types,
     }
+
+
+def _nested(value) -> str:
+    """`value` as json writes it three levels deep in an indent=1 file."""
+    return json.dumps(value, sort_keys=True, indent=1).replace("\n", "\n   ")
+
+
+def _atoms(column: Sequence) -> Iterable[str]:
+    """Each entry of a column as json writes it in an agent record's field
+    or a coalition's list: all-str and all-int columns by C-level maps."""
+    kinds = set(map(type, column))
+    if kinds == {str}:
+        return map(encode_basestring_ascii, column)
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    return map(_nested, column)
+
+
+# One agent record ("agents" is the first of the sorted top-level keys),
+# and the separator of a coalition's members.
+_RECORD = '  {\n   "color": %s,\n   "id": %s,\n   "type": %s\n  }'
+_MEMBERS = ",\n   "
+
+
+def serialize_instance(instance: Instance) -> str:
+    fields = zip(_atoms(instance.colors), _atoms(instance.agent_ids), _atoms(instance.types))
+    records = ",\n".join(map(_RECORD.__mod__, fields))
+    header = json.dumps(_header(instance), sort_keys=True, indent=1)
+    return f'{{\n "agents": [\n{records}\n ],\n{header[2:]}\n'
 
 
 # Top-level keys of an instance file and the JSON type each must have.
@@ -75,7 +110,7 @@ def _type_id(key: str) -> int:
 
 def _agent_ids(agents) -> tuple[str, ...]:
     """Agent ids as strings; only JSON strings and ints (not booleans) are ids."""
-    names = [a["id"] for a in agents]
+    names = list(map(itemgetter("id"), agents))
     if not set(map(type, names)) <= {str, int}:
         bad = next(v for v in names if type(v) not in (str, int))
         raise InvalidInput(f"agent id must be a string or an int, not {type(bad).__name__}")
@@ -108,8 +143,8 @@ def instance_from_data(data: Mapping) -> Instance:
                 prefs[_type_id(key)] = NamedFamily(block["family"], block["params"])
         instance = Instance(
             gamma=data["gamma"],
-            colors=_integers((a["color"] for a in agents), "agent color"),
-            types=_integers((a["type"] for a in agents), "agent type"),
+            colors=_integers(map(itemgetter("color"), agents), "agent color"),
+            types=_integers(map(itemgetter("type"), agents), "agent type"),
             prefs=prefs,
             budgets=Budgets(data["sigma"], data["rho1"], data["rho2"]),
             agent_ids=_agent_ids(agents),
@@ -121,10 +156,6 @@ def instance_from_data(data: Mapping) -> Instance:
     if len(set(instance.agent_ids)) != instance.n:
         raise InvalidInput("agent ids must be unique")
     return instance
-
-
-def serialize_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_data(instance), sort_keys=True, indent=1) + "\n"
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -140,9 +171,14 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _loads(text: str):
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        if text.startswith("\ufeff"):  # as json.loads words it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"not valid JSON: {exc}") from exc
 
@@ -159,13 +195,6 @@ def save_instance(instance: Instance, path) -> None:
 def load_instance(path) -> Instance:
     with open(path) as fh:
         return parse_instance(fh.read())
-
-
-def outcome_to_data(instance: Instance, outcome: Outcome) -> dict:
-    blocks = sorted(
-        sorted(instance.agent_ids[a] for a in block) for block in outcome.coalitions
-    )
-    return {"coalitions": blocks}
 
 
 def outcome_from_data(instance: Instance, data: Mapping) -> Outcome:
@@ -186,7 +215,15 @@ def outcome_from_data(instance: Instance, data: Mapping) -> Outcome:
 
 
 def serialize_outcome(instance: Instance, outcome: Outcome) -> str:
-    return json.dumps(outcome_to_data(instance, outcome), sort_keys=True, indent=1) + "\n"
+    names = instance.agent_ids
+    blocks = sorted(sorted(map(names.__getitem__, block)) for block in outcome.coalitions)
+    atoms = iter(_atoms(list(chain.from_iterable(blocks))))
+    body = ",\n".join(
+        f"  [\n   {_MEMBERS.join(islice(atoms, len(block)))}\n  ]" if block else "  []"
+        for block in blocks
+    )
+    coalitions = f"[\n{body}\n ]" if blocks else "[]"
+    return f'{{\n "coalitions": {coalitions}\n}}\n'
 
 
 def parse_outcome(instance: Instance, text: str) -> Outcome:

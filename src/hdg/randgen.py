@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 
 from .core import Instance, NamedFamily, Palette, TierList, make_instance, realizable_palettes
 from .errors import InvalidInput
@@ -93,8 +94,14 @@ def _random_tierlist(rng: random.Random, universe: list[Palette]) -> TierList:
     return TierList(tiers)
 
 
+@cache
+def _ratios(n: int) -> tuple[Fraction, ...]:
+    """The distinct ratios r/s with 1 <= r <= s <= n, in increasing order."""
+    return tuple(sorted({Fraction(r, s) for s in range(1, n + 1) for r in range(1, s + 1)}))
+
+
 def _random_own_ratio(rng: random.Random, color: int, n: int) -> NamedFamily:
-    fracs = sorted({Fraction(r, s) for s in range(1, n + 1) for r in range(1, s + 1)})
+    fracs = _ratios(n)
     listed = rng.sample(fracs, k=rng.randint(0, min(len(fracs), 6)))
     tiers: list[list[list[int]]] = []
     for f in listed:

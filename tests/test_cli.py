@@ -249,6 +249,42 @@ def test_family_integer_parameters_are_checked(tmp_path, capsys, family, params,
     assert err.startswith("invalid input:") and message in err and "Traceback" not in err
 
 
+GUARD = {**VALUE_SUM, "green": 0, "red": 1, "blue": 1}
+
+
+@pytest.mark.parametrize(
+    "family, params, message",
+    [
+        # Each ended in a traceback: an AttributeError on `params.get`, a
+        # TypeError in `tier_of` at solve time, or an IndexError in the builder.
+        ("partition_guard", [], "must be an object"),
+        ("value_sum_trichotomy", "x", "must be an object"),
+        ("own_ratio_tiers", [0], "must be an object"),
+        ("own_ratio_tiers", {"color": None, "tiers": [[[1, 2]]]}, "names color None"),
+        ("indset_guard", {**INDSET, "guard": None, "red": 0, "blue": 1}, "names color None"),
+        ("indset_guard", {**INDSET, "red": None, "blue": 1}, "names color None"),
+        ("indset_guard", {**INDSET, "red": 0, "blue": None}, "names color None"),
+        ("indset_vertex", {**INDSET, "guard": None, "edges": []}, "names color None"),
+        ("partition_guard", {**GUARD, "red": None}, "names color None"),
+        ("partition_guard", {**GUARD, "blue": None}, "names color None"),
+        ("partition_guard", {**GUARD, "class_sizes": []}, "'green' must index 'class_sizes'"),
+        ("partition_guard", {**GUARD, "green": 99}, "'green' must index 'class_sizes'"),
+    ],
+)
+def test_malformed_family_parameters_are_errors(tmp_path, capsys, family, params, message):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(two_agent_game(family, params)))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and message in err, err
+
+
+def test_value_sum_green_color_may_be_null(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(two_agent_game("value_sum_trichotomy", {**VALUE_SUM, "green_color": None})))
+    assert main(["solve", str(path), "--algo", "brute"]) == 0
+
+
 def test_value_sum_target_reaches_the_witness(tmp_path):
     # With the integer target the pair's values sum to it: one coalition.
     path, out = tmp_path / "family.json", tmp_path / "outcome.json"
