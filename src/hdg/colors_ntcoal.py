@@ -18,6 +18,11 @@ class in its coalition, and accept/blocked guesses that can never affect
 any agent's validity are fixed to their permissive value.  Every seat is
 decided by one test, `_seat_ok`, under the flags a guess sets for the
 class's color; the screens below rely on its being monotone in them.
+One function, `_network`, lays out, screens and solves every
+class-to-seat network, a guess's own and the IS family screen's relaxed
+ones.  Blocker demands aside, it tests each class at each seat once,
+and it keeps no seat test past the network: the refinements of one
+composition guess rarely meet the same (class, seat, flags) again.
 
 Most guesses are decided before a network is built, each in the guess
 order of the plain walk, so the first saturating guess is the same:
@@ -26,9 +31,10 @@ order of the plain walk, so the first saturating guess is the same:
   the instance's tier table, which back-to-back calls on one instance
   share; a tier depends on nothing the guess changes.  The composition
   list is built once per instance too, for both notions.
-* Seat screen: a row with supply but no valid seat, or a seat with room
-  but no valid row, fails the guess; edges stay within a color and per
-  color the supplies equal the seats, so a saturating flow uses both.
+* Seat screen, in `_network`: a row with supply but no valid seat, or a
+  seat with room but no valid row, fails the guess; edges stay within a
+  color and per color the supplies equal the seats, so a saturating flow
+  uses both.
 * Composition walk: under both notions, for each d, a depth-first walk
   over the sorted prefixes P of k compositions that fit the class sizes,
   whose leaves (k = d) come in `combinations_with_replacement` order.
@@ -165,9 +171,10 @@ def _flags(guess: Guess) -> list[tuple[int, int, int]]:
 
 
 def _compositions(instance: Instance) -> list[tuple[int, ...]]:
-    """The sorted color-count vectors of 2..sigma agents the instance can
-    form, built once per instance and kept in its `core.shared` parts; the
-    composition guard is checked on every call."""
+    """The color-count vectors of 2..sigma agents the instance can form, in
+    `compositions_upto`'s lexicographic order, built once per instance and
+    kept in its `core.shared` parts; the composition guard is checked on
+    every call."""
     limit = search_cap(GUESS_CAP)
     parts = shared(instance).parts
     out = parts.get("colors_ntcoal")
@@ -176,7 +183,7 @@ def _compositions(instance: Instance) -> list[tuple[int, ...]]:
         vectors = compositions_upto(instance.class_sizes, sigma, min_size=2)
         out = list(itertools.islice(vectors, limit + 1))
         if len(out) <= limit:
-            out = parts["colors_ntcoal"] = sorted(out)
+            parts["colors_ntcoal"] = out
     if len(out) > limit:
         raise SearchSpaceTooLarge(
             f"more than {limit} coalition compositions (cap via HDG_SEARCH_CAP)"
@@ -184,44 +191,46 @@ def _compositions(instance: Instance) -> list[tuple[int, ...]]:
     return out
 
 
-def _seats(
-    comps: tuple[tuple[int, ...], ...], trivial_counts: tuple[int, ...]
-) -> tuple[list[tuple], list[int]]:
-    """The (coalition, color) and (trivial, color) seats with room."""
-    slots: list[tuple] = []
-    caps: list[int] = []
-    for j, comp in enumerate(comps):
-        for c, room in enumerate(comp):
-            if room > 0:
-                slots.append((j, c))
-                caps.append(room)
-    for c, room in enumerate(trivial_counts):
-        if room > 0:
-            slots.append((TRIVIAL, c))
-            caps.append(room)
-    return slots, caps
+def _network(
+    instance: Instance,
+    tiers: TierTable,
+    comps: tuple[tuple[int, ...], ...],
+    trivial_counts: tuple[int, ...],
+    flags: list[tuple[int, int, int]],
+    blockers: tuple[tuple[tuple[int, int], int], ...] = (),
+) -> list[tuple[tuple[int, int], object, int]] | None:
+    """The class-to-seat network of a guess: its flow, as (class, target,
+    agents) triples, when it seats every agent, else None.
 
-
-def _saturating_flow(
-    rows: tuple[tuple[int, int], ...],
-    supplies: list[int],
-    slots: list[tuple],
-    caps: list[int],
-    valid: Callable[[int, int, object], bool],
-) -> dict[tuple[int, int], int] | None:
-    """Seat screen, then `max_flow`: the flow when it seats every row.
-
-    The screen fails a network, before it is built, when a row with supply
-    has no valid seat or a seat with room has no valid row: edges stay
-    within a color and per color the supplies equal the seats, so a
-    saturating flow uses both.
+    Rows are the instance's (color, type) classes with supply n_ct, slots
+    the seats with room, and a class may sit where `_seat_ok` accepts it
+    under its color's `flags`.  Blocker demands are seated first: each
+    takes one agent of its class and one seat of its coalition, and fails
+    the guess when the class or the seat runs short or the class may not
+    sit there.  Then the seat screen, then `max_flow`.
     """
+    slots = [(j, c) for j, comp in enumerate(comps) for c, room in enumerate(comp) if room]
+    slots += [(TRIVIAL, c) for c, room in enumerate(trivial_counts) if room]
+    caps = [trivial_counts[c] if j == TRIVIAL else comps[j][c] for j, c in slots]
+    rows = instance.present_pairs
+    supplies = [instance.n_ct[pair] for pair in rows]
+    for (color, type_id), j in blockers:
+        if not _seat_ok(tiers, comps, trivial_counts, color, type_id, j, flags[color]):
+            return None  # blocker cannot sit where it blocks
+        r, s = rows.index((color, type_id)), slots.index((j, color))
+        supplies[r] -= 1
+        caps[s] -= 1
+        if supplies[r] < 0 or caps[s] < 0:
+            return None
+
     edges = set()
     filled = [cap == 0 for cap in caps]
     for r, (color, type_id) in enumerate(rows):
-        seated = supplies[r] == 0
+        seated, row_flags = supplies[r] == 0, flags[color]
         for s, (target, c) in enumerate(slots):
-            if c == color and valid(color, type_id, target):
+            if c == color and _seat_ok(
+                tiers, comps, trivial_counts, color, type_id, target, row_flags
+            ):
                 edges.add((r, s))
                 if supplies[r] and caps[s]:
                     seated = filled[s] = True
@@ -230,67 +239,29 @@ def _saturating_flow(
     if not all(filled):
         return None
     value, flow = max_flow(FlowNetwork(tuple(supplies), tuple(caps), frozenset(edges)))
-    return flow if value == sum(supplies) else None
+    if value != sum(supplies):
+        return None
+    return [(rows[r], slots[s][0], amount) for (r, s), amount in flow.items()]
 
 
-def _try_flow(
-    instance: Instance,
-    guess: Guess,
-    notion: str,
-    tiers: TierTable,
-    class_ok: dict[tuple[int, int, object], bool],
-) -> Outcome | None:
-    """Transportation network of classes onto slots; an outcome on saturation.
-
-    Rows are the instance's (color, type) classes with supply n_ct, slots
-    the (coalition, color) and (trivial, color) seats with their counts.
-    Blocker demands are seated first: each takes one agent of its class
-    and one seat of its coalition, and fails the guess when the class or
-    the seat runs short or the class may not sit there.  The rest goes
-    through the seat screen and `max_flow`.
-
-    `class_ok` memoizes seat validity by (color, type, target).  Blockers
-    do not enter validity, so guesses that differ only in their blockers
-    may share one memo.
-    """
-    comps, trivial_counts = guess.compositions, guess.trivial_counts
-    slots, caps = _seats(comps, trivial_counts)
-    slot_index = {s: i for i, s in enumerate(slots)}
+def _try_flow(instance: Instance, guess: Guess, notion: str, tiers: TierTable) -> Outcome | None:
+    """The guess's `_network` under its flags (none under NS), dealt out
+    as an outcome when it saturates; each blocker demand joins its
+    coalition."""
+    comps = guess.compositions
     flags = _flags(guess) if notion == IS else [NO_FLAGS] * instance.gamma
-
-    def valid(color, type_id, target) -> bool:
-        key = (color, type_id, target)
-        hit = class_ok.get(key)
-        if hit is None:
-            hit = _seat_ok(tiers, comps, trivial_counts, color, type_id, target, flags[color])
-            class_ok[key] = hit
-        return hit
-
-    rows = instance.present_pairs
-    row_index = {pair: r for r, pair in enumerate(rows)}
-    supplies = [instance.n_ct[pair] for pair in rows]
-    for pair, j in guess.blockers:
-        if not valid(*pair, j):
-            return None  # blocker cannot sit where it blocks
-        r, s = row_index[pair], slot_index[(j, pair[0])]
-        supplies[r] -= 1
-        caps[s] -= 1
-        if supplies[r] < 0 or caps[s] < 0:
-            return None
-
-    flow = _saturating_flow(rows, supplies, slots, caps, valid)
-    if flow is None:
+    seated = _network(instance, tiers, comps, guess.trivial_counts, flags, guess.blockers)
+    if seated is None:
         return None
     members: list[dict[tuple[int, int], int]] = [{} for _ in comps]
     singles: list[tuple[tuple[int, int], int]] = []
     for pair, j in guess.blockers:
         members[j][pair] = members[j].get(pair, 0) + 1
-    for (r, s), amount in flow.items():
-        target = slots[s][0]
+    for pair, target, amount in seated:
         if target == TRIVIAL:
-            singles.append((rows[r], amount))
+            singles.append((pair, amount))
         else:
-            members[target][rows[r]] = members[target].get(rows[r], 0) + amount
+            members[target][pair] = members[target].get(pair, 0) + amount
     return deal_outcome(instance, [sorted(m.items()) for m in members], singles)
 
 
@@ -303,23 +274,16 @@ def _relaxed_saturates(
     into: list[int],
 ) -> bool:
     """Can a refinement refusing only (coalition, color) flags in
-    `refusable` saturate?  No, when the network of the seats `_seat_ok`
-    accepts under those refusals, the `into` bits and no out bits fails
-    the seat screen or `max_flow`: such a refinement that could saturate
-    has its flags below these, so by monotonicity its valid seats lie
-    within them, and its blockers only take supply and room from them."""
+    `refusable` saturate?  No, when the `_network` of the seats `_seat_ok`
+    accepts under those refusals, the `into` bits and no out bits does not
+    saturate: such a refinement that could saturate has its flags below
+    these, so by monotonicity its valid seats lie within them, and its
+    blockers only take supply and room from them."""
     refused = [0] * instance.gamma
     for j, c in refusable:
         refused[c] |= 1 << j
-
-    def valid(color, type_id, target) -> bool:
-        flags = (refused[color], into[color], 0)
-        return _seat_ok(tiers, comps, trivial_counts, color, type_id, target, flags)
-
-    slots, caps = _seats(comps, trivial_counts)
-    rows = instance.present_pairs
-    supplies = [instance.n_ct[pair] for pair in rows]
-    return _saturating_flow(rows, supplies, slots, caps, valid) is not None
+    flags = [(refused[c], into[c], 0) for c in range(instance.gamma)]
+    return _network(instance, tiers, comps, trivial_counts, flags) is not None
 
 
 def _is_guesses(
@@ -520,7 +484,7 @@ def _ns_guesses(
     comps_all: list[tuple[int, ...]],
     d_max: int,
     limit: int,
-) -> Iterator[tuple[Guess, dict]]:
+) -> Iterator[Guess]:
     """The NS guesses that may saturate, in the plain walk's order: the
     composition walk, cutting every prefix `_can_stay` rejects.  Each node
     it visits counts towards `limit`."""
@@ -541,7 +505,7 @@ def _ns_guesses(
         return _can_stay(tiers, types_of_color, comps, lone)
 
     for comps, trivial_counts in _composition_walk(instance, comps_all, d_max, keep):
-        yield Guess(comps, trivial_counts), {}
+        yield Guess(comps, trivial_counts)
 
 
 def _is_walk(
@@ -550,20 +514,17 @@ def _is_walk(
     comps_all: list[tuple[int, ...]],
     d_max: int,
     limit: int,
-) -> Iterator[tuple[Guess, dict]]:
+) -> Iterator[Guess]:
     """The IS refinements that pass the family screens, each composition
-    guess's in turn, with a seat-validity memo per (accepted, blocked);
-    each refinement counts towards `limit`."""
+    guess's in turn; each refinement counts towards `limit`."""
     types_of_color = _types_of_color(instance)
     examined = 0
     for comps, trivial_counts in _composition_walk(instance, comps_all, d_max, lambda *_: True):
-        # Blocker covers share seat validity.
-        validity: dict[tuple, dict] = {}
         for guess in _is_guesses(instance, tiers, types_of_color, comps, trivial_counts):
             examined += 1
             if examined > limit:
                 raise SearchSpaceTooLarge(f"more than {limit} guesses (cap via HDG_SEARCH_CAP)")
-            yield guess, validity.setdefault((guess.accepted, guess.blocked), {})
+            yield guess
 
 
 def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
@@ -574,8 +535,8 @@ def solve_colors_ntcoal(instance: Instance, notion: str) -> Outcome | None:
     comps_all = _compositions(instance)
     tiers = tier_table(instance)
     walk = _ns_guesses if notion == NS else _is_walk
-    for guess, class_ok in walk(instance, tiers, comps_all, d_max, limit):
-        outcome = _try_flow(instance, guess, notion, tiers, class_ok)
+    for guess in walk(instance, tiers, comps_all, d_max, limit):
+        outcome = _try_flow(instance, guess, notion, tiers)
         if outcome is not None:
             verdict = check_outcome(instance, outcome, notion)
             if not verdict.stable:

@@ -29,6 +29,11 @@ from .errors import EmptyCoalition, InvalidInput
 
 Palette = tuple[int, ...]
 
+# The most colors an instance may have.  Every layer builds gamma-length
+# count vectors, so a gamma past any realistic palette length would only
+# fail later, inside a solver; the solvers are meant for few colors.
+MAX_GAMMA = 1 << 16
+
 
 def reduce_counts(counts: Sequence[int]) -> Palette:
     """Reduce a color-count vector to its palette (gcd-1 form)."""
@@ -572,6 +577,8 @@ class Instance:
             raise InvalidInput("instance needs at least one agent")
         if self.gamma < 1:
             raise InvalidInput("instance needs at least one color")
+        if self.gamma > MAX_GAMMA:
+            raise InvalidInput(f"gamma {self.gamma} is above the ceiling of {MAX_GAMMA} colors")
         if len(self.types) != n:
             raise InvalidInput("colors and types must have equal length")
         if not all(0 <= c < self.gamma for c in _distinct(self.colors)):

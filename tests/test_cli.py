@@ -4,6 +4,7 @@ import pytest
 
 from hdg import cli
 from hdg.cli import main
+from hdg.core import MAX_GAMMA
 from hdg.fileio import load_instance, save_instance, serialize_outcome
 from hdg.stability import Outcome
 
@@ -188,6 +189,26 @@ def test_an_empty_tier_palette_is_an_error(example1_path, tmp_path, capsys):
     assert main(["solve", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("invalid input:") and "tier palette (0, 0)" in err, err
+
+
+@pytest.mark.parametrize("gamma", [10**30, MAX_GAMMA + 1])
+def test_a_gamma_above_the_ceiling_is_an_error(tmp_path, capsys, gamma):
+    # A gamma of 10**30 passed validation, and the solve died with an
+    # OverflowError traceback building its first gamma-length vector.
+    data = {
+        "agents": [{"color": 0, "id": str(i), "type": 0} for i in range(2)],
+        "gamma": gamma,
+        "n": 2,
+        "rho1": 2,
+        "rho2": 1,
+        "sigma": 2,
+        "types": {"0": {"tiers": []}},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and f"ceiling of {MAX_GAMMA} colors" in err, err
 
 
 def two_agent_game(family, params):

@@ -292,6 +292,14 @@ def test_same_outcome_as_unpruned_walk_sweep(profile, n, notion):
     assert solve_colors_ntcoal(inst, notion) == ntcoal_walk(inst, notion)[0]
 
 
+@pytest.mark.parametrize("profile", [223, 247])
+def test_same_outcome_as_unpruned_walk_blocker_games(profile):
+    # Sweep-style games whose IS refinements differ only in their blocker
+    # covers, hundreds of seat tests past the relaxed family screen.
+    inst = sweep_game(profile, 12, 2)
+    assert solve_colors_ntcoal(inst, IS) == ntcoal_walk(inst, IS)[0]
+
+
 def no_is_game():
     """No individually stable outcome; the unscreened walk generates 1,608
     IS guesses, and the relaxed family screen rules out every one."""
@@ -365,7 +373,7 @@ def walk_skips_only_failing_leaves(monkeypatch, inst, sample=None):
         skipped = random.Random(sample).sample(skipped, sample)
     tiers = tier_table(inst)
     for comps, trivial_counts in skipped:
-        assert real_try(inst, Guess(comps, trivial_counts), NS, tiers, {}) is None, comps
+        assert real_try(inst, Guess(comps, trivial_counts), NS, tiers) is None, comps
     return outcome, len(flowed), len(skipped)
 
 
@@ -480,35 +488,43 @@ def test_rho2_eight_sweep_game_answers_under_is(monkeypatch):
     assert outcome is not None and check_outcome(inst, outcome, IS).stable
 
 
-@pytest.mark.parametrize("profile", [223, 247])
-def test_blocker_covers_share_seat_validity(monkeypatch, profile):
-    # Blockers do not enter seat validity, so across the guesses one
-    # composition guess refines into, the flow tests each seat of each
-    # (accepted, blocked) pair once, whatever the blocker cover.  These
-    # sweep-style games keep hundreds of seat tests past the relaxed
-    # family screen (the benchmark's profiles 0 and 1 at n=10 keep 64 and 36).
-    inst = sweep_game(profile, 12, 2)
-    seats = []
-    inside = [None]  # the guess `_try_flow` is testing
-    real_valid, real_try = colors_ntcoal._seat_ok, colors_ntcoal._try_flow
+def seat_tests_per_network(monkeypatch) -> list[list[tuple]]:
+    """Patch `_network` and `_seat_ok` to record, per network, the
+    (color, type, target) of each seat test it makes."""
+    networks, current = [], [None]  # the seat tests of the network being built
+    real_ok, real_network = colors_ntcoal._seat_ok, colors_ntcoal._network
 
-    def valid(tiers, comps, trivial_counts, color, type_id, target, flags):
-        guess = inside[0]
-        if guess is not None:
-            seats.append((guess.compositions, guess.accepted, guess.blocked, color, type_id, target))
-        return real_valid(tiers, comps, trivial_counts, color, type_id, target, flags)
+    def seat_ok(tiers, comps, trivial_counts, color, type_id, target, flags):
+        if current[0] is not None:
+            current[0].append((color, type_id, target))
+        return real_ok(tiers, comps, trivial_counts, color, type_id, target, flags)
 
-    def trying(instance, guess, *args):
-        inside[0] = guess
+    def network(*args):
+        current[0] = []
         try:
-            return real_try(instance, guess, *args)
+            return real_network(*args)
         finally:
-            inside[0] = None
+            networks.append(current[0])
+            current[0] = None
 
-    monkeypatch.setattr(colors_ntcoal, "_seat_ok", valid)
-    monkeypatch.setattr(colors_ntcoal, "_try_flow", trying)
-    assert solve_colors_ntcoal(inst, IS) == ntcoal_walk(inst, IS)[0]
-    assert len(seats) > 500 and len(seats) == len(set(seats))
+    monkeypatch.setattr(colors_ntcoal, "_seat_ok", seat_ok)
+    monkeypatch.setattr(colors_ntcoal, "_network", network)
+    return networks
+
+
+def test_ns_network_tests_each_seat_once(monkeypatch):
+    # Under NS a network has no blocker demands, and its seat screen tests
+    # each class at each seat of its color once, so a memo of seat tests
+    # kept for the network would never be hit.
+    rng = random.Random(2929)
+    games = [random_instance(rng, GenCaps(n=7, rho2=2)) for _ in range(100)]
+    games += [sweep_game(profile, n, rho2) for profile in (0, 1) for n, rho2 in ((10, 2), (32, 8))]
+    games.append(from_x3c(*X3C_GADGET))
+    networks = seat_tests_per_network(monkeypatch)
+    for inst in games:
+        solve_colors_ntcoal(inst, NS)
+    assert len(networks) > 500 and sum(map(len, networks)) > 3000
+    assert all(len(seats) == len(set(seats)) for seats in networks)
 
 
 def unsaturable_families(monkeypatch, inst):

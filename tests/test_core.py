@@ -274,6 +274,7 @@ def test_compositions_odometer_yields_the_recursive_sequence():
         assert got == list(recursive_compositions_upto(limits, max_size, min_size)), (
             limits, max_size, min_size,
         )
+        assert got == sorted(got)  # colors-ntcoal's walk relies on it
         seen["empty"] += not limits
         seen["zero limit"] += 0 in limits
         seen["none"] += not got

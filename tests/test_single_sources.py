@@ -17,7 +17,8 @@ Only `core` (in `TierTable`) and `ownhdg` (its own-ratio order builder)
 call it; every other layer reads each tier through the instance's
 `core.TierTable`, which only `core.tier_table` builds, so back-to-back
 solves and deviation searches on one instance share it.  colors-ntcoal
-decides every seat with one flag-monotone test, `_seat_ok`.
+decides every seat with one flag-monotone test, `_seat_ok`, and builds
+every class-to-seat network in one function, `_network`.
 """
 
 import argparse
@@ -33,6 +34,7 @@ import pytest
 import hdg
 import hdg.brute
 import hdg.core
+import hdg.maxflow
 import hdg.stability
 from hdg import bench, cli, colors_ntcoal, colors_size, colors_types
 from hdg.core import NamedFamily, TierList
@@ -357,6 +359,25 @@ def test_colors_ntcoal_has_one_seat_rule():
         if isinstance(node, ast.Attribute) and node.attr in ("joined", "pair")
     }
     assert readers == {"_seat_ok", "_is_guesses"}
+
+
+def test_colors_ntcoal_builds_one_network():
+    # Only `_network` names `FlowNetwork` and `max_flow`, and it builds
+    # one network; `max_flow` stays a module-level name, because the
+    # benchmark's `hdg.colors_ntcoal:max_flow` hook and
+    # `test_flow_rows.record_networks` patch it there.
+    tree = ast.parse(Path(colors_ntcoal.__file__).read_text())
+    namers, builds = set(), 0
+    for top in tree.body:
+        if isinstance(top, ast.ImportFrom):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in ("FlowNetwork", "max_flow"):
+                namers.add(getattr(top, "name", type(top).__name__))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FlowNetwork":
+                builds += 1
+    assert namers == {"_network"} and builds == 1
+    assert vars(colors_ntcoal)["max_flow"] is hdg.maxflow.max_flow
 
 
 def test_tier_of_is_the_only_preference_oracle():
