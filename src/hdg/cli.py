@@ -26,7 +26,7 @@ from .fileio import (
     serialize_outcome,
 )
 from .randgen import GenCaps
-from .stability import IS, NS, check_outcome
+from .stability import IS, NS, check_outcome, deviation_tiers
 
 NOTION_NAMES = {NS: "Nash stability", IS: "individual stability"}
 
@@ -64,7 +64,7 @@ def cmd_solve(args) -> int:
         print(f"{algo} solves {names} only", file=sys.stderr)
         return 2
     b = instance.budgets
-    tau = len(set(instance.types))
+    tau = len({t for _, t in instance.present_pairs})
     print(
         f"n={instance.n} gamma={instance.gamma} tau={tau} "
         f"sigma={b.sigma} rho1={b.rho1} rho2={b.rho2} algo={algo} notion={args.notion}"
@@ -99,6 +99,13 @@ def cmd_check(args) -> int:
         dev = verdict.deviation
         target = "the empty coalition" if dev.target == -1 else f"coalition {dev.target}"
         print(f"unstable: agent {instance.agent_ids[dev.agent]} deviates to {target}")
+        (color, t), (own, own_tier), (joined, joined_tier) = deviation_tiers(
+            instance, outcome, dev
+        )
+        print(
+            f"  (color {color}, type {t}): palette {own} at tier {own_tier}, "
+            f"joined palette {joined} at tier {joined_tier} (tier 0 is the top)"
+        )
     return 1
 
 

@@ -17,12 +17,23 @@ read).  Both are built once per instance and kept in its `core.shared`
 parts, the rule once per notion, so every solve and check of the
 instance reads the same shapes and the same block verdicts.
 
+A dealt outcome (`deal_outcome`) keeps its lone agents as runs, slices
+of the instance's class pools after its explicit coalitions, and lists
+their one-agent coalitions only when `Outcome.coalitions` is read.  A
+check reads the runs as they are: it costs O(explicit members + runs +
+classes) whatever n is, and a witness whose agents all go alone is
+checked without a coalition being built.
+
 Checking an outcome costs per coalition and class, not per agent.  The
-partition is tested with a few C-level passes over the ids (`member_of`
-only words the error).  One pass over the coalitions groups them by that
-signature and lists the agents to decide: one per class for the
-one-agent coalitions, which share a memo, so a witness dealt as runs of
-lone agents costs a dict hit per coalition; one per class, its lowest
+partition is tested with a few C-level passes over the explicit ids
+(`member_of` only words the error); runs are tested by their bounds,
+each an own pool's slice, disjoint from the other slices of that pool
+and from every explicit member, and n agents in all.  An outcome whose
+runs fail that, or are slices of another instance's pools, is checked
+through its `coalitions` as an explicit one.  One pass over the
+coalitions groups them by that signature and lists the agents to
+decide: one per class for the one-agent coalitions, which share a memo,
+and one per class for a run, its first agent; one per class, its lowest
 agent, for a big coalition of few classes, read with C-level scans; and
 every member of any other coalition, which holds a handful of agents.
 Then each (own group, class) key is decided at most once, at its lowest
@@ -36,12 +47,13 @@ witness's key is decided.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Iterator
 
-from .core import Instance, shared, tier_table
+from .core import Instance, reduce_counts, shared, tier_table
 from .errors import InvalidOutcome, SolverDivergence
 
 NS = "ns"
@@ -59,19 +71,51 @@ SCAN_FROM = 24
 SCAN_CLASSES = 4
 
 
-@dataclass(frozen=True, slots=True)
 class Outcome:
     """A partition of the agents, each coalition a tuple of sorted agent ids.
 
     Sorted tuples make equal partitions (in the same coalition order) equal
     and cost about a quarter of the memory of frozensets on singletons.
+
+    `Outcome(coalitions)` holds its coalitions as given.  A dealt outcome
+    (`deal_outcome`) also keeps its lone agents as `runs` after them:
+    (pair, pool, start, stop) stands for the one-agent coalitions
+    (pool[start],), ..., (pool[stop - 1],) of the instance's
+    `agents_of_ct[pair]` pool.  `coalitions` lists them all, built once
+    when first read (`__getattr__` fills the slot); `==`, `hash` and
+    `repr` read it, so two outcomes of the same coalitions are equal
+    however they were made.
     """
 
-    coalitions: tuple[tuple[int, ...], ...]
+    __slots__ = ("explicit", "runs", "coalitions")
+
+    def __init__(self, coalitions, runs=()):
+        self.explicit = coalitions
+        self.runs = runs
+        if not runs:
+            self.coalitions = coalitions
 
     @classmethod
     def from_sets(cls, sets) -> "Outcome":
         return cls(tuple(tuple(sorted(s)) for s in sets))
+
+    def __getattr__(self, name: str):
+        # Called only for a slot not yet set: a dealt outcome's coalitions.
+        if name != "coalitions":
+            raise AttributeError(name)
+        self.coalitions = got = _with_lone(self.explicit, self.runs)
+        return got
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coalitions == other.coalitions
+
+    def __hash__(self):
+        return hash(self.coalitions)
+
+    def __repr__(self):
+        return f"Outcome(coalitions={self.coalitions!r})"
 
     def member_of(self, n: int) -> list[int]:
         """Coalition index per agent; validates the partition property."""
@@ -93,9 +137,19 @@ class Outcome:
         return owner
 
 
+def _with_lone(explicit, runs) -> tuple[tuple[int, ...], ...]:
+    """The explicit coalitions, then one one-agent coalition per agent of
+    each run."""
+    coalitions = list(explicit)
+    for _, pool, start, stop in runs:
+        coalitions.extend(zip(pool[start:stop]))
+    return tuple(coalitions)
+
+
 def deal_outcome(instance: Instance, blocks, alone=()) -> Outcome:
     """Outcome with one coalition per block of class counts, then one
-    one-agent coalition per agent of each run in `alone`.
+    one-agent coalition per agent of each run in `alone`, kept as a run of
+    the outcome.
 
     Each block is a sequence of ((color, type), count) entries, and each
     run a ((color, type), count) pair.  Agents are dealt out of each
@@ -113,13 +167,15 @@ def deal_outcome(instance: Instance, blocks, alone=()) -> Outcome:
             members.extend(pools[pair][start : start + k])
             dealt[pair] = start + k
         coalitions.append(tuple(sorted(members)))
+    runs = []
     for pair, k in alone:
         start = dealt[pair]
-        coalitions.extend(zip(pools[pair][start : start + k]))
+        if k:
+            runs.append((pair, pools[pair], start, start + k))
         dealt[pair] = start + k
     if any(dealt[pair] != len(agents) for pair, agents in pools.items()):
         raise SolverDivergence("class counts do not deal out every agent exactly once")
-    return Outcome(tuple(coalitions))
+    return Outcome(tuple(coalitions), tuple(runs))
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,6 +363,73 @@ def _sizes(outcome: Outcome, n: int) -> list[int]:
     raise AssertionError("member_of accepted an outcome that is not a partition")
 
 
+def _dealt_sizes(instance: Instance, explicit, runs) -> list[int] | None:
+    """Sizes of the explicit coalitions when they and the lone runs
+    partition the agents, else None.  Each run must be a nonempty slice of
+    this instance's own pool of its class, the slices of one pool
+    disjoint, each explicit member an int id found in no run (bisected in
+    its class's pool), and n agents dealt in all: O(explicit members +
+    runs), whatever n is."""
+    pools = instance.agents_of_ct
+    cuts: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    dealt = 0
+    for pair, pool, start, stop in runs:
+        if not (
+            pools.get(pair) is pool
+            and type(start) is int
+            and type(stop) is int
+            and 0 <= start < stop <= len(pool)
+        ):
+            return None
+        cuts.setdefault(pair, []).append((start, stop))
+        dealt += stop - start
+    for cut in cuts.values():
+        if len(cut) > 1:
+            cut.sort()
+            if any(stop > start for (_, stop), (start, _) in zip(cut, cut[1:])):
+                return None
+    sizes = list(map(len, explicit))
+    if not explicit:
+        return sizes if dealt == instance.n else None
+    try:
+        agents = set().union(*explicit)
+    except TypeError:  # an unhashable id
+        return None
+    if not (
+        dealt + len(agents) == instance.n
+        and len(agents) == sum(sizes)
+        and all(sizes)
+        and {int}.issuperset(map(type, agents))
+        and 0 <= min(agents)
+        and max(agents) < instance.n
+    ):
+        return None
+    colors, types = instance.colors, instance.types
+    for agent in agents:
+        pair = colors[agent], types[agent]
+        cut = cuts.get(pair)
+        if cut is not None:
+            at = bisect_left(pools[pair], agent)
+            k = bisect_right(cut, at, key=itemgetter(0)) - 1
+            if k >= 0 and at < cut[k][1]:
+                return None
+    return sizes
+
+
+def _parts(instance: Instance, outcome: Outcome):
+    """(explicit coalitions, their sizes, lone runs) of an outcome that
+    partitions the instance's agents.  The runs are read as they are when
+    `_dealt_sizes` accepts them; any other outcome, one dealt from another
+    instance's pools for one, is read through its `coalitions` with no
+    runs, and `_sizes` raises InvalidOutcome if it is not a partition."""
+    runs = outcome.runs
+    if runs:
+        sizes = _dealt_sizes(instance, outcome.explicit, runs)
+        if sizes is not None:
+            return outcome.explicit, sizes, runs
+    return outcome.coalitions, _sizes(outcome, instance.n), ()
+
+
 def _scan(instance: Instance, block) -> tuple[list[int], dict[tuple[int, int], int]] | None:
     """Color counts of a coalition and the lowest agent of each (color,
     type) class in it, read with C-level scans over its members' class
@@ -323,7 +446,7 @@ def _scan(instance: Instance, block) -> tuple[list[int], dict[tuple[int, int], i
     return counts, {pairs[k]: members[ids.index(k)] for k in classes}
 
 
-def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
+def _deviation_search(instance: Instance, explicit, runs, kind: str):
     colors, types, gamma = instance.colors, instance.types, instance.gamma
     rule = deviation_rule(instance, kind)
     lured, tier, empty, under_is = rule.lured, rule.tiers.own, rule.empty, rule.under_is
@@ -336,6 +459,8 @@ def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
     # coalitions of a class share one, kept in `lone` with the lowest of
     # their agents; a scanned coalition gives one per class, its lowest
     # agent there; a walked one gives one per member, built after the pass.
+    # A lone run after them is a row of one-agent coalitions of its class,
+    # read as one: its lowest agent and its first two coalition indices.
     index: dict[tuple, int] = {}
     first: list[int] = []
     second: list[int | None] = []
@@ -344,7 +469,7 @@ def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
     entries: list[tuple] = []
     lone: dict[tuple[int, int], tuple] = {}
     walked: list[tuple] = []
-    for idx, block in enumerate(outcome.coalitions):
+    for idx, block in enumerate(explicit):
         if len(block) == 1:
             agent = block[0]
             pair = colors[agent], types[agent]
@@ -384,6 +509,24 @@ def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
             walked.append((block, idx, g))
         else:
             entries += zip(lowest.values(), repeat(idx), repeat(g), lowest)
+    idx = len(explicit)
+    for pair, pool, start, stop in runs:
+        counts = [0] * gamma
+        counts[pair[0]] = 1
+        counts = tuple(counts)
+        here = frozenset(pair[1:]) if under_is else none
+        g = index.setdefault((counts, here), len(first))
+        if g == len(first):
+            first.append(idx)
+            second.append(idx + 1 if stop - start > 1 else None)
+            counts_of.append(counts)
+            present.append(here)
+        elif second[g] is None:
+            second[g] = idx
+        entry = lone.get(pair)
+        if entry is None or pool[start] < entry[0]:
+            lone[pair] = pool[start], idx, g, pair
+        idx += stop - start
 
     # Decide the entries in agent order, each (group, class) key once, at
     # its lowest agent: every agent of a key has the same own group and so
@@ -427,14 +570,33 @@ def _deviation_search(instance: Instance, outcome: Outcome, kind: str):
 
 def find_ns_deviation(instance: Instance, outcome: Outcome) -> Deviation | None:
     """First NS-deviation in (agent id, target index, EMPTY last) order."""
-    _sizes(outcome, instance.n)
-    return _deviation_search(instance, outcome, NS)
+    explicit, _, runs = _parts(instance, outcome)
+    return _deviation_search(instance, explicit, runs, NS)
 
 
 def find_is_deviation(instance: Instance, outcome: Outcome) -> Deviation | None:
     """First IS-deviation, same witness order as find_ns_deviation."""
-    _sizes(outcome, instance.n)
-    return _deviation_search(instance, outcome, IS)
+    explicit, _, runs = _parts(instance, outcome)
+    return _deviation_search(instance, explicit, runs, IS)
+
+
+def deviation_tiers(instance: Instance, outcome: Outcome, deviation: Deviation):
+    """What a deviation is made of: ((color, type) of the agent, (palette,
+    tier) of its coalition, (palette, tier) of the coalition it would form,
+    the target grown by it or, for EMPTY, itself alone), tiers as the
+    instance's `tier_table` reads them for the agent's type."""
+    agent, coalitions, colors = deviation.agent, outcome.coalitions, instance.colors
+    own = next(block for block in coalitions if agent in block)
+    joined = [agent] if deviation.target == EMPTY else [*coalitions[deviation.target], agent]
+    t, tiers = instance.types[agent], tier_table(instance)
+
+    def read(members):
+        counts = [0] * instance.gamma
+        for member in members:
+            counts[colors[member]] += 1
+        return reduce_counts(counts), tiers.own(t, tuple(counts))
+
+    return (colors[agent], t), read(own), read(joined)
 
 
 @dataclass(frozen=True, slots=True)
@@ -452,11 +614,16 @@ def check_outcome(instance: Instance, outcome: Outcome, notion: str) -> CheckRes
     """Verify stability and budget compliance of an outcome."""
     if notion not in (NS, IS):
         raise ValueError(f"unknown stability notion {notion!r}")
-    sizes = _sizes(outcome, instance.n)
+    if outcome.runs:
+        explicit, sizes, runs = _parts(instance, outcome)
+    else:  # an explicit outcome, read as before at the cost of that test
+        explicit, sizes, runs = outcome.coalitions, _sizes(outcome, instance.n), ()
     b = instance.budgets
     total = len(sizes)
-    nontrivial = total - sizes.count(1)
-    biggest = max(sizes)
+    if runs:
+        total += sum([stop - start for _, _, start, stop in runs])
+    nontrivial = len(sizes) - sizes.count(1)
+    biggest = max(sizes) if sizes else 1
     if total > b.rho1:
         return CheckResult("budget", detail=f"{total} coalitions > rho1={b.rho1}")
     if nontrivial > b.rho2:
@@ -465,7 +632,7 @@ def check_outcome(instance: Instance, outcome: Outcome, notion: str) -> CheckRes
         )
     if biggest > b.sigma:
         return CheckResult("budget", detail=f"coalition of size {biggest} > sigma={b.sigma}")
-    dev = _deviation_search(instance, outcome, notion)
+    dev = _deviation_search(instance, explicit, runs, notion)
     if dev is not None:
         return CheckResult("unstable", deviation=dev)
     return CheckResult("stable")

@@ -4,7 +4,7 @@ import pytest
 
 from hdg import cli
 from hdg.cli import main
-from hdg.core import MAX_GAMMA
+from hdg.core import MAX_GAMMA, NamedFamily, Runs, make_instance
 from hdg.fileio import load_instance, save_instance, serialize_outcome
 from hdg.stability import Outcome
 
@@ -60,6 +60,63 @@ def test_check_detects_deviation(example1_path, tmp_path, capsys):
     assert main(["check", example1_path, str(out), "--notion", "ns"]) == 1
     assert "agent b" in capsys.readouterr().out
     assert main(["check", example1_path, str(out), "--notion", "is"]) == 0
+
+
+@pytest.mark.parametrize(
+    "notion, coalitions, lines",
+    [
+        # b (color 0, type 1) sits alone at tier 2 and tops its list in c
+        # and d's coalition with a.
+        (
+            "ns",
+            [{0, 2, 3}, {1}],
+            [
+                "unstable: agent b deviates to coalition 0",
+                "  (color 0, type 1): palette (1, 0) at tier 2, "
+                "joined palette (1, 1) at tier 0 (tier 0 is the top)",
+            ],
+        ),
+        # In the grand coalition a (color 0, type 0) would rather be alone:
+        # the empty target's palette is a's singleton palette.
+        (
+            "is",
+            [{0, 1, 2, 3}],
+            [
+                "unstable: agent a deviates to the empty coalition",
+                "  (color 0, type 0): palette (1, 1) at tier 3, "
+                "joined palette (1, 0) at tier 2 (tier 0 is the top)",
+            ],
+        ),
+    ],
+)
+def test_check_explains_a_deviation_in_palettes_and_tiers(
+    example1_path, tmp_path, capsys, notion, coalitions, lines
+):
+    out = tmp_path / "outcome.json"
+    out.write_text(serialize_outcome(example1(), Outcome.from_sets(coalitions)))
+    assert main(["check", example1_path, str(out), "--notion", notion]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_solve_header_counts_types_by_class(monkeypatch, capsys):
+    # A Runs-column instance of 100,000 agents: tau comes from the present
+    # classes, and nothing walks the type column agent by agent.
+    n = 100_000
+    prefs = {t: NamedFamily("own_ratio_tiers", {"color": t, "tiers": [[[1, 1]]]}) for t in (0, 1)}
+    column = Runs([(0, n // 2), (1, n // 2)])
+    instance = make_instance(column, prefs, types=column, gamma=2, sigma=2, rho2=1)
+    monkeypatch.setattr(cli, "load_instance", lambda path: instance)
+    monkeypatch.setattr(cli, "serialize_outcome", lambda instance, outcome: "")
+
+    def walked(self):
+        raise AssertionError("a Runs column was walked agent by agent")
+
+    monkeypatch.setattr(Runs, "__iter__", walked)
+    assert main(["solve", "runs.json", "--algo", "colors-ntcoal"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == (
+        f"n={n} gamma=2 tau=2 sigma=2 rho1={n} rho2=1 algo=colors-ntcoal notion=ns"
+    )
 
 
 def test_check_rejects_non_partition(example1_path, tmp_path):

@@ -3,7 +3,8 @@
 `bench.SOLVERS` is the only list of solvers: `hdg solve --algo` offers its
 names and the bench runs its entries and nothing else.  `errors.search_cap`
 is the only reader of the environment.  `stability.deal_outcome` is the
-only materialiser of the class-level solvers' witnesses.  Every solver the
+only materialiser of the class-level solvers' witnesses, and only
+`stability` and `fileio` read an outcome's `coalitions`.  Every solver the
 benchmark in `perfbench/` names is an `hdg` export, and every entry point
 its traced mode hooks exists.  Only `hdg.core` tells
 compact columns from tuples, and the class data the benchmark traces stays
@@ -312,6 +313,17 @@ def test_only_core_and_ownhdg_read_tier_of():
             if isinstance(node, ast.Attribute) and node.attr == "tier_of":
                 readers.add(path.stem)
     assert readers == {"core", "ownhdg"}
+
+
+def test_only_stability_and_fileio_read_coalitions():
+    # A dealt outcome's lone coalitions are built only when read: checks
+    # read its runs, and only the file writer lists every coalition.
+    readers = set()
+    for path in sorted(Path(hdg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "coalitions":
+                readers.add(path.stem)
+    assert readers == {"stability", "fileio"}
 
 
 def test_only_core_builds_a_tier_table():
